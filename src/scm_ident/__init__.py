@@ -66,7 +66,6 @@ from .recovery import (
     fit,
     identifiability_experiment,
     match_permutation,
-    mcc,
     recover_latents,
 )
 from .selection import (
@@ -140,7 +139,6 @@ __all__ = [
     "fit",
     "identifiability_experiment",
     "match_permutation",
-    "mcc",
     "recover_latents",
     # errors
     "ScmIdentError",

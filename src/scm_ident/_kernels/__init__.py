@@ -1,45 +1,15 @@
-"""Kernel backend selection.
+"""The exhaustive-audit kernel.
 
-Two interchangeable backends implement the closure and enumeration hot
-paths: a Cython extension compiled at install time and a pure-Python
-fallback. The compiled backend is picked automatically when present; set
-``SCM_IDENT_BACKEND=pure`` to force the fallback or ``=fast`` to require
-the extension. Both produce identical output (enforced by tests).
+One numpy implementation lives in :mod:`scm_ident._kernels.pure`;
+``BACKEND`` names it so run reports can say which kernel ran.
 """
-
-import os
 
 from . import pure
 
-_requested = os.environ.get("SCM_IDENT_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "fast", "pure"):
-    raise ImportError(
-        f"SCM_IDENT_BACKEND must be 'auto', 'fast' or 'pure', got {_requested!r}"
-    )
-
-_impl = pure
-if _requested in ("auto", "fast"):
-    try:
-        from . import _closure_fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _requested == "fast":
-            raise ImportError(
-                "SCM_IDENT_BACKEND=fast but the compiled kernel is not "
-                "installed; reinstall with a C toolchain available"
-            ) from None
-
-BACKEND = _impl.BACKEND_NAME
-closure_members = _impl.closure_members
-audit_shape = _impl.audit_shape
+BACKEND = pure.BACKEND_NAME
+audit_shape = pure.audit_shape
 
 
 def backends() -> dict[str, object]:
-    """All importable backends by name, for benchmarks and cross-checks."""
-    found: dict[str, object] = {"pure": pure}
-    try:
-        from . import _closure_fast
-
-        found["fast"] = _closure_fast
-    except ImportError:
-        pass
-    return found
+    """Every available kernel by name."""
+    return {"pure": pure}

@@ -1,112 +1,81 @@
-"""Pure-Python closure and enumeration kernels.
-
-This is the fallback backend; ``scm_ident._kernels._closure_fast`` is the
-compiled twin with identical semantics. Keep the two in lockstep — the
-test suite cross-checks them output-for-output.
+"""Vectorised audit kernel.
 
 Matrix encoding used by :func:`audit_shape`: an m x n binary adjacency is
 packed into an integer with bit ``k * n + j`` holding entry ``(k, j)``.
+Encodings are decided :data:`CHUNK` at a time, which bounds the working
+set whatever the shape.
 """
+
+import numpy as np
 
 BACKEND_NAME = "pure"
 
-
-def closure_members(parent_masks, n: int) -> list[int]:
-    """Subtraction closure of the seed family, as masks in insertion order.
-
-    Seeds are the empty set, the universal set over ``n`` latents, and one
-    parent set per task. The family is then closed under both directions
-    of pairwise set subtraction until a fixpoint; the fixpoint is unique,
-    so insertion order affects only the ordering of the result.
-    """
-    universal = (1 << n) - 1
-    members = [0, universal]
-    seen = {0, universal}
-    for mask in parent_masks:
-        mask = int(mask)
-        if mask not in seen:
-            seen.add(mask)
-            members.append(mask)
-    i = 0
-    while i < len(members):
-        x = members[i]
-        for j in range(i):
-            y = members[j]
-            for d in (x & ~y, y & ~x):
-                if d not in seen:
-                    seen.add(d)
-                    members.append(d)
-        i += 1
-    return members
-
-
-def _closure_has_all_singletons(row_masks, n: int) -> bool:
-    """Closure decider with early exit once every singleton is present."""
-    universal = (1 << n) - 1
-    members = [0, universal]
-    seen = {0, universal}
-    found = 1 if n == 1 else 0  # universal set is the singleton when n == 1
-    for mask in row_masks:
-        if mask not in seen:
-            seen.add(mask)
-            members.append(mask)
-            if mask and (mask & (mask - 1)) == 0:
-                found += 1
-    if found == n:
-        return True
-    i = 0
-    while i < len(members):
-        x = members[i]
-        for j in range(i):
-            y = members[j]
-            for d in (x & ~y, y & ~x):
-                if d not in seen:
-                    seen.add(d)
-                    members.append(d)
-                    if d and (d & (d - 1)) == 0:
-                        found += 1
-                        if found == n:
-                            return True
-        i += 1
-    return False
+CHUNK = 4096
+# 2**30 matrices is already out of reach; the bound also keeps every
+# encoding and latent mask inside int32.
+MAX_CELLS = 30
 
 
 def audit_shape(m: int, n: int):
     """Decide every binary m x n adjacency three independent ways.
 
-    Per matrix: (a) the closure decider, (b) the pairwise column-agreement
-    decider (agreement count equal to m for some pair means a violation),
-    and (c) direct column-distinctness. Returns ``(total, identifiable,
-    closure_vs_agreement, agreement_vs_distinct)`` where the last two are
-    lists of encodings of disagreeing matrices (both empty in a correct
-    build).
+    Returns ``(total, identifiable, closure_vs_agreement,
+    agreement_vs_distinct)`` where ``identifiable`` counts the matrices
+    the agreement decider accepts and the last two are lists of encodings
+    on which :func:`decide` found two verdicts disagreeing (both empty in
+    a correct build).
     """
+    if m < 1 or n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    if m * n > MAX_CELLS:
+        raise ValueError(f"shape {m}x{n} exceeds the enumerable range")
     total = 1 << (m * n)
-    row_field = (1 << n) - 1
-    closure_vs_agreement = []
-    agreement_vs_distinct = []
     identifiable = 0
-    for enc in range(total):
-        rows = [(enc >> (k * n)) & row_field for k in range(m)]
-        cols = [
-            sum(((rows[k] >> j) & 1) << k for k in range(m))
-            for j in range(n)
-        ]
-        agreement_ok = True
-        for j in range(n):
-            for jp in range(j + 1, n):
-                same = m - (cols[j] ^ cols[jp]).bit_count()
-                if same == m:
-                    agreement_ok = False
-                    break
-            if not agreement_ok:
-                break
-        distinct_ok = len(set(cols)) == n
-        closure_ok = _closure_has_all_singletons(rows, n)
-        if agreement_ok:
-            identifiable += 1
-        if closure_ok != agreement_ok:
-            closure_vs_agreement.append(enc)
-        if agreement_ok != distinct_ok:
-            agreement_vs_distinct.append(enc)
+    closure_vs_agreement: list[int] = []
+    agreement_vs_distinct: list[int] = []
+    for start in range(0, total, CHUNK):
+        enc = np.arange(start, min(start + CHUNK, total), dtype=np.int32)
+        closure_ok, agreement_ok, distinct_ok = decide(enc, m, n)
+        identifiable += int(agreement_ok.sum())
+        closure_vs_agreement += enc[closure_ok != agreement_ok].tolist()
+        agreement_vs_distinct += enc[agreement_ok != distinct_ok].tolist()
     return total, identifiable, closure_vs_agreement, agreement_vs_distinct
+
+
+def decide(enc: np.ndarray, m: int, n: int):
+    """Three independent verdicts per encoded m x n matrix.
+
+    ``enc`` is an int32 array of encodings. Returns boolean arrays
+    ``(closure_ok, agreement_ok, distinct_ok)`` aligned with it:
+
+    * closure: the subtraction closure of the empty set, the universal
+      set U and the parent sets Pa_k is the Boolean algebra they
+      generate, so {j} is a member iff j's atom is {j}. The atom is
+      reached by subtracting family members only: start from U and, per
+      task, subtract Pa_k when j is not in Pa_k and U - Pa_k otherwise;
+    * agreement: no pair of columns agrees on all m tasks;
+    * distinctness: the sorted column codes hold no equal neighbours.
+    """
+    universal = np.int32((1 << n) - 1)
+    latents = np.arange(n, dtype=np.int32)
+    rows = (enc >> (np.arange(m, dtype=np.int32)[:, None] * n)) & universal  # (m, C)
+    bits = ((rows[:, :, None] >> latents) & 1).astype(np.uint8)  # (m, C, n)
+
+    atoms = np.full((len(enc), n), universal)
+    for k in range(m):
+        # U - Pa_k is Pa_k ^ U, since Pa_k lies inside U
+        atoms &= ~(rows[k, :, None] ^ universal * bits[k])
+    closure_ok = (atoms == np.int32(1) << latents).all(axis=1)
+
+    left, right = np.triu_indices(n, k=1)
+    agree = np.zeros((len(enc), len(left)), dtype=np.uint8)
+    for k in range(m):
+        agree += bits[k][:, left] == bits[k][:, right]
+    agreement_ok = ~(agree == m).any(axis=1)
+
+    cols = np.zeros((len(enc), n), dtype=np.int32)
+    for k in range(m):
+        cols |= bits[k].astype(np.int32) << k
+    cols.sort(axis=1)
+    distinct_ok = (cols[:, 1:] != cols[:, :-1]).all(axis=1)
+    return closure_ok, agreement_ok, distinct_ok

@@ -1,7 +1,8 @@
 """Worker-count resolution and an order-preserving parallel map.
 
 The environment variable ``SCM_IDENT_THREADS`` caps the number of worker
-processes; 0 or unset means automatic (one per CPU). Results are always
+processes; 0 or unset means automatic (one per CPU). No request, however
+large, gets more workers than the host has CPUs. Results are always
 merged in submission order, so parallel and serial runs produce identical
 output for the same inputs.
 """
@@ -11,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Effective worker count after applying the SCM_IDENT_THREADS cap."""
+    """Effective worker count after the SCM_IDENT_THREADS and CPU-count caps."""
     auto = os.cpu_count() or 1
     count = auto if requested is None or requested <= 0 else requested
     try:
@@ -20,7 +21,7 @@ def worker_count(requested: int | None = None) -> int:
         cap = 0
     if cap > 0:
         count = min(count, cap)
-    return max(1, count)
+    return max(1, min(count, auto))
 
 
 def parallel_map(fn, items, workers: int | None = None) -> list:

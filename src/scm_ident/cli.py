@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
 from .errors import ScmIdentError, SingularModelError
@@ -205,36 +204,36 @@ def cmd_check(args) -> int:
 def cmd_closure(args) -> int:
     topology = _load_topology(args.topology)
     family = closure_generate(topology)
-    verdict = closure_identifiable(topology)
+    missing = family.missing_singletons()
+    identifiable = not missing
     payload: dict = {
         "family_size": len(family),
-        "identifiable": verdict.identifiable,
+        "identifiable": identifiable,
         "members": [
             [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
             for mask in sorted(family.members)
         ],
-        "missing_singletons": [
-            topology.latent_label(j) for j in family.missing_singletons()
-        ],
+        "missing_singletons": [topology.latent_label(j) for j in missing],
     }
     lines = [
         f"family size: {len(family)} (bound 2^n = {1 << topology.num_latents})",
-        f"identifiable: {'yes' if verdict.identifiable else 'no'}",
+        f"identifiable: {'yes' if identifiable else 'no'}",
     ]
     if payload["missing_singletons"]:
         lines.append("missing singletons: " + ", ".join(payload["missing_singletons"]))
     if args.trace:
         traces = {}
-        for j, chain in enumerate(verdict.per_latent):
-            label = topology.latent_label(j)
-            if chain is None:
+        for j in range(topology.num_latents):
+            if j in missing:
                 continue
+            label = topology.latent_label(j)
+            chain = family.derivation_chain(1 << j)
             traces[label] = _chain_payload(topology, chain)
             lines.append(f"derivation of {{{label}}}:")
             lines.extend(_chain_lines(topology, family, chain))
         payload["traces"] = traces
     _emit(args, payload, lines)
-    return EXIT_OK if verdict.identifiable else EXIT_NOT_IDENTIFIABLE
+    return EXIT_OK if identifiable else EXIT_NOT_IDENTIFIABLE
 
 
 def cmd_enumerate(args) -> int:

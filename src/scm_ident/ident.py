@@ -12,8 +12,9 @@ of a topology can be told apart from the data it generates:
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
-requested shape, which doubles as the correctness gate for both
-implementations.
+requested shape. The audit kernel decides each matrix by its own
+vectorised closure, agreement and distinctness checks; the tests tie its
+closure verdict back to :func:`closure_identifiable`.
 """
 
 import itertools

@@ -380,6 +380,7 @@ class MatchResult:
 
     @property
     def mcc(self) -> float:
+        """Mean of the matched absolute correlations."""
         return float(np.mean(self.per_latent_abs_corr))
 
 
@@ -417,11 +418,6 @@ def match_permutation(true_latents: np.ndarray, est_latents: np.ndarray) -> Matc
     assert best_perm is not None
     matched = tuple(float(corr[i, best_perm[i]]) for i in range(n))
     return MatchResult(permutation=best_perm, per_latent_abs_corr=matched)
-
-
-def mcc(match: MatchResult) -> float:
-    """Mean of the matched absolute correlations."""
-    return match.mcc
 
 
 @dataclass(frozen=True)

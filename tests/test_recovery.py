@@ -16,7 +16,6 @@ from scm_ident import (
     generate_dataset,
     identifiability_experiment,
     match_permutation,
-    mcc,
     recover_latents,
 )
 from scm_ident.recovery import _empirical_moments, _objective_only
@@ -113,8 +112,8 @@ class TestMatchPermutation:
     def test_mcc_values(self):
         from scm_ident.recovery import MatchResult
 
-        assert mcc(MatchResult((0, 1), (1.0, 1.0))) == 1.0
-        assert mcc(MatchResult((0, 1), (1.0, 0.5))) == 0.75
+        assert MatchResult((0, 1), (1.0, 1.0)).mcc == 1.0
+        assert MatchResult((0, 1), (1.0, 0.5)).mcc == 0.75
 
     def test_mcc_symmetric_under_latent_reordering(self):
         rng = np.random.default_rng(6)
