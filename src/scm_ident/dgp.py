@@ -31,7 +31,8 @@ REQUIRED_ENVIRONMENTS = SUFFICIENT_STAT_DIM + 1
 _FLOAT_FORMAT = "%.17g"  # lossless float64 round trip
 
 
-def _min_singular_ratio(matrix: np.ndarray) -> float:
+def singular_ratio(matrix: np.ndarray) -> float:
+    """Smallest over largest singular value; 0 for the zero matrix."""
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular[0] == 0.0:
         return 0.0
@@ -113,7 +114,7 @@ class MixingSpec:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ShapeError(f"source map must be square, got shape {matrix.shape}")
-        if _min_singular_ratio(matrix) <= RANK_TOLERANCE:
+        if singular_ratio(matrix) <= RANK_TOLERANCE:
             raise DomainError("source map is numerically singular")
         task_maps = []
         if len(self.task_maps) != len(self.parent_indices):
@@ -126,7 +127,7 @@ class MixingSpec:
                     f"task map {t} must be {expected}x{expected} for parents "
                     f"{parents}, got shape {b.shape}"
                 )
-            if expected and _min_singular_ratio(b) <= RANK_TOLERANCE:
+            if expected and singular_ratio(b) <= RANK_TOLERANCE:
                 raise DomainError(f"task map {t} is numerically singular")
             if tuple(sorted(parents)) != tuple(parents):
                 raise ShapeError(f"parent indices of task {t} must be ascending")
@@ -505,7 +506,10 @@ def load_dataset(path) -> SyntheticDataset:
     task_widths: list[int] = []
     for column in header:
         if column.startswith("y") and "_" in column:
-            task = int(column[1:].split("_", 1)[0])
+            label = column[1:].split("_", 1)[0]
+            if not label.isdecimal() or int(label) < 1:
+                raise DataError(f"unexpected dataset header {header!r}")
+            task = int(label)
             while len(task_widths) < task:
                 task_widths.append(0)
             task_widths[task - 1] += 1

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._parallel import parallel_map
 from .errors import CapacityError
 from .topology import MAX_LATENTS, FactorSet, ScmTopology
 
@@ -262,7 +263,7 @@ def equivalence_audit(max_m: int, max_n: int, workers: int | None = None) -> Aud
             f"got {max_m}x{max_n}"
         )
     shapes = [(m, n) for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
-    results = _parallel_audit(shapes, workers)
+    results = parallel_map(_audit_one_shape, shapes, workers)
     total = 0
     agreements = 0
     mismatches: list[ScmTopology] = []
@@ -285,12 +286,6 @@ def equivalence_audit(max_m: int, max_n: int, workers: int | None = None) -> Aud
         agreement_vs_distinct=tuple(distinct_mismatches),
         shapes=tuple(shape_reports),
     )
-
-
-def _parallel_audit(shapes, workers):
-    from ._parallel import parallel_map
-
-    return parallel_map(_audit_one_shape, shapes, workers)
 
 
 @dataclass(frozen=True)

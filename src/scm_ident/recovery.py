@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
-from .dgp import DgpSpec, SyntheticDataset, generate_dataset
+from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio
 from .errors import (
     CapacityError,
     ConfigError,
@@ -92,8 +92,7 @@ class UnmixModel:
         )
 
     def singular_ratio(self) -> float:
-        singular = np.linalg.svd(self.mixing, compute_uv=False)
-        return float(singular[-1] / singular[0]) if singular[0] > 0 else 0.0
+        return singular_ratio(self.mixing)
 
 
 @dataclass
@@ -159,6 +158,28 @@ def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
             )
 
 
+def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) -> None:
+    n = topology.num_latents
+    parents = tuple(topology.parent_latents(k).indices() for k in range(topology.num_tasks))
+    if np.shape(init.mixing) != (n, n):
+        raise ShapeError(f"init F must be {n}x{n}, got shape {np.shape(init.mixing)}")
+    for name, block in (("means", init.env_means), ("variances", init.env_variances)):
+        if np.shape(block) != (num_environments, n):
+            raise ShapeError(
+                f"init {name} must be {num_environments}x{n} (environments x latents), "
+                f"got shape {np.shape(block)}"
+            )
+    if tuple(tuple(p) for p in init.parent_indices) != parents:
+        raise ShapeError("init parent indices do not match the topology")
+    if len(init.task_maps) != len(parents):
+        raise ShapeError(f"init needs one B per task, got {len(init.task_maps)}")
+    for k, (b, p) in enumerate(zip(init.task_maps, parents)):
+        if np.shape(b) != (len(p), len(p)):
+            raise ShapeError(
+                f"init B for task {k} must be {len(p)}x{len(p)}, got shape {np.shape(b)}"
+            )
+
+
 def _stacked_map(model: UnmixModel, q: int) -> np.ndarray:
     n = model.mixing.shape[0]
     stacked = np.zeros((q, n))
@@ -171,22 +192,44 @@ def _stacked_map(model: UnmixModel, q: int) -> np.ndarray:
     return stacked
 
 
-def _objective_and_gradients(model: UnmixModel, moments: _Moments):
+@dataclass(frozen=True)
+class _Residuals:
+    """Per-environment moment residuals of one model, kept for its gradient."""
+
+    stacked: np.ndarray  # (q, n) joint map
+    scaled: list[np.ndarray]  # per env: stacked * variances
+    means: list[np.ndarray]  # per env: model minus empirical mean, (q,)
+    covariances: list[np.ndarray]  # per env: model minus empirical covariance, (q, q)
+
+
+def _residuals(model: UnmixModel, moments: _Moments) -> tuple[float, _Residuals]:
+    """Objective (summed squared residuals) and the residuals behind it."""
     q = moments.means.shape[1]
-    n = model.mixing.shape[0]
     stacked = _stacked_map(model, q)
     objective = 0.0
+    scaled_maps, mean_resids, cov_resids = [], [], []
+    for e in range(moments.means.shape[0]):
+        scaled = stacked * model.env_variances[e][None, :]
+        mean_resid = stacked @ model.env_means[e] - moments.means[e]
+        cov_resid = scaled @ stacked.T - moments.covariances[e]
+        objective += float(mean_resid @ mean_resid) + float((cov_resid * cov_resid).sum())
+        scaled_maps.append(scaled)
+        mean_resids.append(mean_resid)
+        cov_resids.append(cov_resid)
+    return objective, _Residuals(stacked, scaled_maps, mean_resids, cov_resids)
+
+
+def _gradients(model: UnmixModel, residuals: _Residuals):
+    """Objective gradient per parameter block: F, means, variances, each B."""
+    n = model.mixing.shape[0]
+    stacked = residuals.stacked
     d_stacked = np.zeros_like(stacked)
     d_means = np.zeros_like(model.env_means)
     d_vars = np.zeros_like(model.env_variances)
-    for e in range(moments.means.shape[0]):
-        mu = model.env_means[e]
-        var = model.env_variances[e]
-        scaled = stacked * var[None, :]
-        mean_resid = stacked @ mu - moments.means[e]
-        cov_resid = scaled @ stacked.T - moments.covariances[e]
-        objective += float(mean_resid @ mean_resid) + float((cov_resid * cov_resid).sum())
-        d_stacked += 2.0 * np.outer(mean_resid, mu) + 4.0 * (cov_resid @ scaled)
+    for e, (scaled, mean_resid, cov_resid) in enumerate(
+        zip(residuals.scaled, residuals.means, residuals.covariances)
+    ):
+        d_stacked += 2.0 * np.outer(mean_resid, model.env_means[e]) + 4.0 * (cov_resid @ scaled)
         d_means[e] = 2.0 * (stacked.T @ mean_resid)
         back = cov_resid @ stacked
         d_vars[e] = 2.0 * np.einsum("qi,qi->i", stacked, back)
@@ -197,19 +240,7 @@ def _objective_and_gradients(model: UnmixModel, moments: _Moments):
         width = len(parents)
         d_task_maps.append(d_stacked[row : row + width][:, list(parents)])
         row += width
-    return objective, d_mixing, d_means, d_vars, d_task_maps
-
-
-def _objective_only(model: UnmixModel, moments: _Moments) -> float:
-    q = moments.means.shape[1]
-    stacked = _stacked_map(model, q)
-    objective = 0.0
-    for e in range(moments.means.shape[0]):
-        scaled = stacked * model.env_variances[e][None, :]
-        mean_resid = stacked @ model.env_means[e] - moments.means[e]
-        cov_resid = scaled @ stacked.T - moments.covariances[e]
-        objective += float(mean_resid @ mean_resid) + float((cov_resid * cov_resid).sum())
-    return objective
+    return d_mixing, d_means, d_vars, d_task_maps
 
 
 def _grad_norm(d_mixing, d_means, d_vars, d_task_maps) -> float:
@@ -230,18 +261,17 @@ def _project(model: UnmixModel) -> UnmixModel:
     if model.singular_ratio() <= SINGULAR_RATIO:
         model.mixing = _reproject(model.mixing)
     for t, b in enumerate(model.task_maps):
-        if b.size:
-            singular = np.linalg.svd(b, compute_uv=False)
-            if singular[0] == 0 or singular[-1] / singular[0] <= SINGULAR_RATIO:
-                new_maps = list(model.task_maps)
-                new_maps[t] = _reproject(b)
-                model.task_maps = tuple(new_maps)
+        if b.size and singular_ratio(b) <= SINGULAR_RATIO:
+            new_maps = list(model.task_maps)
+            new_maps[t] = _reproject(b)
+            model.task_maps = tuple(new_maps)
     return model
 
 
 def _descend(model: UnmixModel, moments: _Moments, config: FitConfig) -> RestartResult:
     model = _project(model.copy())
-    objective, *grads = _objective_and_gradients(model, moments)
+    objective, residuals = _residuals(model, moments)
+    grads = _gradients(model, residuals)
     step = config.initial_step
     iterations = 0
     for _ in range(config.max_iters):
@@ -250,18 +280,20 @@ def _descend(model: UnmixModel, moments: _Moments, config: FitConfig) -> Restart
             break
         accepted = False
         while step >= config.min_step:
-            candidate = model.copy()
-            candidate.mixing = candidate.mixing - step * d_mixing
-            candidate.env_means = candidate.env_means - step * d_means
-            candidate.env_variances = candidate.env_variances - step * d_vars
-            candidate.task_maps = tuple(
-                b - step * g for b, g in zip(candidate.task_maps, d_task_maps)
+            candidate = _project(
+                UnmixModel(
+                    model.mixing - step * d_mixing,
+                    model.env_means - step * d_means,
+                    model.env_variances - step * d_vars,
+                    tuple(b - step * g for b, g in zip(model.task_maps, d_task_maps)),
+                    model.parent_indices,
+                )
             )
-            candidate = _project(candidate)
-            candidate_objective = _objective_only(candidate, moments)
+            candidate_objective, candidate_residuals = _residuals(candidate, moments)
             if candidate_objective < objective:
                 model = candidate
                 objective = candidate_objective
+                residuals = candidate_residuals
                 step = min(step * STEP_GROWTH, 1e6)
                 accepted = True
                 break
@@ -269,7 +301,7 @@ def _descend(model: UnmixModel, moments: _Moments, config: FitConfig) -> Restart
         iterations += 1
         if not accepted:
             break
-        objective, *grads = _objective_and_gradients(model, moments)
+        grads = _gradients(model, residuals)
     return RestartResult(objective=objective, iterations=iterations, model=model)
 
 
@@ -310,8 +342,7 @@ def _random_init(
     def nonsingular(size: int) -> np.ndarray:
         while True:
             candidate = rng.standard_normal((size, size))
-            singular = np.linalg.svd(candidate, compute_uv=False)
-            if size == 0 or singular[-1] / singular[0] > 1e-3:
+            if size == 0 or singular_ratio(candidate) > 1e-3:
                 return candidate
 
     mixing = nonsingular(n)
@@ -337,9 +368,13 @@ def fit(
     Restart 0 starts from the supplied ``init`` when given, otherwise
     from a whitening-style data-driven guess; later restarts draw random
     parameters from the fit stream of ``config.seed``. The best restart
-    by final objective wins, ties going to the earliest.
+    by final objective wins, ties going to the earliest. An ``init``
+    whose shapes do not match the topology and the dataset's
+    environments raises ``ShapeError``.
     """
     _check_dataset(dataset, topology)
+    if init is not None:
+        _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
     rng = stream(FIT_INIT, config.seed)
     restarts: list[RestartResult] = []

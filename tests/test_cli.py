@@ -218,6 +218,42 @@ class TestDataAndRecovery:
         assert code == 0
         assert payload["mcc"] >= 0.999
 
+    def test_recover_rejects_mismatched_init(self, tmp_path, capsys):
+        spec = identifiable_spec()
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        main(["dgp-gen", spec_path, "--samples", "200", "--seed", "6", "--out", str(csv_path)])
+        capsys.readouterr()
+        config = write_json(
+            tmp_path / "cfg.json",
+            {
+                "restarts": 1,
+                "init": {
+                    "F": spec.mixing.matrix.tolist(),
+                    "means": spec.prior.means[:1].tolist(),  # 1 row, 3 environments
+                    "variances": spec.prior.variances.tolist(),
+                    "B": {
+                        "t1": spec.mixing.task_maps[0].tolist(),
+                        "t2": spec.mixing.task_maps[1].tolist(),
+                    },
+                },
+            },
+        )
+        code = main(["recover", str(csv_path), top_path, "--config", config])
+        assert code == 2
+        assert "init means" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task_column", ["y0_1", "y-1_1"])
+    def test_recover_rejects_task_index_below_one(self, tmp_path, capsys, task_column):
+        top_path = write_json(
+            tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+        )
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(f"env,sample,l_1,x_1,{task_column}\n0,0,0.5,0.5,0.5\n")
+        assert main(["recover", str(csv_path), top_path]) == 2
+        assert "unexpected dataset header" in capsys.readouterr().err
+
     def test_experiment_report(self, tmp_path, capsys):
         ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
         collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())

@@ -194,6 +194,13 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("task_column", ["y0_1", "y-1_1"])
+    def test_task_index_below_one_rejected(self, tmp_path, task_column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"env,sample,l_1,x_1,{task_column}\n0,0,0.5,0.5,0.5\n")
+        with pytest.raises(DataError, match="unexpected dataset header"):
+            load_dataset(path)
+
 
 class TestSpecJson:
     def test_round_trip(self, ident_spec):

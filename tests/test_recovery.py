@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import brute_force_best_matching
+from conftest import colliding_spec, identifiable_spec
+from helpers import brute_force_best_matching, central_difference, relative_gradient_error
 from scm_ident import (
     CapacityError,
     ConfigError,
@@ -9,6 +12,7 @@ from scm_ident import (
     DegenerateError,
     FitConfig,
     ScmTopology,
+    ShapeError,
     SingularModelError,
     SyntheticDataset,
     UnmixModel,
@@ -18,7 +22,8 @@ from scm_ident import (
     match_permutation,
     recover_latents,
 )
-from scm_ident.recovery import _empirical_moments, _objective_only
+from scm_ident import recovery
+from scm_ident.recovery import _empirical_moments, _gradients, _residuals
 
 
 def truth_model(spec) -> UnmixModel:
@@ -147,11 +152,82 @@ class TestRecoverLatents:
             recover_latents(model, np.zeros((3, 2)))
 
 
+def perturbed_truth(spec, seed: int) -> UnmixModel:
+    rng = np.random.default_rng(seed)
+    truth = truth_model(spec)
+    return UnmixModel(
+        truth.mixing + 0.1 * rng.standard_normal(truth.mixing.shape),
+        truth.env_means + 0.1 * rng.standard_normal(truth.env_means.shape),
+        truth.env_variances * np.exp(0.1 * rng.standard_normal(truth.env_variances.shape)),
+        tuple(b + 0.1 * rng.standard_normal(b.shape) for b in truth.task_maps),
+        truth.parent_indices,
+    )
+
+
+def block_value(model: UnmixModel, block: str) -> np.ndarray:
+    if block.startswith("B"):
+        return model.task_maps[int(block[1:])]
+    return getattr(model, block)
+
+
+def with_block(model: UnmixModel, block: str, value: np.ndarray) -> UnmixModel:
+    if block.startswith("B"):
+        k = int(block[1:])
+        maps = model.task_maps[:k] + (value,) + model.task_maps[k + 1 :]
+        return replace(model, task_maps=maps)
+    return replace(model, **{block: value})
+
+
+def block_cases():
+    for spec_fn in (identifiable_spec, colliding_spec):
+        tasks = spec_fn().topology.num_tasks
+        for block in ("mixing", "env_means", "env_variances", *(f"B{k}" for k in range(tasks))):
+            yield pytest.param(spec_fn, block, id=f"{spec_fn.__name__}-{block}")
+
+
+class TestFitGradient:
+    @pytest.mark.parametrize("spec_fn, block", list(block_cases()))
+    def test_gradient_matches_central_difference(self, spec_fn, block):
+        spec = spec_fn()
+        moments = _empirical_moments(generate_dataset(spec, 500, seed=12))
+        model = perturbed_truth(spec, seed=13)
+        d_mixing, d_means, d_vars, d_task_maps = _gradients(model, _residuals(model, moments)[1])
+        analytic = {"mixing": d_mixing, "env_means": d_means, "env_variances": d_vars}
+        analytic.update({f"B{k}": g for k, g in enumerate(d_task_maps)})
+        numeric = central_difference(
+            lambda value: _residuals(with_block(model, block, value), moments)[0],
+            block_value(model, block),
+        )
+        assert np.abs(numeric).max() > 1e-3  # the check is not vacuous
+        assert relative_gradient_error(analytic[block], numeric) < 1e-6
+
+    def test_one_objective_evaluation_per_projected_model(self, ident_spec, monkeypatch):
+        calls = {"project": 0, "residuals": 0, "gradients": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(recovery, "_project", counted("project", recovery._project))
+        monkeypatch.setattr(recovery, "_residuals", counted("residuals", recovery._residuals))
+        monkeypatch.setattr(recovery, "_gradients", counted("gradients", recovery._gradients))
+        dataset = generate_dataset(ident_spec, 2000, seed=9)
+        result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, max_iters=20, seed=9))
+        assert result.restarts[0].iterations == 20
+        # every backtracking candidate (and the start) is projected, then evaluated once
+        assert calls["residuals"] == calls["project"] > 20
+        # one gradient at the start and one per accepted step
+        assert calls["gradients"] == 21
+
+
 class TestFit:
     def test_truth_is_a_fixed_point_of_population_moments(self, ident_spec):
         dataset = moment_exact_dataset(ident_spec, 4000, seed=5)
         truth = truth_model(ident_spec)
-        floor = _objective_only(truth, _empirical_moments(dataset))
+        floor = _residuals(truth, _empirical_moments(dataset))[0]
         assert floor <= 1e-18
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, seed=5), init=truth_model(ident_spec))
         assert result.objective <= floor + 1e-18
@@ -165,7 +241,7 @@ class TestFit:
 
     def test_best_restart_near_truth_objective(self, ident_spec):
         dataset = generate_dataset(ident_spec, 20000, seed=6)
-        floor = _objective_only(truth_model(ident_spec), _empirical_moments(dataset))
+        floor = _residuals(truth_model(ident_spec), _empirical_moments(dataset))[0]
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=8, seed=6))
         assert result.objective <= 10.0 * floor
 
@@ -220,6 +296,23 @@ class TestFit:
         )
         with pytest.raises(CapacityError):
             fit(dataset, wide, FitConfig(restarts=1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mixing", np.eye(3)),
+            ("env_means", np.zeros((1, 2))),
+            ("env_variances", np.ones((3, 3))),
+            ("task_maps", (np.eye(1),)),
+            ("task_maps", (np.eye(1), np.eye(2))),
+            ("parent_indices", ((0,), (0,))),
+        ],
+    )
+    def test_mismatched_init_rejected(self, ident_spec, field, value):
+        dataset = generate_dataset(ident_spec, 100, seed=0)
+        init = replace(truth_model(ident_spec), **{field: value})
+        with pytest.raises(ShapeError):
+            fit(dataset, ident_spec.topology, FitConfig(restarts=1), init=init)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
