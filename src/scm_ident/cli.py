@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
-from .errors import ScmIdentError, SingularModelError
+from .errors import ConfigError, ScmIdentError, SingularModelError
 from .ident import (
     SeedOrigin,
     closure_generate,
@@ -501,6 +501,9 @@ def cmd_experiment(args) -> int:
     spec_ident = DgpSpec.from_json_dict(_load_json(args.spec_ident))
     spec_collide = DgpSpec.from_json_dict(_load_json(args.spec_collide))
     config_doc = _load_json(args.config) if args.config else None
+    if config_doc and "init" in config_doc:
+        # one init cannot match both arms' topologies
+        raise ConfigError("fit config key 'init' is for recover only, not experiment")
     config, _ = _fit_config_from_json(config_doc, spec_ident.topology, args.seed)
     report = identifiability_experiment(
         spec_ident,

@@ -15,7 +15,6 @@ bit-for-bit reproducible and environments independently generable.
 """
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ SUFFICIENT_STAT_DIM = 2  # (l, l**2) per scalar Gaussian latent
 REQUIRED_ENVIRONMENTS = SUFFICIENT_STAT_DIM + 1
 
 _FLOAT_FORMAT = "%.17g"  # lossless float64 round trip
+_EXPORT_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
 
 
 def singular_ratio(matrix: np.ndarray) -> float:
@@ -475,39 +475,51 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     """Write the CSV form; floats carry 17 significant digits so a
     load/export round trip is lossless."""
     task_widths = [block.shape[1] for block in dataset.y]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_header(dataset.num_latents, task_widths))
-    within_env = {}
-    for row in range(dataset.env_ids.shape[0]):
-        env = int(dataset.env_ids[row])
-        index = within_env.get(env, 0)
-        within_env[env] = index + 1
-        values = [
-            *dataset.latents[row],
-            *dataset.x[row],
-            *(v for block in dataset.y for v in block[row]),
-        ]
-        writer.writerow([env, index] + [_FLOAT_FORMAT % v for v in values])
+    values = np.hstack([dataset.latents, dataset.x, *dataset.y])
+    row_format = ",".join(["%d", "%d"] + [_FLOAT_FORMAT] * values.shape[1]) + "\n"
+    env_ids = dataset.env_ids
+    within_env = np.empty_like(env_ids)
+    for env in np.unique(env_ids):
+        rows = env_ids == env
+        within_env[rows] = np.arange(np.count_nonzero(rows))
     with open(path, "w", newline="") as handle:
-        handle.write(buffer.getvalue())
+        handle.write(",".join(_header(dataset.num_latents, task_widths)) + "\n")
+        for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):
+            chunk = slice(start, start + _EXPORT_CHUNK_ROWS)
+            handle.write(
+                "".join(
+                    row_format % (env, index, *row)
+                    for env, index, row in zip(
+                        env_ids[chunk].tolist(),
+                        within_env[chunk].tolist(),
+                        values[chunk].tolist(),
+                    )
+                )
+            )
 
 
 def load_dataset(path) -> SyntheticDataset:
-    """Read a dataset CSV back into arrays."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("dataset file is empty") from None
-        rows = list(reader)
+    """Read a dataset CSV back into arrays.
+
+    The env and sample cells must be integers and every other cell a
+    float that numpy parses; blank lines, rows whose width differs from
+    the header, and task indices above the header's column count are
+    rejected with :class:`DataError`.
+    """
+    with open(path) as handle:
+        header_line = handle.readline()
+        body = handle.read()
+    if not header_line:
+        raise DataError("dataset file is empty")
+    header = next(csv.reader([header_line]))
     num_latents = sum(1 for c in header if c.startswith("l_"))
     task_widths: list[int] = []
     for column in header:
         if column.startswith("y") and "_" in column:
             label = column[1:].split("_", 1)[0]
-            if not label.isdecimal() or int(label) < 1:
+            # the padding below grows with the index, so bound it by the
+            # header length; an unbounded index could exhaust memory
+            if not label.isdecimal() or not 1 <= int(label) <= len(header):
                 raise DataError(f"unexpected dataset header {header!r}")
             task = int(label)
             while len(task_widths) < task:
@@ -516,15 +528,26 @@ def load_dataset(path) -> SyntheticDataset:
     expected = _header(num_latents, task_widths)
     if header != expected:
         raise DataError(f"unexpected dataset header {header!r}")
-    if not rows:
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise DataError("dataset contains no samples")
+    # loadtxt skips blank lines, which would silently drop rows
+    if "" in lines:
+        raise DataError(f"blank line in dataset body at line {lines.index('') + 2}")
+    width = len(expected) - 2
+    row_type = np.dtype(
+        [("env", np.int64), ("sample", np.int64), ("values", np.float64, (width,))]
+    )
     try:
-        env_ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        values = np.array([[float(v) for v in r[2:]] for r in rows])
-    except (ValueError, IndexError) as exc:
+        table = np.loadtxt(
+            lines, dtype=row_type, delimiter=",", comments=None, quotechar='"', ndmin=1
+        )
+    except ValueError as exc:
         raise DataError(f"malformed dataset row: {exc}") from exc
-    if values.shape[1] != len(expected) - 2:
-        raise DataError("dataset rows do not match the header width")
+    env_ids = np.ascontiguousarray(table["env"])
+    values = np.ascontiguousarray(table["values"])
     latents = values[:, :num_latents]
     x = values[:, num_latents : 2 * num_latents]
     y_blocks = []

@@ -5,6 +5,8 @@ loops and stdlib/naive numpy, sharing no code paths with the package
 implementations it checks.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -124,3 +126,32 @@ def enumerate_matrices(m: int, n: int):
         yield tuple(
             tuple((enc >> (k * n + j)) & 1 for j in range(n)) for k in range(m)
         )
+
+
+def reference_export_csv(dataset, path) -> None:
+    """Dataset CSV written one row at a time through ``csv.writer``.
+
+    The header names ``env,sample,l_1..l_n,x_1..x_n`` and then
+    ``y<t>_<i>`` for each column of each task block; floats use ``%.17g``.
+    """
+    header = ["env", "sample"]
+    header += [f"l_{j + 1}" for j in range(dataset.num_latents)]
+    header += [f"x_{j + 1}" for j in range(dataset.num_latents)]
+    for t, block in enumerate(dataset.y):
+        header += [f"y{t + 1}_{i + 1}" for i in range(block.shape[1])]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    within_env = {}
+    for row in range(dataset.env_ids.shape[0]):
+        env = int(dataset.env_ids[row])
+        index = within_env.get(env, 0)
+        within_env[env] = index + 1
+        values = [
+            *dataset.latents[row],
+            *dataset.x[row],
+            *(v for block in dataset.y for v in block[row]),
+        ]
+        writer.writerow([env, index] + ["%.17g" % v for v in values])
+    with open(path, "w", newline="") as handle:
+        handle.write(buffer.getvalue())

@@ -254,6 +254,38 @@ class TestDataAndRecovery:
         assert main(["recover", str(csv_path), top_path]) == 2
         assert "unexpected dataset header" in capsys.readouterr().err
 
+    def test_recover_rejects_malformed_row(self, tmp_path, capsys):
+        top_path = write_json(
+            tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+        )
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n1,0,0.5,abc,0.5\n")
+        assert main(["recover", str(csv_path), top_path]) == 2
+        assert "malformed dataset row" in capsys.readouterr().err
+
+    def test_experiment_rejects_init(self, tmp_path, capsys):
+        spec = identifiable_spec()
+        ident_path = write_json(tmp_path / "ident.json", spec.to_json_dict())
+        collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
+        config = write_json(
+            tmp_path / "cfg.json",
+            {
+                "restarts": 1,
+                "init": {
+                    "F": spec.mixing.matrix.tolist(),
+                    "means": spec.prior.means.tolist(),
+                    "variances": spec.prior.variances.tolist(),
+                    "B": {
+                        "t1": spec.mixing.task_maps[0].tolist(),
+                        "t2": spec.mixing.task_maps[1].tolist(),
+                    },
+                },
+            },
+        )
+        argv = ["experiment", ident_path, collide_path, "--seeds", "1", "--samples", "200"]
+        assert main(argv + ["--config", config]) == 2
+        assert "init" in capsys.readouterr().err
+
     def test_experiment_report(self, tmp_path, capsys):
         ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
         collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import identifiable_spec
+from conftest import colliding_spec, identifiable_spec
+from helpers import reference_export_csv
 from scm_ident import (
     ConfigError,
     DataError,
@@ -12,6 +13,7 @@ from scm_ident import (
     NoiseSpec,
     ScmTopology,
     ShapeError,
+    SyntheticDataset,
     check_variety,
     export_dataset,
     generate_dataset,
@@ -157,6 +159,57 @@ class TestVariety:
         assert report.matrix.shape == (2 * prior3.num_latents, prior3.num_environments - 1)
 
 
+def three_task_spec() -> DgpSpec:
+    """n=3, m=3; every task has two parents, so each block is multi-column."""
+    topology = ScmTopology.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    prior = ExpFamilyPrior(
+        means=[[0.0, 1.0, -0.5], [1.5, -0.5, 0.2], [-1.0, 0.5, 1.1]],
+        variances=[[1.0, 0.7, 1.4], [2.5, 1.2, 0.8], [0.6, 3.0, 1.9]],
+    )
+    mixing = MixingSpec.for_topology(
+        topology,
+        np.array([[1.0, 0.6, 0.1], [-0.4, 1.1, 0.3], [0.2, -0.5, 0.9]]),
+        [
+            np.array([[1.3, 0.2], [-0.1, 0.8]]),
+            np.array([[0.7, -0.4], [0.5, 1.2]]),
+            np.array([[-0.9, 0.3], [0.6, 1.1]]),
+        ],
+    )
+    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(3, [2, 2, 2]))
+
+
+def gap_task_spec() -> DgpSpec:
+    """n=2, m=3; the middle task has no parents and no CSV columns."""
+    topology = ScmTopology.from_rows([[1, 0], [0, 0], [0, 1]])
+    prior = ExpFamilyPrior(
+        means=[[0.0, 1.0], [1.5, -0.5], [-1.0, 0.5]],
+        variances=[[1.0, 0.7], [2.5, 1.2], [0.6, 3.0]],
+    )
+    mixing = MixingSpec.for_topology(
+        topology,
+        np.array([[1.0, 0.6], [-0.4, 1.1]]),
+        [np.array([[1.3]]), np.zeros((0, 0)), np.array([[-0.8]])],
+    )
+    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [1, 0, 1]))
+
+
+HEADER = "env,sample,l_1,x_1,y1_1\n"
+
+
+def assert_same_dataset(loaded: SyntheticDataset, original: SyntheticDataset) -> None:
+    """Bit-for-bit equality, so -0.0 and subnormals count."""
+    assert loaded.num_environments == original.num_environments
+    pairs = [
+        (loaded.env_ids, original.env_ids),
+        (loaded.latents, original.latents),
+        (loaded.x, original.x),
+        *zip(loaded.y, original.y, strict=True),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDatasetRoundTrip:
     def test_export_import_bit_identical(self, ident_spec, tmp_path):
         dataset = generate_dataset(ident_spec, 200, seed=42)
@@ -199,6 +252,74 @@ class TestDatasetRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(f"env,sample,l_1,x_1,{task_column}\n0,0,0.5,0.5,0.5\n")
         with pytest.raises(DataError, match="unexpected dataset header"):
+            load_dataset(path)
+
+    def test_task_index_above_header_width_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("env,sample,l_1,x_1,y200000_1\n0,0,0.5,0.5,0.5\n")
+        with pytest.raises(DataError, match="unexpected dataset header"):
+            load_dataset(path)
+
+    def test_interior_task_without_parents_round_trips(self, tmp_path):
+        dataset = generate_dataset(gap_task_spec(), 20, seed=3)
+        path = tmp_path / "data.csv"
+        export_dataset(dataset, path)
+        assert path.read_text().splitlines()[0] == "env,sample,l_1,l_2,x_1,x_2,y1_1,y3_1"
+        assert_same_dataset(load_dataset(path), dataset)
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            pytest.param(generate_dataset(identifiable_spec(), 300, seed=11), id="identifiable"),
+            pytest.param(generate_dataset(colliding_spec(), 300, seed=12), id="colliding"),
+            pytest.param(generate_dataset(three_task_spec(), 300, seed=13), id="three-task"),
+            pytest.param(
+                SyntheticDataset(
+                    3,
+                    np.array([2, 0, 2, 1, 0]),
+                    np.arange(10.0).reshape(5, 2) / 7.0,
+                    -np.arange(10.0).reshape(5, 2) / 3.0,
+                    (np.linspace(-1.0, 1.0, 5).reshape(5, 1),),
+                ),
+                id="interleaved-envs",
+            ),
+            pytest.param(
+                SyntheticDataset(
+                    2,
+                    np.array([0, 1, 0]),
+                    np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1 + 0.2], [1 / 3, -2 / 3]]),
+                    np.array([[2.0**-1074, -1.7976931348623157e308], [1e-300, 1e300], [0.0, -1.5]]),
+                    (np.array([[123456789.12345678], [-9.999999999999999e-5], [2.0**53 + 2]]),),
+                ),
+                id="extreme-values",
+            ),
+        ],
+    )
+    def test_export_matches_reference_writer(self, tmp_path, dataset):
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        export_dataset(dataset, path)
+        reference_export_csv(dataset, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert_same_dataset(load_dataset(path), dataset)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(HEADER + "0,0,0.5,abc,0.5\n", id="non-numeric-cell"),
+            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5\n", id="short-row"),
+            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5,0.5,0.5\n", id="long-row"),
+            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n\n1,0,0.5,0.5,0.5\n", id="blank-line"),
+            pytest.param(HEADER + "1.5,0,0.5,0.5,0.5\n", id="fractional-env"),
+            pytest.param(HEADER + "1.0,0,0.5,0.5,0.5\n", id="float-env"),
+            pytest.param(HEADER + "0,0,1_0,0.5,0.5\n", id="underscore-literal"),
+            pytest.param(HEADER, id="header-only"),
+            pytest.param("", id="empty-file"),
+        ],
+    )
+    def test_malformed_row_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError):
             load_dataset(path)
 
 
