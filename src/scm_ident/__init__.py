@@ -77,7 +77,7 @@ from .selection import (
     sample_hard_mask,
     soft_mask,
 )
-from .topology import FactorSet, ScmTopology, validate
+from .topology import FactorSet, ScmTopology
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     # topology
     "FactorSet",
     "ScmTopology",
-    "validate",
     # deciders
     "AuditReport",
     "ClosureFamily",

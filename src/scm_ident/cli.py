@@ -28,7 +28,6 @@ from .ident import (
     closure_generate,
     closure_identifiable,
     equivalence_audit,
-    uic_check,
     uic_violations,
 )
 from .losses import (
@@ -95,9 +94,12 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.stdout.write(rendered)
 
 
+def _labels(topology: ScmTopology, mask: int) -> list[str]:
+    return [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
+
+
 def _set_label(topology: ScmTopology, mask: int) -> str:
-    names = [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
-    return "{" + ",".join(names) + "}"
+    return "{" + ",".join(_labels(topology, mask)) + "}"
 
 
 def _operand_label(topology: ScmTopology, family, mask: int) -> str:
@@ -135,9 +137,7 @@ def _chain_lines(topology: ScmTopology, family, chain) -> list[str]:
 def _chain_payload(topology: ScmTopology, chain) -> list[dict]:
     steps = []
     for mask, origin in chain:
-        entry: dict = {
-            "set": [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
-        }
+        entry: dict = {"set": _labels(topology, mask)}
         if isinstance(origin, SeedOrigin):
             entry["op"] = "seed"
             entry["seed"] = origin.kind
@@ -145,16 +145,8 @@ def _chain_payload(topology: ScmTopology, chain) -> list[dict]:
                 entry["task"] = topology.task_label(origin.task)
         else:
             entry["op"] = "difference"
-            entry["left"] = [
-                topology.latent_label(j)
-                for j in range(topology.num_latents)
-                if (origin.left >> j) & 1
-            ]
-            entry["right"] = [
-                topology.latent_label(j)
-                for j in range(topology.num_latents)
-                if (origin.right >> j) & 1
-            ]
+            entry["left"] = _labels(topology, origin.left)
+            entry["right"] = _labels(topology, origin.right)
         steps.append(entry)
     return steps
 
@@ -166,8 +158,8 @@ def _load_topology(path) -> ScmTopology:
 def cmd_check(args) -> int:
     topology = _load_topology(args.topology)
     verdict = closure_identifiable(topology)
-    agreement_ok = uic_check(topology)
     pairs = uic_violations(topology)
+    agreement_ok = not pairs
     payload = {
         "identifiable": verdict.identifiable,
         "closure_identifiable": verdict.identifiable,
@@ -209,10 +201,7 @@ def cmd_closure(args) -> int:
     payload: dict = {
         "family_size": len(family),
         "identifiable": identifiable,
-        "members": [
-            [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
-            for mask in sorted(family.members)
-        ],
+        "members": [_labels(topology, mask) for mask in sorted(family.members)],
         "missing_singletons": [topology.latent_label(j) for j in missing],
     }
     lines = [
@@ -447,9 +436,6 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
     init = None
     if "init" in data:
         init_doc = data.pop("init")
-        parents = tuple(
-            topology.parent_latents(k).indices() for k in range(topology.num_tasks)
-        )
         init = UnmixModel(
             np.asarray(init_doc["F"], dtype=np.float64),
             np.asarray(init_doc["means"], dtype=np.float64),
@@ -458,7 +444,7 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
                 np.asarray(init_doc["B"][f"t{k + 1}"], dtype=np.float64)
                 for k in range(topology.num_tasks)
             ),
-            parents,
+            topology.parent_indices(),
         )
     if seed_override is not None:
         data["seed"] = seed_override

@@ -146,10 +146,7 @@ class MixingSpec:
 
     @classmethod
     def for_topology(cls, topology: ScmTopology, matrix, task_maps, slope=None) -> "MixingSpec":
-        parents = tuple(
-            topology.parent_latents(k).indices() for k in range(topology.num_tasks)
-        )
-        return cls(matrix, tuple(task_maps), parents, slope)
+        return cls(matrix, tuple(task_maps), topology.parent_indices(), slope)
 
     @property
     def num_latents(self) -> int:
@@ -182,9 +179,6 @@ class NoiseSpec:
     def zero(cls, num_latents: int, parent_counts) -> "NoiseSpec":
         return cls(np.zeros(num_latents), tuple(np.zeros(p) for p in parent_counts))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.x_std) and not any(np.any(s) for s in self.y_std)
-
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -205,9 +199,7 @@ class DgpSpec:
             raise ShapeError(
                 f"mixing covers {self.mixing.num_latents} latents, topology has {n}"
             )
-        expected_parents = tuple(
-            self.topology.parent_latents(k).indices() for k in range(self.topology.num_tasks)
-        )
+        expected_parents = self.topology.parent_indices()
         if self.mixing.parent_indices != expected_parents:
             raise ShapeError("mixing parent indices do not match the topology")
         if self.noise.x_std.shape[0] != n or len(self.noise.y_std) != self.topology.num_tasks:
@@ -285,9 +277,13 @@ class DgpSpec:
         expected_keys = {f"t{k + 1}" for k in range(m)}
         if set(b_maps) != expected_keys:
             raise DataError(f"B must have exactly the keys {sorted(expected_keys)}")
-        task_maps = [np.asarray(b_maps[f"t{k + 1}"], dtype=np.float64) for k in range(m)]
-        parent_counts = [len(topology.parent_latents(k)) for k in range(m)]
-        noise = _noise_from_json(data.get("noise"), n, parent_counts)
+        parents = topology.parent_indices()
+        task_maps = []
+        for k, task_parents in enumerate(parents):
+            b = np.asarray(b_maps[f"t{k + 1}"], dtype=np.float64)
+            # JSON writes a 0x0 map as [], which reads back with shape (0,)
+            task_maps.append(b.reshape(0, 0) if not task_parents and b.shape == (0,) else b)
+        noise = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
         try:
             mixing = MixingSpec.for_topology(topology, np.asarray(data["F"]), task_maps, slope)
             return cls(topology, prior, mixing, noise)
@@ -518,8 +514,13 @@ def load_dataset(path) -> SyntheticDataset:
         if column.startswith("y") and "_" in column:
             label = column[1:].split("_", 1)[0]
             # the padding below grows with the index, so bound it by the
-            # header length; an unbounded index could exhaust memory
-            if not label.isdecimal() or not 1 <= int(label) <= len(header):
+            # header length; an unbounded index could exhaust memory, and
+            # int() refuses strings of more than 4300 digits
+            if (
+                not label.isdecimal()
+                or len(label) > len(str(len(header)))
+                or not 1 <= int(label) <= len(header)
+            ):
                 raise DataError(f"unexpected dataset header {header!r}")
             task = int(label)
             while len(task_widths) < task:

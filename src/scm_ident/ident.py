@@ -73,9 +73,6 @@ class ClosureFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def sets(self) -> tuple[FactorSet, ...]:
-        return tuple(FactorSet(mask, self.width) for mask in self.members)
-
     def missing_singletons(self) -> tuple[int, ...]:
         """Latent indices whose singleton never entered the family."""
         return tuple(j for j in range(self.width) if (1 << j) not in self.origins)

@@ -146,21 +146,23 @@ def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
         raise DataError(
             f"dataset has {dataset.x.shape[1]} source columns, topology expects {n}"
         )
-    if len(dataset.y) != topology.num_tasks:
+    # a task without parents adds no columns, so the CSV form drops its
+    # block when no later task has parents
+    parents = topology.parent_indices()
+    if len(dataset.y) > len(parents) or any(parents[len(dataset.y) :]):
         raise DataError(
             f"dataset has {len(dataset.y)} task blocks, topology expects {topology.num_tasks}"
         )
-    for k in range(topology.num_tasks):
-        expected = len(topology.parent_latents(k))
-        if dataset.y[k].shape[1] != expected:
+    for k, block in enumerate(dataset.y):
+        if block.shape[1] != len(parents[k]):
             raise DataError(
-                f"task {k} block has width {dataset.y[k].shape[1]}, expected {expected}"
+                f"task {k} block has width {block.shape[1]}, expected {len(parents[k])}"
             )
 
 
 def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) -> None:
     n = topology.num_latents
-    parents = tuple(topology.parent_latents(k).indices() for k in range(topology.num_tasks))
+    parents = topology.parent_indices()
     if np.shape(init.mixing) != (n, n):
         raise ShapeError(f"init F must be {n}x{n}, got shape {np.shape(init.mixing)}")
     for name, block in (("means", init.env_means), ("variances", init.env_variances)):
@@ -320,18 +322,16 @@ def _data_driven_init(
         rows = dataset.env_rows(e)
         means[e] = est_latents[rows].mean(axis=0)
         variances[e] = np.maximum(est_latents[rows].var(axis=0), VARIANCE_FLOOR)
+    parent_indices = topology.parent_indices()
     task_maps = []
-    parent_indices = []
-    for k in range(topology.num_tasks):
-        parents = topology.parent_latents(k).indices()
-        parent_indices.append(parents)
+    for k, parents in enumerate(parent_indices):
         if parents:
             design = est_latents[:, list(parents)]
             solution, *_ = np.linalg.lstsq(design, dataset.y[k], rcond=None)
             task_maps.append(solution.T)
         else:
             task_maps.append(np.zeros((0, 0)))
-    return UnmixModel(mixing, means, variances, tuple(task_maps), tuple(parent_indices))
+    return UnmixModel(mixing, means, variances, tuple(task_maps), parent_indices)
 
 
 def _random_init(
@@ -348,13 +348,9 @@ def _random_init(
     mixing = nonsingular(n)
     means = rng.standard_normal((num_environments, n))
     variances = np.exp(rng.standard_normal((num_environments, n)) * 0.3)
-    task_maps = []
-    parent_indices = []
-    for k in range(topology.num_tasks):
-        parents = topology.parent_latents(k).indices()
-        parent_indices.append(parents)
-        task_maps.append(nonsingular(len(parents)))
-    return UnmixModel(mixing, means, variances, tuple(task_maps), tuple(parent_indices))
+    parent_indices = topology.parent_indices()
+    task_maps = tuple(nonsingular(len(parents)) for parents in parent_indices)
+    return UnmixModel(mixing, means, variances, task_maps, parent_indices)
 
 
 def fit(

@@ -47,14 +47,6 @@ class FactorSet:
             mask |= 1 << i
         return cls(mask, width)
 
-    @classmethod
-    def empty(cls, width: int) -> "FactorSet":
-        return cls(0, width)
-
-    @classmethod
-    def universal(cls, width: int) -> "FactorSet":
-        return cls((1 << width) - 1, width)
-
     def _check_width(self, other: "FactorSet") -> None:
         if self.width != other.width:
             raise ShapeError(f"width mismatch: {self.width} != {other.width}")
@@ -86,9 +78,6 @@ class FactorSet:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def is_singleton(self) -> bool:
-        return self.mask != 0 and (self.mask & (self.mask - 1)) == 0
 
     def __repr__(self) -> str:
         return f"FactorSet({{{', '.join(map(str, self))}}}, width={self.width})"
@@ -198,6 +187,10 @@ class ScmTopology:
             raise IndexError(f"task index {task_index} out of range 0..{self.num_tasks - 1}")
         return FactorSet(self._row_masks[task_index], self.num_latents)
 
+    def parent_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per task, the indices of the latents feeding it, ascending."""
+        return tuple(FactorSet(mask, self.num_latents).indices() for mask in self._row_masks)
+
     def child_tasks(self, latent_index: int) -> FactorSet:
         """Tasks fed by the given latent (one adjacency column).
 
@@ -217,33 +210,6 @@ class ScmTopology:
             for j in range(self.num_latents)
             for jp in range(j + 1, self.num_latents)
             if cols[j] == cols[jp]
-        ]
-
-    def capacity_diagnostic(self) -> "CapacityReport":
-        """Advisory head-count check of latents against the task budget."""
-        m, n = self.num_tasks, self.num_latents
-        nonempty = (1 << m) - 1
-        patterns = 1 << m
-        return CapacityReport(
-            num_tasks=m,
-            num_latents=n,
-            nonempty_child_bound=nonempty,
-            exceeds_nonempty_bound=n > nonempty,
-            child_pattern_bound=patterns,
-            exceeds_pattern_bound=n > patterns,
-        )
-
-    def parent_bound_diagnostic(self) -> list["ParentBoundReport"]:
-        """Advisory per-task check of parent counts against ``2**(m-1)``."""
-        bound = 1 << (self.num_tasks - 1)
-        return [
-            ParentBoundReport(
-                task=k,
-                parent_count=int(self._row_masks[k].bit_count()),
-                parent_bound=bound,
-                violates=self._row_masks[k].bit_count() > bound,
-            )
-            for k in range(self.num_tasks)
         ]
 
     def to_json_dict(self) -> dict:
@@ -281,36 +247,3 @@ class ScmTopology:
             if isinstance(exc, (ShapeError, DomainError, LabelError)):
                 raise
             raise DataError(f"malformed topology document: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    num_tasks: int
-    num_latents: int
-    nonempty_child_bound: int
-    exceeds_nonempty_bound: bool
-    child_pattern_bound: int
-    exceeds_pattern_bound: bool
-
-
-@dataclass(frozen=True)
-class ParentBoundReport:
-    task: int
-    parent_count: int
-    parent_bound: int
-    violates: bool
-
-
-def validate(topology: ScmTopology) -> None:
-    """Re-check every construction invariant of an existing topology.
-
-    Construction already validates, so this only matters for instances
-    whose arrays may have been swapped out or mutated through the C API.
-    """
-    ScmTopology(
-        topology.num_tasks,
-        topology.num_latents,
-        np.asarray(topology.adjacency),
-        topology.latent_names,
-        topology.task_names,
-    )

@@ -77,6 +77,29 @@ def colliding_spec() -> DgpSpec:
     return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [2]))
 
 
+def parentless_task_spec(rows) -> DgpSpec:
+    """n=2, m=3; one task has no parents, the other two one latent each.
+
+    ``rows`` places the parentless task first, between or last.
+    """
+    topology = ScmTopology.from_rows(rows)
+    prior = ExpFamilyPrior(
+        means=[[0.0, 1.0], [1.5, -0.5], [-1.0, 0.5]],
+        variances=[[1.0, 0.7], [2.5, 1.2], [0.6, 3.0]],
+    )
+    one_parent_maps = iter([np.array([[1.3]]), np.array([[-0.8]])])
+    task_maps = [next(one_parent_maps) if any(row) else np.zeros((0, 0)) for row in rows]
+    mixing = MixingSpec.for_topology(topology, MIXING_2, task_maps)
+    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [sum(row) for row in rows]))
+
+
+PARENTLESS_TASK_ROWS = {
+    "leading": [[0, 0], [1, 0], [0, 1]],
+    "interior": [[1, 0], [0, 0], [0, 1]],
+    "trailing": [[1, 0], [0, 1], [0, 0]],
+}
+
+
 @pytest.fixture
 def ident_spec() -> DgpSpec:
     return identifiable_spec()

@@ -1,10 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import colliding_spec, identifiable_spec
+from conftest import (
+    PARENTLESS_TASK_ROWS,
+    colliding_spec,
+    identifiable_spec,
+    parentless_task_spec,
+)
 from scm_ident.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_json(path, payload) -> str:
@@ -80,6 +88,13 @@ class TestClosure:
         out = capsys.readouterr().out
         assert code == 0
         assert "{L1} = Pa(Y1) - Pa(Y2)" in out
+
+    @pytest.mark.parametrize("fmt,golden", [("text", "txt"), ("json", "json")])
+    def test_trace_matches_golden(self, tmp_path, capsys, walkthrough_topology, fmt, golden):
+        path = write_json(tmp_path / "walk.json", walkthrough_topology.to_json_dict())
+        assert main(["closure", path, "--trace", "--format", fmt]) == 0
+        expected = (GOLDEN / f"closure_trace_walkthrough.{golden}").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_missing_singletons_reported(self, colliding_topology_file, capsys):
         code, payload = run_json(capsys, ["closure", colliding_topology_file])
@@ -188,6 +203,18 @@ class TestDataAndRecovery:
         )
         assert code == 0
         assert payload["mcc"] >= 0.99
+
+    @pytest.mark.parametrize("place", sorted(PARENTLESS_TASK_ROWS))
+    def test_task_without_parents_generates_and_recovers(self, tmp_path, capsys, place):
+        spec = parentless_task_spec(PARENTLESS_TASK_ROWS[place])
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        argv = ["dgp-gen", spec_path, "--samples", "300", "--seed", "7", "--out", str(csv_path)]
+        assert main(argv) == 0
+        config = write_json(tmp_path / "cfg.json", {"restarts": 2, "max_iters": 200})
+        assert main(["recover", str(csv_path), top_path, "--config", config]) == 0
+        assert "mcc:" in capsys.readouterr().out
 
     def test_recover_truth_init(self, tmp_path, capsys):
         spec = identifiable_spec()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import colliding_spec, identifiable_spec
+from conftest import (
+    PARENTLESS_TASK_ROWS,
+    colliding_spec,
+    identifiable_spec,
+    parentless_task_spec,
+)
 from helpers import reference_export_csv
 from scm_ident import (
     ConfigError,
@@ -9,6 +14,7 @@ from scm_ident import (
     DgpSpec,
     DomainError,
     ExpFamilyPrior,
+    FitConfig,
     MixingSpec,
     NoiseSpec,
     ScmTopology,
@@ -16,6 +22,7 @@ from scm_ident import (
     SyntheticDataset,
     check_variety,
     export_dataset,
+    fit,
     generate_dataset,
     generate_observed,
     load_dataset,
@@ -178,21 +185,6 @@ def three_task_spec() -> DgpSpec:
     return DgpSpec(topology, prior, mixing, NoiseSpec.zero(3, [2, 2, 2]))
 
 
-def gap_task_spec() -> DgpSpec:
-    """n=2, m=3; the middle task has no parents and no CSV columns."""
-    topology = ScmTopology.from_rows([[1, 0], [0, 0], [0, 1]])
-    prior = ExpFamilyPrior(
-        means=[[0.0, 1.0], [1.5, -0.5], [-1.0, 0.5]],
-        variances=[[1.0, 0.7], [2.5, 1.2], [0.6, 3.0]],
-    )
-    mixing = MixingSpec.for_topology(
-        topology,
-        np.array([[1.0, 0.6], [-0.4, 1.1]]),
-        [np.array([[1.3]]), np.zeros((0, 0)), np.array([[-0.8]])],
-    )
-    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [1, 0, 1]))
-
-
 HEADER = "env,sample,l_1,x_1,y1_1\n"
 
 
@@ -260,8 +252,31 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="unexpected dataset header"):
             load_dataset(path)
 
+    def test_task_label_over_int_digit_limit_rejected(self, tmp_path):
+        # int() refuses strings of more than 4300 digits with a plain ValueError
+        path = tmp_path / "bad.csv"
+        path.write_text(f"env,sample,l_1,x_1,y{'1' * 5000}_1\n0,0,0.5,0.5,0.5\n")
+        with pytest.raises(DataError, match="unexpected dataset header"):
+            load_dataset(path)
+
+    def test_trailing_task_without_parents_loads_and_fits(self, tmp_path):
+        spec = parentless_task_spec(PARENTLESS_TASK_ROWS["trailing"])
+        dataset = generate_dataset(spec, 200, seed=4)
+        path = tmp_path / "data.csv"
+        export_dataset(dataset, path)
+        loaded = load_dataset(path)
+        assert len(loaded.y) == 2  # the CSV has no columns for task 3
+        config = FitConfig(restarts=2, max_iters=50)
+        from_csv = fit(loaded, spec.topology, config)
+        in_memory = fit(dataset, spec.topology, config)
+        assert [r.objective for r in from_csv.restarts] == [
+            r.objective for r in in_memory.restarts
+        ]
+        assert from_csv.model.parent_indices == ((0,), (1,), ())
+
     def test_interior_task_without_parents_round_trips(self, tmp_path):
-        dataset = generate_dataset(gap_task_spec(), 20, seed=3)
+        spec = parentless_task_spec(PARENTLESS_TASK_ROWS["interior"])
+        dataset = generate_dataset(spec, 20, seed=3)
         path = tmp_path / "data.csv"
         export_dataset(dataset, path)
         assert path.read_text().splitlines()[0] == "env,sample,l_1,l_2,x_1,x_2,y1_1,y3_1"
@@ -329,6 +344,16 @@ class TestSpecJson:
         rebuilt = DgpSpec.from_json_dict(doc)
         assert rebuilt.to_json_dict() == doc
 
+    @pytest.mark.parametrize("place", sorted(PARENTLESS_TASK_ROWS))
+    def test_task_without_parents_round_trips(self, place):
+        rows = PARENTLESS_TASK_ROWS[place]
+        doc = parentless_task_spec(rows).to_json_dict()
+        assert DgpSpec.from_json_dict(doc).to_json_dict() == doc
+        label = f"t{rows.index([0, 0]) + 1}"
+        doc["B"][label] = [[1.0]]
+        with pytest.raises(ShapeError):
+            DgpSpec.from_json_dict(doc)
+
     def test_unknown_keys_rejected(self, ident_spec):
         doc = ident_spec.to_json_dict()
         doc["typo"] = 1
@@ -345,7 +370,8 @@ class TestSpecJson:
     def test_missing_noise_means_zero(self):
         doc = identifiable_spec().to_json_dict()
         del doc["noise"]
-        assert DgpSpec.from_json_dict(doc).noise.is_zero()
+        noise = DgpSpec.from_json_dict(doc).noise
+        assert not any(np.any(s) for s in (noise.x_std, *noise.y_std))
 
     def test_bad_nonlinearity_rejected(self):
         doc = identifiable_spec().to_json_dict()

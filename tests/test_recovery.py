@@ -285,6 +285,19 @@ class TestFit:
         with pytest.raises(DataError):
             fit(dataset, other, FitConfig(restarts=1))
 
+    @pytest.mark.parametrize(
+        "blocks,rows",
+        [
+            pytest.param(1, [[1, 0], [0, 1]], id="absent-block-of-task-with-parents"),
+            pytest.param(2, [[1, 0]], id="block-beyond-last-task"),
+        ],
+    )
+    def test_task_block_count_mismatch_rejected(self, ident_spec, blocks, rows):
+        dataset = generate_dataset(ident_spec, 100, seed=0)
+        dataset = replace(dataset, y=dataset.y[:blocks])
+        with pytest.raises(DataError, match="task blocks"):
+            fit(dataset, ScmTopology.from_rows(rows), FitConfig(restarts=1))
+
     def test_capacity_limit(self):
         wide = ScmTopology.from_rows([[1] * 9])
         dataset = SyntheticDataset(

@@ -12,7 +12,6 @@ from scm_ident import (
     LabelError,
     ScmTopology,
     ShapeError,
-    validate,
 )
 
 
@@ -58,8 +57,7 @@ class TestFactorSet:
 
 class TestValidation:
     def test_wellformed_identity(self):
-        top = ScmTopology(2, 2, [[1, 0], [0, 1]])
-        validate(top)
+        ScmTopology(2, 2, [[1, 0], [0, 1]])
 
     def test_fractional_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +120,7 @@ class TestParentsAndChildren:
         rng = np.random.default_rng(abs(seed) % (2**32))
         top = ScmTopology.from_rows(rng.integers(0, 2, size=(m, n)))
         for k in range(m):
+            assert top.parent_indices()[k] == top.parent_latents(k).indices()
             for j in range(n):
                 assert (j in top.parent_latents(k)) == (k in top.child_tasks(j))
 
@@ -154,31 +153,6 @@ class TestCollisions:
                     top = ScmTopology.from_rows(rows)
                     distinct = len(set(zip(*rows))) == n
                     assert (top.collision_pairs() == []) == distinct
-
-
-class TestDiagnostics:
-    @pytest.mark.parametrize(
-        "m,n,bound,exceeds",
-        [(2, 3, 3, False), (2, 5, 3, True), (3, 7, 7, False)],
-    )
-    def test_capacity_bounds(self, m, n, bound, exceeds):
-        top = ScmTopology(m, n, np.zeros((m, n), dtype=int))
-        report = top.capacity_diagnostic()
-        assert report.nonempty_child_bound == bound
-        assert report.exceeds_nonempty_bound is exceeds
-        assert report.child_pattern_bound == bound + 1
-
-    def test_parent_bound_flags(self):
-        top = ScmTopology.from_rows([[1, 1, 1], [0, 0, 0]])
-        reports = top.parent_bound_diagnostic()
-        assert reports[0].parent_count == 3
-        assert reports[0].parent_bound == 2
-        assert reports[0].violates
-        assert not reports[1].violates
-
-    def test_parent_bound_at_limit_ok(self):
-        top = ScmTopology.from_rows([[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
-        assert not top.parent_bound_diagnostic()[0].violates  # 4 == 2**(3-1)
 
 
 class TestJsonSchema:
