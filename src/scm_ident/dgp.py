@@ -31,12 +31,18 @@ _FLOAT_FORMAT = "%.17g"  # lossless float64 round trip
 _EXPORT_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
 
 
+def singular_ratios(stack: np.ndarray) -> np.ndarray:
+    """Smallest over largest singular value of each matrix of a stack; 0 for a zero matrix."""
+    singular = np.linalg.svd(stack, compute_uv=False)
+    largest = singular[..., 0]
+    return np.divide(
+        singular[..., -1], largest, out=np.zeros_like(largest), where=largest != 0.0
+    )
+
+
 def singular_ratio(matrix: np.ndarray) -> float:
     """Smallest over largest singular value; 0 for the zero matrix."""
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular[0] == 0.0:
-        return 0.0
-    return float(singular[-1] / singular[0])
+    return float(singular_ratios(np.asarray(matrix)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ class DgpSpec:
                 raise DataError(f"environment {e} must have exactly 'means' and 'variances'")
             means.append(env["means"])
             variances.append(env["variances"])
-        prior = ExpFamilyPrior(np.asarray(means), np.asarray(variances))
+        prior = ExpFamilyPrior(_spec_array(means, "means"), _spec_array(variances, "variances"))
         nonlinearity = data.get("nonlinearity", {"type": "none"})
         if not isinstance(nonlinearity, dict) or "type" not in nonlinearity:
             raise DataError("nonlinearity must be an object with a 'type'")
@@ -268,7 +274,10 @@ class DgpSpec:
         elif nonlinearity["type"] == "leaky":
             if set(nonlinearity) != {"type", "slope"}:
                 raise DataError("nonlinearity 'leaky' takes exactly a 'slope'")
-            slope = float(nonlinearity["slope"])
+            try:
+                slope = float(nonlinearity["slope"])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"malformed generator spec: slope: {exc}") from exc
         else:
             raise DataError(f"unknown nonlinearity type {nonlinearity['type']!r}")
         b_maps = data["B"]
@@ -280,7 +289,7 @@ class DgpSpec:
         parents = topology.parent_indices()
         task_maps = []
         for k, task_parents in enumerate(parents):
-            b = np.asarray(b_maps[f"t{k + 1}"], dtype=np.float64)
+            b = _spec_array(b_maps[f"t{k + 1}"], f"B t{k + 1}")
             # JSON writes a 0x0 map as [], which reads back with shape (0,)
             task_maps.append(b.reshape(0, 0) if not task_parents and b.shape == (0,) else b)
         noise = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
@@ -293,6 +302,14 @@ class DgpSpec:
             raise DataError(f"malformed generator spec: {exc}") from exc
 
 
+def _spec_array(value, name: str) -> np.ndarray:
+    """A numeric array from a generator-spec entry; ragged or non-numeric lists are a DataError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed generator spec: {name}: {exc}") from exc
+
+
 def _noise_from_json(noise, num_latents: int, parent_counts) -> NoiseSpec:
     if noise is None:
         return NoiseSpec.zero(num_latents, parent_counts)
@@ -300,7 +317,7 @@ def _noise_from_json(noise, num_latents: int, parent_counts) -> NoiseSpec:
         raise DataError("noise must be an object with optional 'x' and 'y'")
 
     def broadcast(value, width: int):
-        arr = np.asarray(value, dtype=np.float64)
+        arr = _spec_array(value, "noise")
         return np.full(width, float(arr)) if arr.ndim == 0 else arr
 
     x_std = broadcast(noise.get("x", 0.0), num_latents)

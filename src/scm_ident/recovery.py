@@ -18,12 +18,13 @@ as depressed correlations and seed-to-seed alignment instability.
 import itertools
 import statistics
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
-from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio
+from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
 from .errors import (
     CapacityError,
     ConfigError,
@@ -82,24 +83,23 @@ class UnmixModel:
     task_maps: tuple[np.ndarray, ...]
     parent_indices: tuple[tuple[int, ...], ...]
 
-    def copy(self) -> "UnmixModel":
-        return UnmixModel(
-            self.mixing.copy(),
-            self.env_means.copy(),
-            self.env_variances.copy(),
-            tuple(b.copy() for b in self.task_maps),
-            self.parent_indices,
-        )
-
     def singular_ratio(self) -> float:
         return singular_ratio(self.mixing)
 
 
 @dataclass
 class RestartResult:
+    """One restart's final model and objective.
+
+    ``stop_reason`` says why its descent ended: ``grad_tol`` (gradient
+    below tolerance), ``min_step`` (no step at or above ``min_step``
+    lowered the objective) or ``max_iters`` (iteration budget spent).
+    """
+
     objective: float
     iterations: int
     model: UnmixModel
+    stop_reason: str
 
 
 @dataclass
@@ -182,73 +182,157 @@ def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) 
             )
 
 
-def _stacked_map(model: UnmixModel, q: int) -> np.ndarray:
-    n = model.mixing.shape[0]
-    stacked = np.zeros((q, n))
-    stacked[:n] = model.mixing
-    row = n
-    for b, parents in zip(model.task_maps, model.parent_indices):
-        width = len(parents)
-        stacked[row : row + width, list(parents)] = b
-        row += width
-    return stacked
+@dataclass(frozen=True)
+class _Layout:
+    """Where one model's parameters sit in a row of a flat batch.
+
+    A row holds the joint map (q x n: F on top, then each task's rows,
+    zero outside the task's parents), then the per-environment latent
+    means and the variances (envs x n each).
+    """
+
+    num_latents: int
+    num_environments: int
+    parent_indices: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``np.ix_`` index in the joint map of F, then of each task's map."""
+        n = self.num_latents
+        blocks, row = [np.ix_(range(n), range(n))], n
+        for parents in self.parent_indices:
+            blocks.append(np.ix_(range(row, row + len(parents)), parents))
+            row += len(parents)
+        return tuple(blocks)
+
+    @cached_property
+    def joint_rows(self) -> int:
+        return self.num_latents + sum(len(p) for p in self.parent_indices)
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """(q, n) mask of the joint-map entries held at zero."""
+        fixed = np.ones((self.joint_rows, self.num_latents), dtype=bool)
+        for index in self.blocks:
+            fixed[index] = False
+        return fixed
+
+    @cached_property
+    def square_groups(self) -> tuple[tuple[list[int], tuple[np.ndarray, np.ndarray]], ...]:
+        """Non-empty maps grouped by side: their block numbers and one joint-map index."""
+        groups: dict[int, list[int]] = {}
+        for k, (rows, _) in enumerate(self.blocks):
+            if rows.size:
+                groups.setdefault(rows.size, []).append(k)
+        return tuple(
+            (ks, tuple(np.stack(axis) for axis in zip(*(self.blocks[k] for k in ks))))
+            for ks in groups.values()
+        )
+
+
+class _Batch:
+    """Models of several restarts, one flat parameter row each.
+
+    ``stacked`` (restarts, q, n), ``means`` and ``variances``
+    (restarts, envs, n) are views of the rows; see ``_Layout``.
+    """
+
+    def __init__(self, layout: _Layout, params: np.ndarray):
+        self.layout = layout
+        self.params = params
+        q, n, envs = layout.joint_rows, layout.num_latents, layout.num_environments
+        restarts = params.shape[0]
+        self.stacked = params[:, : q * n].reshape(restarts, q, n)
+        self.means = params[:, q * n : (q + envs) * n].reshape(restarts, envs, n)
+        self.variances = params[:, (q + envs) * n :].reshape(restarts, envs, n)
+
+    @classmethod
+    def of(cls, models: list[UnmixModel]) -> "_Batch":
+        envs, n = models[0].env_means.shape
+        layout = _Layout(n, envs, models[0].parent_indices)
+        batch = cls(layout, np.zeros((len(models), (layout.joint_rows + 2 * envs) * n)))
+        for r, model in enumerate(models):
+            for index, block in zip(layout.blocks, (model.mixing, *model.task_maps)):
+                batch.stacked[r][index] = block
+            batch.means[r] = model.env_means
+            batch.variances[r] = model.env_variances
+        return batch
+
+    def model(self, r: int) -> UnmixModel:
+        mixing, *task_maps = (self.stacked[r][index] for index in self.layout.blocks)
+        return UnmixModel(
+            mixing,
+            self.means[r].copy(),
+            self.variances[r].copy(),
+            tuple(task_maps),
+            self.layout.parent_indices,
+        )
+
+    def moved(self, steps: np.ndarray, grads: "_Batch") -> "_Batch":
+        """Each restart moved against its gradient by its own step."""
+        return _Batch(self.layout, self.params - steps[:, None] * grads.params)
+
+    def where(self, mask: np.ndarray, other: "_Batch") -> "_Batch":
+        """This batch's restarts where ``mask`` holds, ``other``'s elsewhere."""
+        return _Batch(self.layout, np.where(mask[:, None], self.params, other.params))
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        return _Batch(self.layout, self.params[keep])
 
 
 @dataclass(frozen=True)
 class _Residuals:
-    """Per-environment moment residuals of one model, kept for its gradient."""
+    """Per-environment moment residuals of a batch, kept for its gradient."""
 
-    stacked: np.ndarray  # (q, n) joint map
-    scaled: list[np.ndarray]  # per env: stacked * variances
-    means: list[np.ndarray]  # per env: model minus empirical mean, (q,)
-    covariances: list[np.ndarray]  # per env: model minus empirical covariance, (q, q)
+    means: np.ndarray  # (restarts, envs, q): model minus empirical mean
+    covariances: np.ndarray  # (restarts, envs, q, q): model minus empirical covariance
 
+    def where(self, mask: np.ndarray, other: "_Residuals") -> "_Residuals":
+        return _Residuals(
+            np.where(mask[:, None, None], self.means, other.means),
+            np.where(mask[:, None, None, None], self.covariances, other.covariances),
+        )
 
-def _residuals(model: UnmixModel, moments: _Moments) -> tuple[float, _Residuals]:
-    """Objective (summed squared residuals) and the residuals behind it."""
-    q = moments.means.shape[1]
-    stacked = _stacked_map(model, q)
-    objective = 0.0
-    scaled_maps, mean_resids, cov_resids = [], [], []
-    for e in range(moments.means.shape[0]):
-        scaled = stacked * model.env_variances[e][None, :]
-        mean_resid = stacked @ model.env_means[e] - moments.means[e]
-        cov_resid = scaled @ stacked.T - moments.covariances[e]
-        objective += float(mean_resid @ mean_resid) + float((cov_resid * cov_resid).sum())
-        scaled_maps.append(scaled)
-        mean_resids.append(mean_resid)
-        cov_resids.append(cov_resid)
-    return objective, _Residuals(stacked, scaled_maps, mean_resids, cov_resids)
+    def take(self, keep: np.ndarray) -> "_Residuals":
+        return _Residuals(self.means[keep], self.covariances[keep])
 
 
-def _gradients(model: UnmixModel, residuals: _Residuals):
-    """Objective gradient per parameter block: F, means, variances, each B."""
-    n = model.mixing.shape[0]
-    stacked = residuals.stacked
-    d_stacked = np.zeros_like(stacked)
-    d_means = np.zeros_like(model.env_means)
-    d_vars = np.zeros_like(model.env_variances)
-    for e, (scaled, mean_resid, cov_resid) in enumerate(
-        zip(residuals.scaled, residuals.means, residuals.covariances)
-    ):
-        d_stacked += 2.0 * np.outer(mean_resid, model.env_means[e]) + 4.0 * (cov_resid @ scaled)
-        d_means[e] = 2.0 * (stacked.T @ mean_resid)
-        back = cov_resid @ stacked
-        d_vars[e] = 2.0 * np.einsum("qi,qi->i", stacked, back)
-    d_mixing = d_stacked[:n]
-    d_task_maps = []
-    row = n
-    for parents in model.parent_indices:
-        width = len(parents)
-        d_task_maps.append(d_stacked[row : row + width][:, list(parents)])
-        row += width
-    return d_mixing, d_means, d_vars, d_task_maps
+def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals]:
+    """Objective per restart (summed squared residuals) and the residuals behind it.
+
+    Every product is a stacked ``matmul`` over slices of the same shape and
+    layout as one model's, and the objective adds the environments in
+    order, so a restart's bits do not depend on the batch it is in.
+    """
+    per_env = batch.stacked[:, None]
+    scaled = per_env * batch.variances[..., None, :]
+    mean_resid = np.matmul(per_env, batch.means[..., None])[..., 0] - moments.means
+    cov_resid = np.matmul(scaled, per_env.swapaxes(-1, -2)) - moments.covariances
+    mean_terms = np.matmul(mean_resid[..., None, :], mean_resid[..., None])[..., 0, 0]
+    cov_terms = (cov_resid * cov_resid).reshape(cov_resid.shape[:2] + (-1,)).sum(axis=-1)
+    terms = mean_terms + cov_terms
+    objective = np.zeros(terms.shape[0])
+    for e in range(terms.shape[1]):
+        objective += terms[:, e]
+    return objective, _Residuals(mean_resid, cov_resid)
 
 
-def _grad_norm(d_mixing, d_means, d_vars, d_task_maps) -> float:
-    parts = [np.abs(d_mixing).max(), np.abs(d_means).max(), np.abs(d_vars).max()]
-    parts += [np.abs(b).max() for b in d_task_maps if b.size]
-    return float(max(parts))
+def _gradients(batch: _Batch, residuals: _Residuals) -> _Batch:
+    """Objective gradient of each restart, laid out like its parameters."""
+    per_env = batch.stacked[:, None]
+    scaled = per_env * batch.variances[..., None, :]
+    d_per_env = 2.0 * (residuals.means[..., :, None] * batch.means[..., None, :]) + 4.0 * (
+        np.matmul(residuals.covariances, scaled)
+    )
+    grads = _Batch(batch.layout, np.zeros_like(batch.params))
+    for e in range(d_per_env.shape[1]):
+        grads.stacked += d_per_env[:, e]
+    grads.stacked[:, batch.layout.fixed] = 0.0
+    d_means = np.matmul(per_env.swapaxes(-1, -2), residuals.means[..., None])[..., 0]
+    grads.means[...] = 2.0 * d_means
+    back = np.matmul(residuals.covariances, per_env)
+    grads.variances[...] = 2.0 * np.einsum("...qi,...qi->...i", per_env, back)
+    return grads
 
 
 def _reproject(matrix: np.ndarray) -> np.ndarray:
@@ -258,53 +342,72 @@ def _reproject(matrix: np.ndarray) -> np.ndarray:
     return (u * np.maximum(s, floor)) @ vt
 
 
-def _project(model: UnmixModel) -> UnmixModel:
-    model.env_variances = np.maximum(model.env_variances, VARIANCE_FLOOR)
-    if model.singular_ratio() <= SINGULAR_RATIO:
-        model.mixing = _reproject(model.mixing)
-    for t, b in enumerate(model.task_maps):
-        if b.size and singular_ratio(b) <= SINGULAR_RATIO:
-            new_maps = list(model.task_maps)
-            new_maps[t] = _reproject(b)
-            model.task_maps = tuple(new_maps)
-    return model
+def _project(batch: _Batch) -> _Batch:
+    """Floor the variances and reproject near-singular maps, in place."""
+    np.maximum(batch.variances, VARIANCE_FLOOR, out=batch.variances)
+    # one singular-value pass per map size: F and the task maps of its size together
+    for blocks, (rows, cols) in batch.layout.square_groups:
+        maps = batch.stacked[:, rows, cols]  # (restarts, len(blocks), side, side)
+        low = singular_ratios(maps.reshape((-1,) + maps.shape[2:])) <= SINGULAR_RATIO
+        for r, g in zip(*np.nonzero(low.reshape(maps.shape[:2]))):
+            batch.stacked[r][batch.layout.blocks[blocks[g]]] = _reproject(maps[r, g])
+    return batch
 
 
-def _descend(model: UnmixModel, moments: _Moments, config: FitConfig) -> RestartResult:
-    model = _project(model.copy())
-    objective, residuals = _residuals(model, moments)
-    grads = _gradients(model, residuals)
-    step = config.initial_step
+def _descend(start: _Batch, moments: _Moments, config: FitConfig) -> list[RestartResult]:
+    """Backtracking descent of every restart in lock step.
+
+    Each restart keeps its own step. A backtracking round evaluates the
+    whole batch; restarts that have accepted discard their candidates. A
+    restart leaves the batch where it would stop alone, so the loop runs
+    max(iterations) times and each restart ends as it would alone.
+    """
+    batch = _project(start)
+    objective, residuals = _residuals(batch, moments)
+    grads = _gradients(batch, residuals)
+    steps = np.full(objective.shape, config.initial_step)
+    ids = np.arange(objective.shape[0])
+    results: list[RestartResult] = [None] * ids.shape[0]  # type: ignore[list-item]
     iterations = 0
-    for _ in range(config.max_iters):
-        d_mixing, d_means, d_vars, d_task_maps = grads
-        if _grad_norm(d_mixing, d_means, d_vars, d_task_maps) < config.grad_tol:
-            break
-        accepted = False
-        while step >= config.min_step:
-            candidate = _project(
-                UnmixModel(
-                    model.mixing - step * d_mixing,
-                    model.env_means - step * d_means,
-                    model.env_variances - step * d_vars,
-                    tuple(b - step * g for b, g in zip(model.task_maps, d_task_maps)),
-                    model.parent_indices,
-                )
+
+    def leave(mask: np.ndarray, stop_reason: str) -> None:
+        nonlocal batch, objective, residuals, grads, steps, ids
+        if not mask.any():
+            return
+        for i in np.flatnonzero(mask):
+            results[ids[i]] = RestartResult(
+                float(objective[i]), iterations, batch.model(i), stop_reason
             )
+        keep = ~mask
+        batch, residuals, grads = batch.take(keep), residuals.take(keep), grads.take(keep)
+        objective, steps, ids = objective[keep], steps[keep], ids[keep]
+
+    for _ in range(config.max_iters):
+        # the largest gradient entry; the joint map's fixed zeros never exceed it
+        leave(np.abs(grads.params).max(axis=1) < config.grad_tol, "grad_tol")
+        searching = steps >= config.min_step
+        accepted = np.zeros_like(searching)
+        while searching.any():
+            candidate = _project(batch.moved(np.where(searching, steps, 0.0), grads))
             candidate_objective, candidate_residuals = _residuals(candidate, moments)
-            if candidate_objective < objective:
-                model = candidate
-                objective = candidate_objective
-                residuals = candidate_residuals
-                step = min(step * STEP_GROWTH, 1e6)
-                accepted = True
-                break
-            step *= 0.5
+            better = searching & (candidate_objective < objective)
+            batch = candidate.where(better, batch)
+            objective = np.where(better, candidate_objective, objective)
+            residuals = candidate_residuals.where(better, residuals)
+            steps = np.where(
+                better,
+                np.minimum(steps * STEP_GROWTH, 1e6),
+                np.where(searching, steps * 0.5, steps),
+            )
+            accepted |= better
+            searching &= ~better & (steps >= config.min_step)
         iterations += 1
-        if not accepted:
+        leave(~accepted, "min_step")
+        if not ids.shape[0]:
             break
-        grads = _gradients(model, residuals)
-    return RestartResult(objective=objective, iterations=iterations, model=model)
+        grads = _gradients(batch, residuals)
+    leave(np.ones(ids.shape, dtype=bool), "max_iters")
+    return results
 
 
 def _data_driven_init(
@@ -353,6 +456,21 @@ def _random_init(
     return UnmixModel(mixing, means, variances, task_maps, parent_indices)
 
 
+def _starts(
+    dataset: SyntheticDataset,
+    topology: ScmTopology,
+    moments: _Moments,
+    config: FitConfig,
+    init: UnmixModel | None,
+) -> list[UnmixModel]:
+    """Starting model of each restart, in restart order."""
+    first = init if init is not None else _data_driven_init(dataset, topology, moments)
+    rng = stream(FIT_INIT, config.seed)
+    return [first] + [
+        _random_init(rng, topology, dataset.num_environments) for _ in range(config.restarts - 1)
+    ]
+
+
 def fit(
     dataset: SyntheticDataset,
     topology: ScmTopology,
@@ -361,7 +479,8 @@ def fit(
 ) -> FitResult:
     """Match per-environment joint moments by multi-restart descent.
 
-    Restart 0 starts from the supplied ``init`` when given, otherwise
+    All restarts descend together as one batch; each restart's result is
+    the one it would reach alone. Restart 0 starts from the supplied ``init`` when given, otherwise
     from a whitening-style data-driven guess; later restarts draw random
     parameters from the fit stream of ``config.seed``. The best restart
     by final objective wins, ties going to the earliest. An ``init``
@@ -372,16 +491,8 @@ def fit(
     if init is not None:
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
-    rng = stream(FIT_INIT, config.seed)
-    restarts: list[RestartResult] = []
-    for r in range(config.restarts):
-        if r == 0:
-            start = init.copy() if init is not None else _data_driven_init(
-                dataset, topology, moments
-            )
-        else:
-            start = _random_init(rng, topology, dataset.num_environments)
-        restarts.append(_descend(start, moments, config))
+    starts = _Batch.of(_starts(dataset, topology, moments, config, init))
+    restarts = _descend(starts, moments, config)
     best = min(restarts, key=lambda res: res.objective)
     if best.model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("every restart collapsed to a singular mixing map")

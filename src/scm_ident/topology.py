@@ -235,6 +235,10 @@ class ScmTopology:
         for key in ("num_tasks", "num_latents", "adjacency"):
             if key not in data:
                 raise DataError(f"topology document missing key {key!r}")
+        for key in ("num_tasks", "num_latents"):
+            count = data[key]
+            if isinstance(count, bool) or (isinstance(count, float) and not count.is_integer()):
+                raise DataError(f"{key} must be a whole number, got {count!r}")
         try:
             return cls(
                 int(data["num_tasks"]),

@@ -354,6 +354,26 @@ class TestSpecJson:
         with pytest.raises(ShapeError):
             DgpSpec.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc["B"].update(t1=[[1.0, 2.0], [3.0]]), id="ragged-B"),
+            pytest.param(
+                lambda doc: doc["environments"][1].update(means=[1.0]), id="short-env-means"
+            ),
+            pytest.param(lambda doc: doc.update(noise={"x": [[0.1], [0.1, 0.2]]}), id="ragged-noise"),
+            pytest.param(
+                lambda doc: doc.update(nonlinearity={"type": "leaky", "slope": "steep"}),
+                id="non-numeric-slope",
+            ),
+        ],
+    )
+    def test_malformed_entry_is_data_error(self, ident_spec, edit):
+        doc = ident_spec.to_json_dict()
+        edit(doc)
+        with pytest.raises(DataError, match="malformed generator spec"):
+            DgpSpec.from_json_dict(doc)
+
     def test_unknown_keys_rejected(self, ident_spec):
         doc = ident_spec.to_json_dict()
         doc["typo"] = 1

@@ -3,8 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import colliding_spec, identifiable_spec
-from helpers import brute_force_best_matching, central_difference, relative_gradient_error
+from conftest import PARENTLESS_TASK_ROWS, colliding_spec, identifiable_spec, parentless_task_spec
+from helpers import (
+    brute_force_best_matching,
+    central_difference,
+    reference_descend,
+    relative_gradient_error,
+)
 from scm_ident import (
     CapacityError,
     ConfigError,
@@ -23,7 +28,13 @@ from scm_ident import (
     recover_latents,
 )
 from scm_ident import recovery
-from scm_ident.recovery import _empirical_moments, _gradients, _residuals
+from scm_ident.dgp import singular_ratio
+from scm_ident.recovery import _Batch, _empirical_moments, _gradients, _residuals, _starts
+
+
+def objective(model: UnmixModel, moments) -> float:
+    """The fit objective of one model, evaluated as a batch of one."""
+    return float(_residuals(_Batch.of([model]), moments)[0][0])
 
 
 def truth_model(spec) -> UnmixModel:
@@ -191,17 +202,23 @@ class TestFitGradient:
         spec = spec_fn()
         moments = _empirical_moments(generate_dataset(spec, 500, seed=12))
         model = perturbed_truth(spec, seed=13)
-        d_mixing, d_means, d_vars, d_task_maps = _gradients(model, _residuals(model, moments)[1])
-        analytic = {"mixing": d_mixing, "env_means": d_means, "env_variances": d_vars}
-        analytic.update({f"B{k}": g for k, g in enumerate(d_task_maps)})
+        batch = _Batch.of([model])
+        grads = _gradients(batch, _residuals(batch, moments)[1]).model(0)
+        analytic = {
+            "mixing": grads.mixing,
+            "env_means": grads.env_means,
+            "env_variances": grads.env_variances,
+        }
+        analytic.update({f"B{k}": g for k, g in enumerate(grads.task_maps)})
         numeric = central_difference(
-            lambda value: _residuals(with_block(model, block, value), moments)[0],
+            lambda value: objective(with_block(model, block, value), moments),
             block_value(model, block),
         )
         assert np.abs(numeric).max() > 1e-3  # the check is not vacuous
         assert relative_gradient_error(analytic[block], numeric) < 1e-6
 
-    def test_one_objective_evaluation_per_projected_model(self, ident_spec, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch) -> dict:
         calls = {"project": 0, "residuals": 0, "gradients": 0}
 
         def counted(name, fn):
@@ -214,6 +231,10 @@ class TestFitGradient:
         monkeypatch.setattr(recovery, "_project", counted("project", recovery._project))
         monkeypatch.setattr(recovery, "_residuals", counted("residuals", recovery._residuals))
         monkeypatch.setattr(recovery, "_gradients", counted("gradients", recovery._gradients))
+        return calls
+
+    def test_one_objective_evaluation_per_projected_model(self, ident_spec, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         dataset = generate_dataset(ident_spec, 2000, seed=9)
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, max_iters=20, seed=9))
         assert result.restarts[0].iterations == 20
@@ -222,12 +243,22 @@ class TestFitGradient:
         # one gradient at the start and one per accepted step
         assert calls["gradients"] == 21
 
+    def test_restarts_share_each_gradient_evaluation(self, ident_spec, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        dataset = generate_dataset(ident_spec, 2000, seed=9)
+        result = fit(dataset, ident_spec.topology, FitConfig(restarts=3, max_iters=20, seed=9))
+        iterations = [r.iterations for r in result.restarts]
+        assert max(iterations) == 20
+        assert calls["residuals"] == calls["project"]
+        # the batch descends in lock step: one gradient pass per iteration, not per restart
+        assert calls["gradients"] == max(iterations) + 1
+
 
 class TestFit:
     def test_truth_is_a_fixed_point_of_population_moments(self, ident_spec):
         dataset = moment_exact_dataset(ident_spec, 4000, seed=5)
         truth = truth_model(ident_spec)
-        floor = _residuals(truth, _empirical_moments(dataset))[0]
+        floor = objective(truth, _empirical_moments(dataset))
         assert floor <= 1e-18
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, seed=5), init=truth_model(ident_spec))
         assert result.objective <= floor + 1e-18
@@ -241,7 +272,7 @@ class TestFit:
 
     def test_best_restart_near_truth_objective(self, ident_spec):
         dataset = generate_dataset(ident_spec, 20000, seed=6)
-        floor = _residuals(truth_model(ident_spec), _empirical_moments(dataset))[0]
+        floor = objective(truth_model(ident_spec), _empirical_moments(dataset))
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=8, seed=6))
         assert result.objective <= 10.0 * floor
 
@@ -332,6 +363,97 @@ class TestFit:
             FitConfig(restarts=0)
         with pytest.raises(ConfigError):
             FitConfig(initial_step=-1.0)
+
+
+def assert_restarts_match_reference(dataset, topology, config, init=None) -> list:
+    """Every restart of the batched fit equals a lone descent from its start, bit for bit."""
+    result = fit(dataset, topology, config, init=init)
+    moments = _empirical_moments(dataset)
+    starts = _starts(dataset, topology, moments, config, init)
+    assert len(result.restarts) == len(starts) == config.restarts
+    for got, start in zip(result.restarts, starts):
+        want_objective, want_iterations, want, want_reason = reference_descend(
+            start, moments.means, moments.covariances, config
+        )
+        assert np.float64(got.objective).tobytes() == np.float64(want_objective).tobytes()
+        assert got.iterations == want_iterations
+        assert got.stop_reason == want_reason
+        pairs = [
+            (got.model.mixing, want.mixing),
+            (got.model.env_means, want.env_means),
+            (got.model.env_variances, want.env_variances),
+            *zip(got.model.task_maps, want.task_maps, strict=True),
+        ]
+        for array, expected in pairs:
+            assert array.shape == expected.shape and array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+    return result.restarts
+
+
+class TestBatchedDescent:
+    """The lock-step batch reproduces each restart's lone descent exactly."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "spec_fn, max_iters",
+        [(identifiable_spec, 300), (colliding_spec, 150)],
+        ids=["identifiable", "colliding"],
+    )
+    def test_matches_lone_descent(self, spec_fn, max_iters, restarts):
+        spec = spec_fn()
+        dataset = generate_dataset(spec, 2000, seed=restarts)
+        config = FitConfig(restarts=restarts, max_iters=max_iters, seed=restarts)
+        assert_restarts_match_reference(dataset, spec.topology, config)
+
+    @pytest.mark.parametrize("place", sorted(PARENTLESS_TASK_ROWS))
+    def test_matches_lone_descent_with_parentless_task(self, place):
+        spec = parentless_task_spec(PARENTLESS_TASK_ROWS[place])
+        dataset = generate_dataset(spec, 2000, seed=3)
+        config = FitConfig(restarts=3, max_iters=300, seed=3)
+        assert_restarts_match_reference(dataset, spec.topology, config)
+
+    @pytest.mark.parametrize("spec_fn", [identifiable_spec, colliding_spec])
+    def test_matches_lone_descent_from_near_singular_init(self, spec_fn, monkeypatch):
+        spec = spec_fn()
+        init = truth_model(spec)
+        init.mixing = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        init.task_maps = tuple(np.zeros_like(b) for b in init.task_maps)
+        assert singular_ratio(init.mixing) <= recovery.SINGULAR_RATIO
+        reprojected, reproject = [], recovery._reproject
+        monkeypatch.setattr(recovery, "_reproject", lambda m: reprojected.append(m) or reproject(m))
+        dataset = generate_dataset(spec, 2000, seed=4)
+        config = FitConfig(restarts=3, max_iters=50, seed=4)
+        assert_restarts_match_reference(dataset, spec.topology, config, init=init)
+        # F and every task map of restart 0 start below the singular floor
+        assert len(reprojected) >= 1 + spec.topology.num_tasks
+
+    def test_matches_lone_descent_when_restarts_stop_for_different_reasons(self, ident_spec):
+        dataset = generate_dataset(ident_spec, 2000, seed=0)
+        config = FitConfig(restarts=4, max_iters=250, grad_tol=3e-8, seed=0)
+        restarts = assert_restarts_match_reference(dataset, ident_spec.topology, config)
+        assert {r.stop_reason for r in restarts} == {"grad_tol", "min_step", "max_iters"}
+
+
+class TestStopReason:
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            (FitConfig(restarts=1, grad_tol=1e-3, seed=1), "grad_tol"),
+            (FitConfig(restarts=1, initial_step=1e-3, min_step=1e-2, seed=1), "min_step"),
+            (FitConfig(restarts=1, max_iters=5, seed=1), "max_iters"),
+        ],
+        ids=["grad_tol", "min_step", "max_iters"],
+    )
+    def test_reason_reported(self, ident_spec, config, reason):
+        dataset = generate_dataset(ident_spec, 2000, seed=1)
+        (restart,) = fit(dataset, ident_spec.topology, config).restarts
+        assert restart.stop_reason == reason
+        if reason == "min_step":  # the first step is already below the floor
+            assert restart.iterations == 1
+        if reason == "max_iters":
+            assert restart.iterations == config.max_iters
+        if reason == "grad_tol":
+            assert restart.iterations < config.max_iters
 
 
 class TestEndToEnd:

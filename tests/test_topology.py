@@ -170,6 +170,19 @@ class TestJsonSchema:
         with pytest.raises(DataError):
             ScmTopology.from_json_dict({"num_tasks": 1, "num_latents": 1})
 
+    @pytest.mark.parametrize("count", [1.9, True, 0.5])
+    def test_non_integral_count_rejected(self, count):
+        doc = {"num_tasks": count, "num_latents": 2, "adjacency": [[1, 0]]}
+        with pytest.raises(DataError, match="whole number"):
+            ScmTopology.from_json_dict(doc)
+        with pytest.raises(DataError, match="whole number"):
+            ScmTopology.from_json_dict({**doc, "num_tasks": 1, "num_latents": count})
+
+    @pytest.mark.parametrize("count", [2, 2.0])
+    def test_integral_count_loads(self, count):
+        doc = {"num_tasks": count, "num_latents": count, "adjacency": [[1, 0], [0, 1]]}
+        assert ScmTopology.from_json_dict(doc) == ScmTopology.from_rows([[1, 0], [0, 1]])
+
     def test_names_preserved(self):
         doc = {
             "num_tasks": 1,
