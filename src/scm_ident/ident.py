@@ -3,12 +3,20 @@
 Two independently implemented criteria decide whether every latent factor
 of a topology can be told apart from the data it generates:
 
-* the *closure decider* seeds a family of latent-index sets with the empty
-  set, the universal set and each task's parent set, closes the family
-  under pairwise set subtraction, and accepts iff every singleton appears;
+* the *closure decider* works in the family of latent-index sets that
+  holds the empty set, the universal set U and each task's parent set
+  Pa_k and is closed under pairwise set subtraction. That family is the
+  Boolean algebra the parent sets generate, so latent ``j``'s singleton
+  is a member iff ``j``'s *atom* is ``{j}``. The decider builds the atom
+  by at most ``2m`` subtractions of members: start from U and, per task,
+  subtract Pa_k when ``j`` is not in Pa_k and U - Pa_k otherwise. The
+  chain of those subtractions is the certificate for ``{j}``;
 * the *column-agreement decider* counts, for each pair of latents, on how
   many tasks their adjacency columns agree (both present or both absent)
   and accepts iff no pair agrees on all ``m`` tasks.
+
+The full subtraction fixpoint (:func:`closure_generate`, 2^(distinct
+columns) members) serves only the ``closure`` listing and its traces.
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
@@ -28,6 +36,9 @@ from .errors import CapacityError
 from .topology import MAX_LATENTS, FactorSet, ScmTopology
 
 AUDIT_CELL_LIMIT = 20
+# Largest family the ``closure`` listing enumerates: 2^11 members took
+# 5.4 s on a two-core host.
+CLOSURE_MEMBER_LIMIT = 1 << 11
 MIN_TASKS_LATENT_LIMIT = 16
 
 
@@ -118,16 +129,30 @@ class IdentVerdict:
     violating_pairs: tuple[tuple[int, int], ...]
 
 
+def _check_width(topology: ScmTopology) -> None:
+    n = topology.num_latents
+    if n > MAX_LATENTS:
+        raise CapacityError(f"closure supports at most {MAX_LATENTS} latents, got {n}")
+
+
 def closure_generate(topology: ScmTopology) -> ClosureFamily:
     """Generate the subtraction closure of the topology's parent sets.
 
     Every new member is paired against all earlier members in discovery
     order and both subtraction directions are kept, so the family is the
     least one containing the seeds and closed under pairwise subtraction.
+    The family has 2^(distinct columns) members; above
+    :data:`CLOSURE_MEMBER_LIMIT` it raises :class:`CapacityError` before
+    enumerating anything.
     """
+    _check_width(topology)
+    size = 1 << len(set(topology.column_masks()))
+    if size > CLOSURE_MEMBER_LIMIT:
+        raise CapacityError(
+            f"closure listing supports at most {CLOSURE_MEMBER_LIMIT} members, "
+            f"this topology's family has {size}"
+        )
     n = topology.num_latents
-    if n > MAX_LATENTS:
-        raise CapacityError(f"closure supports at most {MAX_LATENTS} latents, got {n}")
     universal = (1 << n) - 1
     members: list[int] = []
     origins: dict[int, Origin] = {}
@@ -152,13 +177,51 @@ def closure_generate(topology: ScmTopology) -> ClosureFamily:
     return ClosureFamily(n, tuple(members), origins)
 
 
+def _atom_chain(topology: ScmTopology, j: int) -> tuple[tuple[int, Origin], ...] | None:
+    """Derivation of latent ``j``'s atom, or ``None`` unless it is ``{j}``.
+
+    The atom starts as U and loses, per task, Pa_k (``j`` not in Pa_k) or
+    U - Pa_k (``j`` in Pa_k); subtractions that remove nothing are
+    skipped. Every mask is emitted once, after its operands, and the
+    chain is cut just after ``{j}``'s first emission.
+    """
+    universal = (1 << topology.num_latents) - 1
+    chain: list[tuple[int, Origin]] = []
+    position: dict[int, int] = {}
+
+    def emit(mask: int, origin: Origin) -> None:
+        if mask not in position:
+            position[mask] = len(chain)
+            chain.append((mask, origin))
+
+    emit(universal, SeedOrigin("universal"))
+    atom = universal
+    for k, parents in enumerate(topology.row_masks()):
+        inside = (parents >> j) & 1
+        right = universal & ~parents if inside else parents
+        if not atom & right:
+            continue
+        emit(parents, SeedOrigin("task", k))
+        if inside:
+            emit(right, DifferenceOrigin(universal, parents))
+        emit(atom & ~right, DifferenceOrigin(atom, right))
+        atom &= ~right
+    if atom != 1 << j:
+        return None
+    return tuple(chain[: position[atom] + 1])
+
+
 def closure_identifiable(topology: ScmTopology) -> IdentVerdict:
-    """Run the closure decider and package per-latent certificates."""
-    family = closure_generate(topology)
-    chains = tuple(
-        family.derivation_chain(1 << j) if (1 << j) in family.origins else None
-        for j in range(topology.num_latents)
-    )
+    """Run the closure decider and package per-latent certificates.
+
+    ``per_latent[j]`` is latent ``j``'s atom chain (see the module
+    docstring): a replayable derivation of ``{j}`` in the
+    :meth:`ClosureFamily.derivation_chain` format, at most ``2m``
+    subtractions long, or ``None`` when the atom is larger than ``{j}``.
+    The verdict is pure set algebra; the full fixpoint is never built.
+    """
+    _check_width(topology)
+    chains = tuple([_atom_chain(topology, j) for j in range(topology.num_latents)])
     return IdentVerdict(
         identifiable=all(chain is not None for chain in chains),
         per_latent=chains,

@@ -10,6 +10,7 @@ Indices are 0-based throughout the Python API. Human-readable output uses
 the latent/task names, which default to ``L1..Ln`` and ``Y1..Ym``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -135,13 +136,14 @@ class ScmTopology:
         object.__setattr__(
             self, "task_names", _normalize_names(self.task_names, self.num_tasks, "task")
         )
+        # tuples of known length: one built from a generator is resized as
+        # it grows, and those fragments pile up across many topology shapes
+        cells = adjacency.tolist()
         cols = tuple(
-            int(sum(int(adjacency[k, j]) << k for k in range(self.num_tasks)))
-            for j in range(self.num_latents)
+            [sum(cells[k][j] << k for k in range(self.num_tasks)) for j in range(self.num_latents)]
         )
         rows = tuple(
-            int(sum(int(adjacency[k, j]) << j for j in range(self.num_latents)))
-            for k in range(self.num_tasks)
+            [sum(cells[k][j] << j for j in range(self.num_latents)) for k in range(self.num_tasks)]
         )
         object.__setattr__(self, "_column_masks", cols)
         object.__setattr__(self, "_row_masks", rows)
@@ -237,7 +239,10 @@ class ScmTopology:
                 raise DataError(f"topology document missing key {key!r}")
         for key in ("num_tasks", "num_latents"):
             count = data[key]
-            if isinstance(count, bool) or (isinstance(count, float) and not count.is_integer()):
+            whole = isinstance(count, numbers.Integral) or (
+                isinstance(count, float) and count.is_integer()
+            )
+            if isinstance(count, bool) or not whole:
                 raise DataError(f"{key} must be a whole number, got {count!r}")
         try:
             return cls(

@@ -104,6 +104,31 @@ def shuffled_closure(parent_sets, n: int, rng) -> set[frozenset]:
         family |= new
 
 
+def replay_chain(topology, chain) -> int:
+    """Replay a derivation chain step by step and return its last set.
+
+    Seeds are read from the topology and each difference from sets the
+    chain produced earlier; every step must reproduce its recorded mask.
+    """
+    from scm_ident.ident import SeedOrigin
+
+    replayed: dict[int, int] = {}
+    for step_mask, origin in chain:
+        if isinstance(origin, SeedOrigin):
+            if origin.kind == "empty":
+                value = 0
+            elif origin.kind == "universal":
+                value = (1 << topology.num_latents) - 1
+            else:
+                value = topology.row_masks()[origin.task]
+        else:
+            assert origin.left in replayed and origin.right in replayed, "operand not emitted earlier"
+            value = replayed[origin.left] & ~replayed[origin.right]
+        assert value == step_mask
+        replayed[step_mask] = value
+    return chain[-1][0]
+
+
 def brute_force_best_matching(true_latents, est_latents):
     """Best permutation by mean |Pearson| using numpy's corrcoef."""
     true_arr = np.asarray(true_latents, dtype=np.float64)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,15 @@ def colliding_topology_file(tmp_path):
     )
 
 
+def distinct_columns_file(tmp_path, num_tasks: int, num_latents: int) -> str:
+    """Topology whose latent j has child pattern j (all columns distinct)."""
+    rows = [[(j >> k) & 1 for j in range(num_latents)] for k in range(num_tasks)]
+    return write_json(
+        tmp_path / "distinct.json",
+        {"num_tasks": num_tasks, "num_latents": num_latents, "adjacency": rows},
+    )
+
+
 def run_json(capsys, argv) -> tuple[int, dict]:
     code = main(argv + ["--format", "json"])
     return code, json.loads(capsys.readouterr().out)
@@ -68,6 +78,15 @@ class TestCheck:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
+    def test_sixty_four_latents_decided(self, tmp_path, capsys):
+        path = distinct_columns_file(tmp_path, 7, 64)
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["check", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert payload["closure_identifiable"] and payload["agreement_identifiable"]
+        assert payload["missing_singletons"] == []
+
 
 class TestClosure:
     def test_trace_shows_parent_subtraction(self, tmp_path, capsys):
@@ -95,6 +114,14 @@ class TestClosure:
         assert main(["closure", path, "--trace", "--format", fmt]) == 0
         expected = (GOLDEN / f"closure_trace_walkthrough.{golden}").read_text()
         assert capsys.readouterr().out == expected
+
+    def test_family_above_the_member_limit_exit_two(self, tmp_path, capsys):
+        path = distinct_columns_file(tmp_path, 5, 20)
+        start = time.perf_counter()
+        assert main(["closure", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "at most 2048 members" in capsys.readouterr().err
+        assert main(["check", path]) == 0
 
     def test_missing_singletons_reported(self, colliding_topology_file, capsys):
         code, payload = run_json(capsys, ["closure", colliding_topology_file])

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import column_collisions, enumerate_matrices, shuffled_closure
+from helpers import column_collisions, enumerate_matrices, replay_chain, shuffled_closure
 from scm_ident import (
     CapacityError,
     ScmTopology,
@@ -15,7 +17,7 @@ from scm_ident import (
     uic_check,
     uic_violations,
 )
-from scm_ident.ident import DifferenceOrigin, SeedOrigin, decode_matrix
+from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin, decode_matrix
 
 
 def random_topology(rng, m, n) -> ScmTopology:
@@ -87,20 +89,28 @@ class TestClosureGenerate:
         family = closure_generate(walkthrough_topology)
         for mask in family.members:
             chain = family.derivation_chain(mask)
-            replayed: dict[int, int] = {}
-            for step_mask, origin in chain:
-                if isinstance(origin, SeedOrigin):
-                    if origin.kind == "empty":
-                        value = 0
-                    elif origin.kind == "universal":
-                        value = (1 << walkthrough_topology.num_latents) - 1
-                    else:
-                        value = walkthrough_topology.row_masks()[origin.task]
-                else:
-                    value = replayed[origin.left] & ~replayed[origin.right]
-                assert value == step_mask
-                replayed[step_mask] = value
-            assert chain[-1][0] == mask
+            assert replay_chain(walkthrough_topology, chain) == mask
+
+    def test_family_size_is_two_to_the_distinct_columns(self):
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for rows in enumerate_matrices(m, n):
+                    top = ScmTopology.from_rows(rows)
+                    assert len(closure_generate(top)) == 1 << len(set(top.column_masks()))
+
+    def test_listing_above_the_member_limit_is_refused(self):
+        # 12 distinct columns: a family of 2^12 members, one step past the cap
+        rows = [[(pattern >> k) & 1 for pattern in range(12)] for k in range(4)]
+        top = ScmTopology.from_rows(rows)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="members"):
+            closure_generate(top)
+        assert time.perf_counter() - start < 1.0
+        assert closure_identifiable(top).identifiable
+
+    def test_listing_at_the_member_limit_runs(self):
+        rows = [[(pattern >> k) & 1 for pattern in range(9)] for k in range(4)]
+        assert len(closure_generate(ScmTopology.from_rows(rows))) == 1 << 9 <= CLOSURE_MEMBER_LIMIT
 
 
 class TestClosureVerdict:
@@ -127,6 +137,82 @@ class TestClosureVerdict:
             verdict = closure_identifiable(top)
             assert verdict.identifiable == all(c is not None for c in verdict.per_latent)
             assert verdict.identifiable == (verdict.violating_pairs == ())
+
+
+
+class TestAtomCertificate:
+    @staticmethod
+    def assert_certificates(top, verdict):
+        for j, chain in enumerate(verdict.per_latent):
+            if chain is not None:
+                assert replay_chain(top, chain) == 1 << j
+                assert len({mask for mask, _ in chain}) == len(chain)
+                differences = [o for _, o in chain if isinstance(o, DifferenceOrigin)]
+                assert len(differences) <= 2 * top.num_tasks
+
+    def test_verdicts_match_the_fixpoint_up_to_three_by_four(self):
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for rows in enumerate_matrices(m, n):
+                    top = ScmTopology.from_rows(rows)
+                    verdict = closure_identifiable(top)
+                    family = closure_generate(top)
+                    for j, chain in enumerate(verdict.per_latent):
+                        assert (chain is not None) == ((1 << j) in family)
+                    self.assert_certificates(top, verdict)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_topologies_agree_with_columns(self, m, n, seed):
+        top = random_topology(np.random.default_rng(seed), m, n)
+        verdict = closure_identifiable(top)
+        columns = top.column_masks()
+        assert verdict.identifiable == uic_check(top)
+        for j, chain in enumerate(verdict.per_latent):
+            assert (chain is None) == (columns.count(columns[j]) > 1)
+        self.assert_certificates(top, verdict)
+
+    def test_sixty_four_latents(self):
+        rows = [[(pattern >> k) & 1 for pattern in range(64)] for k in range(7)]
+        top = ScmTopology.from_rows(rows)
+        start = time.perf_counter()
+        verdict = closure_identifiable(top)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.identifiable and verdict.violating_pairs == ()
+        self.assert_certificates(top, verdict)
+
+    def test_sixty_four_latents_with_a_collision(self):
+        rows = [[(pattern >> k) & 1 for pattern in [*range(63), 5]] for k in range(7)]
+        verdict = closure_identifiable(ScmTopology.from_rows(rows))
+        assert not verdict.identifiable
+        assert verdict.violating_pairs == ((5, 63),)
+        assert [j for j, c in enumerate(verdict.per_latent) if c is None] == [5, 63]
+
+    def test_singleton_seed_ends_the_chain(self):
+        # task 1's parent set is {1}: the chain stops at that seed
+        top = ScmTopology.from_rows([[1, 1, 0], [0, 1, 0]])
+        chain = closure_identifiable(top).per_latent[1]
+        assert chain[-1] == (0b010, SeedOrigin("task", 1))
+
+    def test_subtraction_that_removes_nothing_is_skipped(self):
+        # task 1's parents {2} lie outside latent 0's atom {0, 1} after
+        # task 0, so Pa(Y2) never enters the chain
+        top = ScmTopology.from_rows([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+        assert closure_identifiable(top).per_latent[0] == (
+            (0b1111, SeedOrigin("universal")),
+            (0b0011, SeedOrigin("task", 0)),
+            (0b1100, DifferenceOrigin(0b1111, 0b0011)),
+            (0b0001, SeedOrigin("task", 2)),
+        )
+
+    def test_capacity_error_above_64(self):
+        top = ScmTopology(1, 65, np.ones((1, 65), dtype=int))
+        with pytest.raises(CapacityError):
+            closure_identifiable(top)
 
 
 class TestAgreementDecider:

@@ -178,7 +178,15 @@ class TestJsonSchema:
         with pytest.raises(DataError, match="whole number"):
             ScmTopology.from_json_dict({**doc, "num_tasks": 1, "num_latents": count})
 
-    @pytest.mark.parametrize("count", [2, 2.0])
+    @pytest.mark.parametrize("count", ["1", "2", None, [2]])
+    def test_non_number_count_rejected(self, count):
+        doc = {"num_tasks": count, "num_latents": 2, "adjacency": [[1, 0]]}
+        with pytest.raises(DataError, match="whole number"):
+            ScmTopology.from_json_dict(doc)
+        with pytest.raises(DataError, match="whole number"):
+            ScmTopology.from_json_dict({**doc, "num_tasks": 1, "num_latents": count})
+
+    @pytest.mark.parametrize("count", [2, 2.0, np.int64(2)])
     def test_integral_count_loads(self, count):
         doc = {"num_tasks": count, "num_latents": count, "adjacency": [[1, 0], [0, 1]]}
         assert ScmTopology.from_json_dict(doc) == ScmTopology.from_rows([[1, 0], [0, 1]])
