@@ -53,29 +53,37 @@ def decide(enc: np.ndarray, m: int, n: int):
       generate, so {j} is a member iff j's atom is {j}. The atom is
       reached by subtracting family members only: start from U and, per
       task, subtract Pa_k when j is not in Pa_k and U - Pa_k otherwise;
-    * agreement: no pair of columns agrees on all m tasks;
+    * agreement: no pair of columns agrees on all m tasks. Pairs are
+      taken by column distance s: columns i and i + s differ on task k
+      iff bit i of ``row_k ^ (row_k >> s)`` is set, so every pair at
+      distance s differs somewhere iff the OR of that over the tasks
+      has all of its low n - s bits set;
     * distinctness: the sorted column codes hold no equal neighbours.
+
+    The closure and distinctness passes share one set of uint8 bit
+    planes, laid out (task, latent, matrix) so every operation runs
+    along the matrices.
     """
     universal = np.int32((1 << n) - 1)
-    latents = np.arange(n, dtype=np.int32)
+    latents = np.arange(n, dtype=np.int32)[:, None]
     rows = (enc >> (np.arange(m, dtype=np.int32)[:, None] * n)) & universal  # (m, C)
-    bits = ((rows[:, :, None] >> latents) & 1).astype(np.uint8)  # (m, C, n)
+    bits = ((rows[:, None, :] >> latents) & 1).astype(np.uint8)  # (m, n, C)
 
-    atoms = np.full((len(enc), n), universal)
+    atoms = np.full((n, len(enc)), universal)
     for k in range(m):
         # U - Pa_k is Pa_k ^ U, since Pa_k lies inside U
-        atoms &= ~(rows[k, :, None] ^ universal * bits[k])
-    closure_ok = (atoms == np.int32(1) << latents).all(axis=1)
+        atoms &= ~(rows[k] ^ universal * bits[k])
+    closure_ok = (atoms == np.int32(1) << latents).all(axis=0)
 
-    left, right = np.triu_indices(n, k=1)
-    agree = np.zeros((len(enc), len(left)), dtype=np.uint8)
-    for k in range(m):
-        agree += bits[k][:, left] == bits[k][:, right]
-    agreement_ok = ~(agree == m).any(axis=1)
+    agreement_ok = np.ones(len(enc), dtype=bool)
+    for s in range(1, n):
+        differ = np.bitwise_or.reduce(rows ^ (rows >> s), axis=0)
+        low = np.int32((1 << (n - s)) - 1)
+        agreement_ok &= (differ & low) == low
 
-    cols = np.zeros((len(enc), n), dtype=np.int32)
+    cols = np.zeros((n, len(enc)), dtype=np.int32)
     for k in range(m):
         cols |= bits[k].astype(np.int32) << k
-    cols.sort(axis=1)
-    distinct_ok = (cols[:, 1:] != cols[:, :-1]).all(axis=1)
+    cols.sort(axis=0)
+    distinct_ok = (cols[1:] != cols[:-1]).all(axis=0)
     return closure_ok, agreement_ok, distinct_ok

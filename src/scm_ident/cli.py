@@ -226,7 +226,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    report = equivalence_audit(args.m, args.n, workers=args.workers)
+    report = equivalence_audit(args.m, args.n)
     max_per_m = report.max_identifiable_latents()
     payload = {
         "max_tasks": report.max_tasks,
@@ -573,7 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exhaustive decider cross-audit up to a shape")
     p.add_argument("--m", type=int, required=True, help="largest task count")
     p.add_argument("--n", type=int, required=True, help="largest latent count")
-    p.add_argument("--workers", type=int, default=None)
     add_common(p)
     p.set_defaults(handler=cmd_enumerate)
 

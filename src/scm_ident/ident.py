@@ -20,9 +20,11 @@ columns) members) serves only the ``closure`` listing and its traces.
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
-requested shape. The audit kernel decides each matrix by its own
-vectorised closure, agreement and distinctness checks; the tests tie its
-closure verdict back to :func:`closure_identifiable`.
+requested shape, in one process and one shape at a time. The audit
+kernel decides each matrix by its own vectorised closure, agreement and
+distinctness checks; the tests tie its closure and agreement verdicts
+back to :func:`closure_identifiable` and :func:`uic_check`, matrix by
+matrix.
 """
 
 import itertools
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._parallel import parallel_map
 from .errors import CapacityError
 from .topology import MAX_LATENTS, FactorSet, ScmTopology
 
@@ -303,17 +304,13 @@ class AuditReport:
         return best
 
 
-def _audit_one_shape(shape: tuple[int, int]):
-    m, n = shape
-    return _kernels.audit_shape(m, n)
-
-
-def equivalence_audit(max_m: int, max_n: int, workers: int | None = None) -> AuditReport:
+def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
     """Run both deciders on every binary matrix up to ``max_m x max_n``.
 
-    Shapes may be audited in parallel worker processes (capped by
-    ``SCM_IDENT_THREADS``); results are merged in shape order, so the
-    report is identical however the work is split.
+    The audit runs in this process, one shape after another in shape
+    order. It starts no worker processes: the largest shape holds at
+    least half of the matrices, so a pool could not finish sooner than
+    that shape alone.
     """
     if max_m < 1 or max_n < 1:
         raise CapacityError("audit bounds must be positive")
@@ -323,15 +320,13 @@ def equivalence_audit(max_m: int, max_n: int, workers: int | None = None) -> Aud
             f"got {max_m}x{max_n}"
         )
     shapes = [(m, n) for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
-    results = parallel_map(_audit_one_shape, shapes, workers)
     total = 0
     agreements = 0
     mismatches: list[ScmTopology] = []
     distinct_mismatches: list[ScmTopology] = []
     shape_reports: list[ShapeAudit] = []
-    for (m, n), (shape_total, identifiable, closure_vs_agree, agree_vs_distinct) in zip(
-        shapes, results
-    ):
+    for m, n in shapes:
+        shape_total, identifiable, closure_vs_agree, agree_vs_distinct = _kernels.audit_shape(m, n)
         total += shape_total
         agreements += shape_total - len(closure_vs_agree)
         mismatches.extend(decode_matrix(enc, m, n) for enc in closure_vs_agree)

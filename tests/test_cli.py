@@ -156,6 +156,11 @@ class TestEnumerate:
     def test_over_capacity_exit_two(self):
         assert main(["enumerate", "--m", "5", "--n", "5"]) == 2
 
+    def test_workers_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--m", "2", "--n", "2", "--workers", "2"])
+        assert exc.value.code == 2
+
 
 class TestLossAndGradcheck:
     def test_identity_binary_losses_zero(self, tmp_path, capsys):

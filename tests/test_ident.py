@@ -1,3 +1,6 @@
+import concurrent.futures
+import json
+import multiprocessing.process
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ from helpers import column_collisions, enumerate_matrices, replay_chain, shuffle
 from scm_ident import (
     CapacityError,
     ScmTopology,
+    _parallel,
     closure_generate,
     closure_identifiable,
     equivalence_audit,
@@ -17,6 +21,7 @@ from scm_ident import (
     uic_check,
     uic_violations,
 )
+from scm_ident.cli import main
 from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin, decode_matrix
 
 
@@ -299,11 +304,20 @@ class TestEquivalenceAudit:
             )
             assert decode_matrix(enc, 2, 3) == ScmTopology.from_rows(rows)
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        serial = equivalence_audit(2, 3, workers=1)
-        monkeypatch.setenv("SCM_IDENT_THREADS", "2")
-        parallel = equivalence_audit(2, 3, workers=2)
-        assert serial == parallel
+    def test_starts_no_process(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit started a process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        report = equivalence_audit(3, 5)
+        assert report.total_matrices == report.agreements == 38874
+        assert by_identifiable(report, 3, 5) == 6720
+        assert main(["enumerate", "--m", "3", "--n", "5", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total_matrices"] == payload["agreements"] == 38874
+        assert payload["mismatches"] == payload["agreement_vs_distinct"] == []
 
 
 def by_identifiable(report, m, n):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from scm_ident import closure_identifiable
+from scm_ident import closure_identifiable, uic_check
 from scm_ident._kernels import BACKEND, audit_shape, backends, pure
 from scm_ident.ident import decode_matrix
 
 
 AUDITED_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
 
 def test_a_backend_is_selected():
@@ -37,6 +38,20 @@ def test_kernel_closure_matches_traced_closure():
                 closure_identifiable(decode_matrix(int(e), m, n)).identifiable for e in enc
             ]
             assert closure_ok.tolist() == expected, f"{m}x{n}"
+
+
+@pytest.mark.parametrize("m,n", SMALL_SHAPES)
+def test_kernel_agreement_and_distinctness_per_matrix(m, n):
+    """Agreement equals the pairwise decider, distinctness plain column tuples."""
+    enc = np.arange(1 << (m * n), dtype=np.int32)
+    _, agreement_ok, distinct_ok = pure.decide(enc, m, n)
+    agreement = [uic_check(decode_matrix(e, m, n)) for e in range(len(enc))]
+    distinct = [
+        len({tuple((e >> (k * n + j)) & 1 for k in range(m)) for j in range(n)}) == n
+        for e in range(len(enc))
+    ]
+    assert agreement_ok.tolist() == agreement
+    assert distinct_ok.tolist() == distinct
 
 
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2), (2, -5)])
