@@ -53,7 +53,6 @@ from .losses import (
     constraint_loss_grad,
     dis_loss,
     dis_loss_grad,
-    total_loss,
     uic_loss,
     uic_loss_grad,
 )
@@ -70,14 +69,12 @@ from .recovery import (
 )
 from .selection import (
     GumbelMaskSample,
-    MaskConfig,
-    apply_mask,
     build_task_latent_matrix,
     gumbel_softmax_mask,
     sample_hard_mask,
     soft_mask,
 )
-from .topology import FactorSet, ScmTopology
+from .topology import ScmTopology
 
 __version__ = "0.1.0"
 
@@ -85,7 +82,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "__version__",
     # topology
-    "FactorSet",
     "ScmTopology",
     # deciders
     "AuditReport",
@@ -106,13 +102,10 @@ __all__ = [
     "constraint_loss_grad",
     "dis_loss",
     "dis_loss_grad",
-    "total_loss",
     "uic_loss",
     "uic_loss_grad",
     # selection
     "GumbelMaskSample",
-    "MaskConfig",
-    "apply_mask",
     "build_task_latent_matrix",
     "gumbel_softmax_mask",
     "sample_hard_mask",

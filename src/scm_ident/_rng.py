@@ -24,7 +24,7 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
 def check_seed(seed: int) -> int:
     """Validate and normalize a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ConfigError(f"seed must be an integer, got {type(seed).__name__}")
     if seed < 0 or seed > _UINT64_MASK:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")

@@ -320,6 +320,12 @@ def _relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be positive, got {args.trials}")
+    if not np.isfinite(args.step) or args.step == 0:
+        raise ConfigError(f"--step must be a non-zero finite real, got {args.step}")
+    if args.tol is not None and not args.tol >= 0:
+        raise ConfigError(f"--tol must be a non-negative real, got {args.tol}")
     tolerance = args.tol if args.tol is not None else (1e-6 if args.alpha <= 4 else 1e-4)
     rng = stream(GRADCHECK, args.seed)
     worst = 0.0

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
-from .errors import ConfigError, DataError, DomainError, ShapeError
-from .topology import ScmTopology
+from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError
+from .topology import MAX_LATENTS, ScmTopology
 
 RANK_TOLERANCE = 1e-8
 SUFFICIENT_STAT_DIM = 2  # (l, l**2) per scalar Gaussian latent
@@ -197,6 +197,8 @@ class DgpSpec:
 
     def __post_init__(self) -> None:
         n = self.topology.num_latents
+        if n > MAX_LATENTS:
+            raise CapacityError(f"generator supports at most {MAX_LATENTS} latents, got {n}")
         if self.prior.num_latents != n:
             raise ShapeError(
                 f"prior covers {self.prior.num_latents} latents, topology has {n}"

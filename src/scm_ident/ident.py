@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError
-from .topology import MAX_LATENTS, FactorSet, ScmTopology
+from .topology import MAX_LATENTS, ScmTopology
 
 AUDIT_CELL_LIMIT = 20
 # Largest family the ``closure`` listing enumerates: 2^11 members took
@@ -70,17 +70,14 @@ class ClosureFamily:
 
     ``members`` lists each set's mask exactly once in discovery order;
     ``origins`` maps every member to the first derivation that produced
-    it. The fixpoint is unique, so any processing order yields the same
-    member set (only the recorded derivations may differ).
+    it, so ``mask in family.origins`` tests membership. The fixpoint is
+    unique, so any processing order yields the same member set (only the
+    recorded derivations may differ).
     """
 
     width: int
     members: tuple[int, ...]
     origins: dict[int, Origin]
-
-    def __contains__(self, item) -> bool:
-        mask = item.mask if isinstance(item, FactorSet) else int(item)
-        return mask in self.origins
 
     def __len__(self) -> int:
         return len(self.members)
@@ -119,15 +116,13 @@ class IdentVerdict:
     """Outcome of the closure decider for one topology.
 
     ``per_latent[j]`` holds the derivation chain ending in latent ``j``'s
-    singleton, or ``None`` when the singleton is unreachable;
-    ``violating_pairs`` lists latent pairs with identical adjacency
-    columns. A topology is identifiable iff every chain exists iff no
-    pair collides.
+    singleton, or ``None`` when the singleton is unreachable. A topology
+    is identifiable iff every chain exists iff no two adjacency columns
+    are identical (:meth:`ScmTopology.collision_pairs` lists those pairs).
     """
 
     identifiable: bool
     per_latent: tuple[tuple[tuple[int, Origin], ...] | None, ...]
-    violating_pairs: tuple[tuple[int, int], ...]
 
 
 def _check_width(topology: ScmTopology) -> None:
@@ -226,7 +221,6 @@ def closure_identifiable(topology: ScmTopology) -> IdentVerdict:
     return IdentVerdict(
         identifiable=all(chain is not None for chain in chains),
         per_latent=chains,
-        violating_pairs=tuple(topology.collision_pairs()),
     )
 
 

@@ -176,15 +176,3 @@ def constraint_loss_grad(matrix, config: LossConfig = LossConfig()) -> np.ndarra
     return config.lambda_uic * uic_loss_grad(matrix, config.alpha) + config.lambda_dis * (
         dis_loss_grad(matrix, config.alpha)
     )
-
-
-def total_loss(rec: float, pre: float, matrix, config: LossConfig = LossConfig()) -> float:
-    """Externally supplied likelihood terms plus the structure penalty.
-
-    ``rec`` and ``pre`` are opaque scalars produced by whatever model is
-    being regularized; this function only combines them.
-    """
-    for name, value in (("rec", rec), ("pre", pre)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    return float(rec) + float(pre) + constraint_loss(matrix, config)

@@ -16,6 +16,8 @@ as depressed correlations and seed-to-seed alignment instability.
 """
 
 import itertools
+import math
+import numbers
 import statistics
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -61,6 +63,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # an infinite step never halves below min_step, so its descent never ends
+        for name in ("initial_step", "min_step", "grad_tol"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ConfigError("restarts and max_iters must be positive")
         if not (self.initial_step > 0 and self.min_step > 0 and self.grad_tol > 0):

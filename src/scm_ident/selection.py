@@ -15,37 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import MASK_BERNOULLI, MASK_GUMBEL, check_seed, stream
+from ._rng import MASK_BERNOULLI, MASK_GUMBEL, stream
 from .errors import DomainError, ShapeError
 from .losses import as_soft_adjacency
 
 DEFAULT_SCALE = 100.0
-SCALE_RANGE = (50.0, 200.0)
+
+# Fixed design of the sampler self-test (mask_statistics_self_test).
+SELF_TEST_PROBABILITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+SELF_TEST_TEMPERATURE = 0.01
+SELF_TEST_GUMBEL_TOLERANCE = 0.01
 
 _OPEN_LOW = np.nextafter(0.0, 1.0)
 _OPEN_HIGH = np.nextafter(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class MaskConfig:
-    """Sampling configuration for one mask head.
-
-    The pre-sigmoid scale sharpens scores toward a hard selection and is
-    constrained to the open interval (50, 200); 100 is the midpoint
-    default. Temperature controls the Gumbel-softmax relaxation only.
-    """
-
-    scale: float = DEFAULT_SCALE
-    temperature: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        lo, hi = SCALE_RANGE
-        if not lo < self.scale < hi:
-            raise DomainError(f"scale must lie in ({lo}, {hi}), got {self.scale}")
-        if not self.temperature > 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        check_seed(self.seed)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -136,13 +118,7 @@ def gumbel_softmax_mask(soft, temperature: float = 1.0, seed: int = 0) -> Gumbel
     return GumbelMaskSample(relaxed=relaxed, hard=hard)
 
 
-def mask_statistics_self_test(
-    seed: int = 0,
-    draws: int = 100_000,
-    probabilities=(0.1, 0.3, 0.5, 0.7, 0.9),
-    temperature: float = 0.01,
-    gumbel_tolerance: float = 0.01,
-) -> dict:
+def mask_statistics_self_test(seed: int = 0, draws: int = 100_000) -> dict:
     """Frequency checks of both samplers against their target laws.
 
     Bernoulli empirical frequencies must sit within 4-sigma binomial
@@ -150,14 +126,14 @@ def mask_statistics_self_test(
     Gumbel-softmax hard frequencies must agree with the Bernoulli
     frequencies within an absolute tolerance. Deterministic per seed.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
+    probs = np.asarray(SELF_TEST_PROBABILITIES, dtype=np.float64)
     # One length-`draws` vector per probability, each on its own stream.
     bernoulli_freq = []
     gumbel_freq = []
     for offset, p in enumerate(probs):
         vector = np.full(draws, p)
         bern = sample_hard_mask(vector, seed=seed + offset)
-        cold = gumbel_softmax_mask(vector, temperature=temperature, seed=seed + offset)
+        cold = gumbel_softmax_mask(vector, temperature=SELF_TEST_TEMPERATURE, seed=seed + offset)
         bernoulli_freq.append(float(bern.mean()))
         gumbel_freq.append(float(cold.hard.mean()))
     bounds = 4.0 * np.sqrt(probs * (1.0 - probs) / draws)
@@ -166,7 +142,7 @@ def mask_statistics_self_test(
         for freq, p, bound in zip(bernoulli_freq, probs, bounds)
     ]
     gumbel_ok = [
-        abs(gf - bf) <= gumbel_tolerance
+        abs(gf - bf) <= SELF_TEST_GUMBEL_TOLERANCE
         for gf, bf in zip(gumbel_freq, bernoulli_freq)
     ]
     return {
@@ -175,27 +151,12 @@ def mask_statistics_self_test(
         "bernoulli_frequencies": bernoulli_freq,
         "bernoulli_bounds": bounds.tolist(),
         "bernoulli_ok": bern_ok,
-        "gumbel_temperature": temperature,
+        "gumbel_temperature": SELF_TEST_TEMPERATURE,
         "gumbel_frequencies": gumbel_freq,
-        "gumbel_tolerance": gumbel_tolerance,
+        "gumbel_tolerance": SELF_TEST_GUMBEL_TOLERANCE,
         "gumbel_ok": gumbel_ok,
         "ok": all(bern_ok) and all(gumbel_ok),
     }
-
-
-def apply_mask(mask, latent_reps) -> np.ndarray:
-    """Scale each latent's representation vector by its mask entry."""
-    mask_arr = np.asarray(mask, dtype=np.float64)
-    reps = np.asarray(latent_reps, dtype=np.float64)
-    if mask_arr.ndim != 1:
-        raise ShapeError(f"mask must be a vector, got shape {mask_arr.shape}")
-    if reps.ndim != 2:
-        raise ShapeError(f"latent representations must be a 2-d array, got shape {reps.shape}")
-    if reps.shape[0] != mask_arr.shape[0]:
-        raise ShapeError(
-            f"mask length {mask_arr.shape[0]} does not match {reps.shape[0]} representations"
-        )
-    return reps * mask_arr[:, None]
 
 
 def build_task_latent_matrix(soft_masks) -> np.ndarray:

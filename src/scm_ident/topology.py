@@ -7,81 +7,20 @@ those edges are present in all topologies of this family, carry no
 discriminating structure, and are therefore left implicit.
 
 Indices are 0-based throughout the Python API. Human-readable output uses
-the latent/task names, which default to ``L1..Ln`` and ``Y1..Ym``.
+the latent/task names, which default to ``L1..Ln`` and ``Y1..Ym``. A set
+of latents (or of tasks) is a plain ``int`` bit mask: bit ``j`` is set iff
+index ``j`` is a member, so set algebra is exact integer arithmetic.
 """
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapacityError, DataError, DomainError, LabelError, ShapeError
+from .errors import DataError, DomainError, LabelError, ShapeError
 
+# Largest latent count the closure decider and the generator accept.
 MAX_LATENTS = 64
-
-
-@dataclass(frozen=True)
-class FactorSet:
-    """Exact subset of ``{0, .., width-1}`` stored as a bit mask.
-
-    Set algebra on masks is integer arithmetic, so membership, union,
-    intersection and subtraction are exact; two sets are equal iff their
-    masks and widths are bit-identical.
-    """
-
-    mask: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_LATENTS:
-            raise CapacityError(f"width must be in 1..{MAX_LATENTS}, got {self.width}")
-        if not 0 <= self.mask < (1 << self.width):
-            raise DomainError(f"mask {self.mask:#x} does not fit in width {self.width}")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], width: int) -> "FactorSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < width:
-                raise IndexError(f"index {i} out of range for width {width}")
-            mask |= 1 << i
-        return cls(mask, width)
-
-    def _check_width(self, other: "FactorSet") -> None:
-        if self.width != other.width:
-            raise ShapeError(f"width mismatch: {self.width} != {other.width}")
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.width and bool((self.mask >> index) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __or__(self, other: "FactorSet") -> "FactorSet":
-        self._check_width(other)
-        return FactorSet(self.mask | other.mask, self.width)
-
-    def __and__(self, other: "FactorSet") -> "FactorSet":
-        self._check_width(other)
-        return FactorSet(self.mask & other.mask, self.width)
-
-    def __sub__(self, other: "FactorSet") -> "FactorSet":
-        self._check_width(other)
-        return FactorSet(self.mask & ~other.mask, self.width)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"FactorSet({{{', '.join(map(str, self))}}}, width={self.width})"
 
 
 def _normalize_names(names, expected: int, what: str) -> tuple[str, ...] | None:
@@ -183,26 +122,10 @@ class ScmTopology:
         """Per-task parent pattern: bit j set iff latent j feeds the task."""
         return self._row_masks
 
-    def parent_latents(self, task_index: int) -> FactorSet:
-        """Latents feeding the given task (one adjacency row)."""
-        if not 0 <= task_index < self.num_tasks:
-            raise IndexError(f"task index {task_index} out of range 0..{self.num_tasks - 1}")
-        return FactorSet(self._row_masks[task_index], self.num_latents)
-
     def parent_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per task, the indices of the latents feeding it, ascending."""
-        return tuple(FactorSet(mask, self.num_latents).indices() for mask in self._row_masks)
-
-    def child_tasks(self, latent_index: int) -> FactorSet:
-        """Tasks fed by the given latent (one adjacency column).
-
-        Only the task-side children are stored: the source observables are
-        children of every latent by construction, so they never
-        distinguish two latents and are omitted from comparisons.
-        """
-        if not 0 <= latent_index < self.num_latents:
-            raise IndexError(f"latent index {latent_index} out of range 0..{self.num_latents - 1}")
-        return FactorSet(self._column_masks[latent_index], self.num_tasks)
+        n = self.num_latents
+        return tuple(tuple(j for j in range(n) if (mask >> j) & 1) for mask in self._row_masks)
 
     def collision_pairs(self) -> list[tuple[int, int]]:
         """All unordered latent pairs whose child patterns are identical."""

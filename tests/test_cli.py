@@ -198,6 +198,23 @@ class TestLossAndGradcheck:
         code = main(["gradcheck", "--trials", "2", "--tol", "1e-18", "--format", "json"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "0"],
+            ["--step", "nan"],
+            ["--trials", "0"],
+            ["--trials=-1"],
+            ["--tol", "nan"],
+            ["--tol=-1e-6"],
+        ],
+    )
+    def test_gradcheck_input_error_exit_two(self, capsys, flags):
+        assert main(["gradcheck", "--trials", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err
+
 
 class TestMask:
     def test_scores_evaluation(self, tmp_path, capsys):
@@ -312,6 +329,43 @@ class TestDataAndRecovery:
         csv_path.write_text(f"env,sample,l_1,x_1,{task_column}\n0,0,0.5,0.5,0.5\n")
         assert main(["recover", str(csv_path), top_path]) == 2
         assert "unexpected dataset header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"max_iters": True},
+            {"restarts": True},
+            {"restarts": 2.0},
+            {"initial_step": "0.1"},
+            {"initial_step": 1e400},
+            {"grad_tol": None},
+            {"seed": True},
+        ],
+    )
+    def test_recover_rejects_mistyped_fit_config(self, tmp_path, capsys, config):
+        top_path = write_json(
+            tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+        )
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n")
+        config_path = write_json(tmp_path / "cfg.json", config)
+        assert main(["recover", str(csv_path), top_path, "--config", config_path]) == 2
+        assert f"input error: {next(iter(config))} must be" in capsys.readouterr().err
+
+    def test_dgp_gen_above_the_latent_limit_exit_two(self, tmp_path, capsys):
+        n = 65
+        eye = np.eye(n).tolist()
+        spec = {
+            "topology": {"num_tasks": 1, "num_latents": n, "adjacency": [[1] * n]},
+            "environments": [{"means": [0.0] * n, "variances": [1.0] * n}] * 3,
+            "F": eye,
+            "B": {"t1": eye},
+        }
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", spec_path, "--samples", "2", "--out", str(csv_path)]) == 2
+        assert "64" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_recover_rejects_malformed_row(self, tmp_path, capsys):
         top_path = write_json(

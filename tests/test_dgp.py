@@ -221,10 +221,7 @@ class TestDatasetRoundTrip:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 3 * 50
         n = ident_spec.topology.num_latents
-        parents = sum(
-            len(ident_spec.topology.parent_latents(k))
-            for k in range(ident_spec.topology.num_tasks)
-        )
+        parents = sum(mask.bit_count() for mask in ident_spec.topology.row_masks())
         assert len(lines[0].split(",")) == 2 + n + n + parents
 
     def test_regeneration_is_deterministic(self, ident_spec, tmp_path):

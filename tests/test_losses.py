@@ -19,7 +19,6 @@ from scm_ident import (
     constraint_loss_grad,
     dis_loss,
     dis_loss_grad,
-    total_loss,
     uic_check,
     uic_loss,
     uic_loss_grad,
@@ -197,17 +196,6 @@ class TestCombinators:
             config = LossConfig(alpha=4, lambda_uic=0.3, lambda_dis=0.9)
             expected = 0.3 * uic_loss(matrix, 4) + 0.9 * dis_loss(matrix, 4)
             assert constraint_loss(matrix, config) == pytest.approx(expected, rel=1e-12)
-
-    def test_total_loss_additivity(self):
-        matrix = [[1, 1], [0, 0]]
-        config = LossConfig(alpha=4)
-        base = total_loss(0.0, 0.0, matrix, config)
-        assert base == pytest.approx(constraint_loss(matrix, config))
-        assert total_loss(1.5, 0.25, matrix, config) == pytest.approx(base + 1.75)
-
-    def test_total_loss_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            total_loss(np.inf, 0.0, [[1.0]], LossConfig(alpha=4))
 
     def test_constraint_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -364,6 +364,31 @@ class TestFit:
         with pytest.raises(ConfigError):
             FitConfig(initial_step=-1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("restarts", True),
+            ("restarts", 2.0),
+            ("max_iters", True),
+            ("max_iters", "10"),
+            ("initial_step", "0.1"),
+            ("min_step", True),
+            ("grad_tol", None),
+            ("initial_step", float("inf")),
+            ("min_step", float("nan")),
+            ("seed", True),
+        ],
+    )
+    def test_config_types_checked(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            FitConfig(**{field: value})
+
+    def test_config_accepts_numpy_and_integer_numbers(self):
+        config = FitConfig(
+            restarts=np.int64(2), max_iters=5, initial_step=1, grad_tol=np.float64(1e-6)
+        )
+        assert config.restarts == 2 and config.initial_step == 1
+
 
 def assert_restarts_match_reference(dataset, topology, config, init=None) -> list:
     """Every restart of the batched fit equals a lone descent from its start, bit for bit."""

@@ -1,10 +1,14 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes, and
+every public name has a caller besides its own tests."""
 
 import pathlib
+import re
 import shutil
 import subprocess
 
 import pytest
+
+import scm_ident
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,3 +28,27 @@ def test_no_ignored_file_is_tracked():
         check=True,
     ).stdout.split()
     assert tracked_but_ignored == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each name in ``scm_ident.__all__`` appears in a package line other
+    than its own definition and ``__init__.py``, in ``perfbench/``, or in
+    the README."""
+    package = ROOT / "src" / "scm_ident"
+    package_lines = [
+        line
+        for path in package.rglob("*.py")
+        if path != package / "__init__.py"
+        for line in path.read_text().splitlines()
+    ]
+    other_texts = [path.read_text() for path in (ROOT / "perfbench").rglob("*.py")]
+    other_texts.append((ROOT / "README.md").read_text())
+    unused = []
+    for name in scm_ident.__all__:
+        escaped = re.escape(name)
+        definition = re.compile(rf"^\s*(?:class|def)\s+{escaped}\b|^{escaped}\s*[:=]")
+        word = re.compile(rf"\b{escaped}\b")
+        used = any(word.search(line) and not definition.search(line) for line in package_lines)
+        if not used and not any(word.search(text) for text in other_texts):
+            unused.append(name)
+    assert unused == []

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from scm_ident import (
     DomainError,
-    MaskConfig,
     ScmTopology,
     ShapeError,
-    apply_mask,
     build_task_latent_matrix,
     gumbel_softmax_mask,
     sample_hard_mask,
@@ -50,15 +48,6 @@ class TestSoftMask:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             soft_mask([np.inf], 100.0)
-
-    def test_config_scale_interval(self):
-        MaskConfig(scale=51.0)
-        with pytest.raises(DomainError):
-            MaskConfig(scale=50.0)
-        with pytest.raises(DomainError):
-            MaskConfig(scale=200.0)
-        with pytest.raises(DomainError):
-            MaskConfig(temperature=0.0)
 
 
 class TestBernoulliMask:
@@ -120,28 +109,6 @@ class TestGumbelMask:
 
     def test_self_test_passes(self):
         assert mask_statistics_self_test(seed=0)["ok"]
-
-
-class TestApplyMask:
-    def test_all_ones_identity(self):
-        reps = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(apply_mask([1, 1, 1], reps), reps)
-
-    def test_all_zeros(self):
-        reps = np.arange(6.0).reshape(3, 2)
-        assert not apply_mask([0, 0, 0], reps).any()
-
-    def test_selective(self):
-        out = apply_mask([1, 0], [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(out, [[1.0, 2.0], [0.0, 0.0]])
-
-    def test_relaxed_mask_scales(self):
-        out = apply_mask([0.5, 2.0], [[2.0, 2.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(out, [[1.0, 1.0], [2.0, 2.0]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply_mask([1, 0, 1], [[1.0, 2.0]])
 
 
 class TestStacking:

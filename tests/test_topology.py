@@ -3,56 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import column_collisions
+from helpers import column_collisions, enumerate_matrices
 from scm_ident import (
-    CapacityError,
     DataError,
-    DomainError,
-    FactorSet,
     LabelError,
     ScmTopology,
     ShapeError,
 )
-
-
-class TestFactorSet:
-    def test_exact_algebra(self):
-        a = FactorSet.from_indices([0, 2], width=4)
-        b = FactorSet.from_indices([2, 3], width=4)
-        assert (a | b).indices() == (0, 2, 3)
-        assert (a & b).indices() == (2,)
-        assert (a - b).indices() == (0,)
-        assert (b - a).indices() == (3,)
-        assert 2 in a and 1 not in a
-        assert len(a) == 2
-
-    def test_equality_is_bit_identity(self):
-        assert FactorSet(0b101, 3) == FactorSet.from_indices([0, 2], 3)
-        assert FactorSet(0b101, 3) != FactorSet(0b101, 4)
-        assert hash(FactorSet(0b101, 3)) == hash(FactorSet(0b101, 3))
-
-    def test_width_cap(self):
-        FactorSet(0, 64)
-        with pytest.raises(CapacityError):
-            FactorSet(0, 65)
-
-    def test_mask_must_fit_width(self):
-        with pytest.raises(DomainError):
-            FactorSet(0b100, 2)
-
-    def test_mixed_width_operations_rejected(self):
-        with pytest.raises(ShapeError):
-            FactorSet(1, 2) | FactorSet(1, 3)
-
-    @given(
-        st.integers(min_value=0, max_value=255),
-        st.integers(min_value=0, max_value=255),
-    )
-    def test_subtraction_matches_set_semantics(self, mask_a, mask_b):
-        a, b = FactorSet(mask_a, 8), FactorSet(mask_b, 8)
-        assert set((a - b).indices()) == set(a.indices()) - set(b.indices())
-        assert set((a | b).indices()) == set(a.indices()) | set(b.indices())
-        assert set((a & b).indices()) == set(a.indices()) & set(b.indices())
 
 
 class TestValidation:
@@ -88,41 +45,48 @@ class TestValidation:
 class TestParentsAndChildren:
     def test_parent_row_read(self):
         top = ScmTopology.from_rows([[1, 1, 0], [0, 1, 1]])
-        assert top.parent_latents(0).indices() == (0, 1)
+        assert top.parent_indices() == ((0, 1), (1, 2))
+        assert top.row_masks() == (0b011, 0b110)
 
     def test_all_zero_row(self):
         top = ScmTopology.from_rows([[0, 0]])
-        assert top.parent_latents(0).indices() == ()
+        assert top.parent_indices() == ((),)
 
     def test_walkthrough_shared_latent(self, walkthrough_topology):
         # the latent feeding both of the first two tasks
-        assert 1 in walkthrough_topology.parent_latents(1)
-        assert walkthrough_topology.child_tasks(1).indices() == (0, 1)
+        assert 1 in walkthrough_topology.parent_indices()[1]
+        assert walkthrough_topology.column_masks()[1] == 0b011
 
     def test_child_column_read(self):
         top = ScmTopology.from_rows([[1, 0], [1, 0]])
-        assert top.child_tasks(0).indices() == (0, 1)
-        assert top.child_tasks(1).indices() == ()
+        assert top.column_masks() == (0b11, 0)
 
     def test_exclusive_latent(self, walkthrough_topology):
-        assert walkthrough_topology.child_tasks(0).indices() == (0,)
-
-    def test_index_errors(self):
-        top = ScmTopology.from_rows([[1]])
-        with pytest.raises(IndexError):
-            top.parent_latents(1)
-        with pytest.raises(IndexError):
-            top.child_tasks(-1)
+        assert walkthrough_topology.column_masks()[0] == 0b001
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5), st.integers())
     @settings(max_examples=60)
     def test_parents_children_are_transposes(self, m, n, seed):
         rng = np.random.default_rng(abs(seed) % (2**32))
-        top = ScmTopology.from_rows(rng.integers(0, 2, size=(m, n)))
+        rows = rng.integers(0, 2, size=(m, n))
+        top = ScmTopology.from_rows(rows)
+        parents = top.parent_indices()
         for k in range(m):
-            assert top.parent_indices()[k] == top.parent_latents(k).indices()
+            assert parents[k] == tuple(int(j) for j in np.flatnonzero(rows[k]))
             for j in range(n):
-                assert (j in top.parent_latents(k)) == (k in top.child_tasks(j))
+                assert (j in parents[k]) == bool((top.column_masks()[j] >> k) & 1)
+
+    def test_parent_indices_exhaustive_up_to_three_by_four(self):
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for rows in enumerate_matrices(m, n):
+                    expected = tuple(tuple(j for j in range(n) if row[j]) for row in rows)
+                    assert ScmTopology.from_rows(rows).parent_indices() == expected
+
+    def test_parent_indices_of_sixty_four_distinct_columns(self):
+        rows = [[(pattern >> k) & 1 for pattern in range(64)] for k in range(7)]
+        expected = tuple(tuple(j for j in range(64) if (j >> k) & 1) for k in range(7))
+        assert ScmTopology.from_rows(rows).parent_indices() == expected
 
 
 class TestCollisions:
@@ -145,8 +109,6 @@ class TestCollisions:
         assert ScmTopology.from_rows(rows).collision_pairs() == column_collisions(rows)
 
     def test_empty_iff_all_columns_distinct_exhaustive(self):
-        from helpers import enumerate_matrices
-
         for m in range(1, 4):
             for n in range(1, 6):
                 for rows in enumerate_matrices(m, n):
