@@ -2,8 +2,9 @@
 
 Matrix encoding used by :func:`audit_shape`: an m x n binary adjacency is
 packed into an integer with bit ``k * n + j`` holding entry ``(k, j)``.
-Encodings are decided :data:`CHUNK` at a time, which bounds the working
-set whatever the shape.
+Encodings are decided :data:`CHUNK` at a time, so every temporary of
+:func:`decide` is an (n, CHUNK) or (m, CHUNK) array of at most int32:
+80 KB at n = 5, but growing with the shape rather than bounded by it.
 """
 
 import numpy as np
@@ -60,19 +61,24 @@ def decide(enc: np.ndarray, m: int, n: int):
       has all of its low n - s bits set;
     * distinctness: the sorted column codes hold no equal neighbours.
 
-    The closure and distinctness passes share one set of uint8 bit
-    planes, laid out (task, latent, matrix) so every operation runs
-    along the matrices.
+    The closure and distinctness passes share one (latent, matrix) bit
+    plane per task, so no temporary spans tasks, latents and matrices at
+    once. The column codes are sorted along the latent axis by an
+    odd-even transposition network: n passes of compare-exchange between
+    neighbours, each pass a ``np.minimum``/``np.maximum`` over all
+    matrices at once.
     """
     universal = np.int32((1 << n) - 1)
     latents = np.arange(n, dtype=np.int32)[:, None]
     rows = (enc >> (np.arange(m, dtype=np.int32)[:, None] * n)) & universal  # (m, C)
-    bits = ((rows[:, None, :] >> latents) & 1).astype(np.uint8)  # (m, n, C)
 
     atoms = np.full((n, len(enc)), universal)
+    cols = np.zeros((n, len(enc)), dtype=np.int32)
     for k in range(m):
+        bit = (rows[k] >> latents) & 1  # (n, C)
         # U - Pa_k is Pa_k ^ U, since Pa_k lies inside U
-        atoms &= ~(rows[k] ^ universal * bits[k])
+        atoms &= ~(rows[k] ^ universal * bit)
+        cols |= bit << k
     closure_ok = (atoms == np.int32(1) << latents).all(axis=0)
 
     agreement_ok = np.ones(len(enc), dtype=bool)
@@ -81,9 +87,10 @@ def decide(enc: np.ndarray, m: int, n: int):
         low = np.int32((1 << (n - s)) - 1)
         agreement_ok &= (differ & low) == low
 
-    cols = np.zeros((n, len(enc)), dtype=np.int32)
-    for k in range(m):
-        cols |= bits[k].astype(np.int32) << k
-    cols.sort(axis=0)
+    for p in range(n):
+        lo, hi = cols[p % 2 : n - 1 : 2], cols[p % 2 + 1 : n : 2]
+        smaller = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = smaller
     distinct_ok = (cols[1:] != cols[:-1]).all(axis=0)
     return closure_ok, agreement_ok, distinct_ok

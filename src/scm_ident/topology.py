@@ -62,6 +62,9 @@ class ScmTopology:
             raise ShapeError(
                 f"adjacency shape {raw.shape} does not match (m, n)=({self.num_tasks}, {self.num_latents})"
             )
+        if raw.dtype.kind not in "biuf":
+            # np.asarray(..., float64) would parse strings such as "1"
+            raise DomainError(f"adjacency entries must be numbers, got dtype {raw.dtype}")
         values = np.asarray(raw, dtype=np.float64)
         if not np.all((values == 0.0) | (values == 1.0)):
             bad = values[(values != 0.0) & (values != 1.0)].flat[0]

@@ -75,6 +75,24 @@ class TestCheck:
         )
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize("cells", [["1", "0"], ["1", 0]])
+    def test_string_cells_exit_two(self, tmp_path, capsys, cells):
+        path = write_json(
+            tmp_path / "strings.json",
+            {"num_tasks": 1, "num_latents": 2, "adjacency": [cells]},
+        )
+        assert main(["check", path]) == 2
+        assert "must be numbers" in capsys.readouterr().err
+
+    def test_boolean_cells_accepted(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "bools.json",
+            {"num_tasks": 1, "num_latents": 2, "adjacency": [[True, False]]},
+        )
+        code, payload = run_json(capsys, ["check", path])
+        assert code == 0
+        assert payload["identifiable"] is True
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
@@ -152,6 +170,12 @@ class TestEnumerate:
         assert capacity["max_identifiable_latents_measured"] == 4
         assert capacity["nonempty_child_bound"] == 3
         assert capacity["child_pattern_bound"] == 4
+
+    @pytest.mark.parametrize("fmt,golden", [("text", "txt"), ("json", "json")])
+    def test_3x5_matches_golden(self, capsys, fmt, golden):
+        assert main(["enumerate", "--m", "3", "--n", "5", "--format", fmt]) == 0
+        expected = (GOLDEN / f"enumerate_3x5.{golden}").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_over_capacity_exit_two(self):
         assert main(["enumerate", "--m", "5", "--n", "5"]) == 2

@@ -12,6 +12,14 @@ from scm_ident.ident import decode_matrix
 
 AUDITED_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+# 13..20 cells: too many matrices to check each, so a fixed sample per
+# shape; n = 1 and n = 2 (13x1, 7x2, ...) leave sorting-network passes empty
+SAMPLED_SHAPES = [(m, n) for m in range(1, 21) for n in range(1, 21) if 13 <= m * n <= 20]
+
+
+def distinct_columns(e: int, m: int, n: int) -> bool:
+    """Plain-Python oracle: the n column tuples of encoding ``e`` are pairwise distinct."""
+    return len({tuple((e >> (k * n + j)) & 1 for k in range(m)) for j in range(n)}) == n
 
 
 def test_a_backend_is_selected():
@@ -42,16 +50,24 @@ def test_kernel_closure_matches_traced_closure():
 
 @pytest.mark.parametrize("m,n", SMALL_SHAPES)
 def test_kernel_agreement_and_distinctness_per_matrix(m, n):
-    """Agreement equals the pairwise decider, distinctness plain column tuples."""
+    """Agreement equals the pairwise decider; distinctness and closure plain column tuples."""
     enc = np.arange(1 << (m * n), dtype=np.int32)
-    _, agreement_ok, distinct_ok = pure.decide(enc, m, n)
+    closure_ok, agreement_ok, distinct_ok = pure.decide(enc, m, n)
     agreement = [uic_check(decode_matrix(e, m, n)) for e in range(len(enc))]
-    distinct = [
-        len({tuple((e >> (k * n + j)) & 1 for k in range(m)) for j in range(n)}) == n
-        for e in range(len(enc))
-    ]
+    distinct = [distinct_columns(e, m, n) for e in range(len(enc))]
     assert agreement_ok.tolist() == agreement
     assert distinct_ok.tolist() == distinct
+    assert closure_ok.tolist() == distinct
+
+
+@pytest.mark.parametrize("m,n", SAMPLED_SHAPES)
+def test_kernel_verdicts_on_sampled_matrices(m, n):
+    """All three verdicts equal plain column tuples on a fixed sample of each shape."""
+    rng = np.random.default_rng(1000 * m + n)
+    enc = rng.integers(0, 1 << (m * n), size=pure.CHUNK, dtype=np.int32)
+    expected = [distinct_columns(int(e), m, n) for e in enc]
+    for verdict in pure.decide(enc, m, n):
+        assert verdict.tolist() == expected
 
 
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2), (2, -5)])
