@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
 * 0 — success (identifiable, where a verdict applies)
 * 1 — not identifiable
-* 2 — input error (missing file, malformed JSON, schema violation)
+* 2 — input error (missing file, malformed JSON, schema violation, a request
+  too large to allocate)
 * 3 — numeric failure (singular model, failed gradcheck or self-test)
 * 4 — internal inconsistency (the two deciders disagreed; indicates a bug)
 
@@ -362,6 +363,7 @@ def cmd_mask(args) -> int:
         return EXIT_INPUT
     payload: dict = {}
     lines: list[str] = []
+    status = EXIT_OK
     if args.scores is not None:
         scores = np.asarray(_load_json(args.scores), dtype=np.float64)
         soft = soft_mask(scores, scale=args.scale)
@@ -409,31 +411,27 @@ def cmd_mask(args) -> int:
                 f"{'ok' if ok else 'FAIL'}"
             )
         if not result["ok"]:
-            _emit(args, payload, lines)
-            return EXIT_NUMERIC
+            status = EXIT_NUMERIC
     _emit(args, payload, lines)
-    return EXIT_OK
+    return status
 
 
 def cmd_dgp_gen(args) -> int:
     spec = DgpSpec.from_json_dict(_load_json(args.spec))
     dataset = generate_dataset(spec, args.samples, args.seed)
-    export_dataset(dataset, args.out)
+    export_dataset(dataset, args.csv)
     payload = {
-        "out": args.out,
+        "out": args.csv,
         "rows": int(dataset.env_ids.shape[0]),
         "environments": dataset.num_environments,
         "num_latents": dataset.num_latents,
         "seed": args.seed,
     }
-    # --out names the CSV, so the summary always goes to stdout
-    if args.format == "json":
-        sys.stdout.write(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(
-            f"wrote {payload['rows']} rows "
-            f"({dataset.num_environments} environments) to {args.out}\n"
-        )
+    _emit(
+        args,
+        payload,
+        [f"wrote {payload['rows']} rows ({payload['environments']} environments) to {args.csv}"],
+    )
     return EXIT_OK
 
 
@@ -503,7 +501,6 @@ def cmd_experiment(args) -> int:
         config,
         seeds=args.seeds,
         samples_per_env=args.samples,
-        workers=args.workers,
     )
     collide_topology = spec_collide.topology
 
@@ -560,9 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=0):
+    def add_common(p, seed_default=0, **out):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        p.add_argument("--out", **(out or {"help": "write output to this file instead of stdout"}))
         p.add_argument("--seed", type=int, default=seed_default)
 
     p = sub.add_parser("check", help="decide identifiability of a topology file")
@@ -612,18 +609,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dgp-gen", help="generate a synthetic dataset CSV")
     p.add_argument("spec", help="generator spec JSON file")
     p.add_argument("--samples", type=int, default=1000, help="samples per environment")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    # --out names the CSV, so the summary goes to stdout
+    add_common(p, dest="csv", required=True, help="dataset CSV to write")
     p.set_defaults(handler=cmd_dgp_gen)
 
     p = sub.add_parser("recover", help="fit a dataset and score latent recovery")
     p.add_argument("data", help="dataset CSV produced by dgp-gen")
     p.add_argument("topology", help="topology JSON file")
     p.add_argument("--config", help="fit configuration JSON file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
+    add_common(p, seed_default=None)
     p.set_defaults(handler=cmd_recover)
 
     p = sub.add_parser("experiment", help="identifiable-vs-colliding recovery contrast")
@@ -632,10 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--samples", type=int, default=20000, help="samples per environment")
     p.add_argument("--config", help="fit configuration JSON file")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
+    add_common(p, seed_default=None)
     p.set_defaults(handler=cmd_experiment)
 
     return parser
@@ -652,7 +643,8 @@ def main(argv=None) -> int:
     except ScmIdentError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # a request too large to allocate is bad input, not a verdict
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

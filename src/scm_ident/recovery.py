@@ -136,8 +136,9 @@ def _joint_rows(dataset: SyntheticDataset) -> np.ndarray:
 def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
     joint = _joint_rows(dataset)
     q = joint.shape[1]
-    means = np.zeros((dataset.num_environments, q))
-    covs = np.zeros((dataset.num_environments, q, q))
+    means, covs = [], []
+    # each environment is checked before anything is sized by their count,
+    # which a loaded CSV takes from its largest environment id
     for e in range(dataset.num_environments):
         rows = dataset.env_rows(e)
         if rows.shape[0] < 2:
@@ -145,9 +146,9 @@ def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
         block = joint[rows]
         mean = block.mean(axis=0)
         centered = block - mean
-        means[e] = mean
-        covs[e] = centered.T @ centered / rows.shape[0]
-    return _Moments(means, covs)
+        means.append(mean)
+        covs.append(centered.T @ centered / rows.shape[0])
+    return _Moments(np.reshape(means, (-1, q)), np.reshape(covs, (-1, q, q)))
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -632,12 +633,12 @@ def identifiability_experiment(
     config: FitConfig = FitConfig(),
     seeds: int = 10,
     samples_per_env: int = 20000,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Run the recovery pipeline on both specs over fresh seeds.
 
-    Per-seed data seeds are ``config.seed + s``; seeds may be processed
-    in parallel worker processes, merged back in seed order.
+    Per-seed data seeds are ``config.seed + s``. The ``2 * seeds`` jobs
+    run in worker processes, one per CPU and at most one per job, and
+    are merged back in seed order.
     """
     if seeds < 1:
         raise ConfigError("need at least one seed")
@@ -651,7 +652,7 @@ def identifiability_experiment(
     for spec in (spec_ident, spec_collide):
         for s in range(seeds):
             jobs.append((spec, config, samples_per_env, check_seed(config.seed) + s))
-    outcomes = parallel_map(_run_experiment_seed, jobs, workers)
+    outcomes = parallel_map(_run_experiment_seed, jobs)
     ident_arm = ExperimentArm(tuple(outcomes[:seeds]))
     collide_arm = ExperimentArm(tuple(outcomes[seeds:]))
     pair_corr = tuple(

@@ -11,6 +11,7 @@ from conftest import (
     identifiable_spec,
     parentless_task_spec,
 )
+from scm_ident import cli
 from scm_ident.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -258,6 +259,19 @@ class TestMask:
         assert code == 0
         assert payload["self_test"]["ok"] is True
 
+    def test_failed_self_test_reported_once_exit_three(self, tmp_path, capsys, monkeypatch):
+        real = cli.mask_statistics_self_test
+        monkeypatch.setattr(
+            cli, "mask_statistics_self_test", lambda **kw: {**real(**kw), "ok": False}
+        )
+        scores = write_json(tmp_path / "scores.json", [0.0, 0.1])
+        code, payload = run_json(
+            capsys, ["mask", "--scores", scores, "--self-test", "--draws", "20000"]
+        )
+        assert code == 3
+        assert payload["self_test"]["ok"] is False
+        assert payload["soft"][0] == 0.5
+
 
 class TestDataAndRecovery:
     def test_generate_and_recover(self, tmp_path, capsys):
@@ -423,6 +437,50 @@ class TestDataAndRecovery:
         assert main(argv + ["--config", config]) == 2
         assert "init" in capsys.readouterr().err
 
+    def test_experiment_workers_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "ident.json", "collide.json", "--workers", "2"])
+        assert exc.value.code == 2
+
+    def test_recover_environment_id_far_above_the_rows_exit_two(self, tmp_path, capsys):
+        spec = identifiable_spec()
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        main(["dgp-gen", spec_path, "--samples", "50", "--out", str(csv_path)])
+        lines = csv_path.read_text().splitlines()
+        lines.append("1000000000000000," + lines[-1].split(",", 1)[1])
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["recover", str(csv_path), top_path]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: environment 3 needs at least 2 samples, has 0\n"
+
+    @pytest.mark.parametrize("command", ["recover", "experiment"])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, command):
+        spec_path = write_json(tmp_path / "spec.json", identifiable_spec().to_json_dict())
+        config = write_json(tmp_path / "cfg.json", {"restarts": 1, "max_iters": 50})
+        if command == "recover":
+            csv_path = str(tmp_path / "data.csv")
+            main(["dgp-gen", spec_path, "--samples", "200", "--out", csv_path])
+            top_path = write_json(
+                tmp_path / "top.json", identifiable_spec().topology.to_json_dict()
+            )
+            argv = ["recover", csv_path, top_path]
+        else:
+            collide_path = write_json(
+                tmp_path / "collide.json", colliding_spec().to_json_dict()
+            )
+            argv = ["experiment", spec_path, collide_path, "--seeds", "1", "--samples", "200"]
+        argv += ["--config", config, "--format", "json"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "report.json"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == stdout
+
     def test_experiment_report(self, tmp_path, capsys):
         ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
         collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
@@ -452,6 +510,23 @@ class TestDataAndRecovery:
         assert len(payload["identifiable"]["per_seed"]) == 2
         assert set(payload["summary"]) >= {"median_mcc_gap", "dispersion_range"}
         assert "median_mcc" in payload["identifiable"]["summary"]
+
+
+@pytest.mark.parametrize("command", ["dgp-gen", "experiment", "mask"])
+def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
+    # every first array is at least 711 PiB, so numpy refuses it before touching memory
+    huge = "100000000000000000"
+    spec_path = write_json(tmp_path / "spec.json", identifiable_spec().to_json_dict())
+    collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
+    argv = {
+        "dgp-gen": ["dgp-gen", spec_path, "--samples", huge, "--out", str(tmp_path / "d.csv")],
+        "experiment": ["experiment", spec_path, collide_path, "--samples", huge, "--seeds", "1"],
+        "mask": ["mask", "--self-test", "--draws", huge],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Unable to allocate ")
+    assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -5,29 +5,44 @@ import pytest
 from scm_ident import _parallel
 
 
-@pytest.fixture
-def four_cpus(monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("SCM_IDENT_THREADS", raising=False)
-
-
-@pytest.mark.parametrize(
-    "requested,expected", [(None, 4), (0, 4), (-3, 4), (1, 1), (3, 3), (4, 4), (100_000, 4)]
-)
-def test_request_clamped_to_cpu_count(four_cpus, requested, expected):
-    assert _parallel.worker_count(requested) == expected
-
-
-@pytest.mark.parametrize(
-    "threads,requested,expected",
-    [("2", None, 2), ("2", 3, 2), ("100000", None, 4), ("100000", 100_000, 4), ("bad", 9, 4)],
-)
-def test_threads_cap_clamped_to_cpu_count(four_cpus, monkeypatch, threads, requested, expected):
-    monkeypatch.setenv("SCM_IDENT_THREADS", threads)
-    assert _parallel.worker_count(requested) == expected
-
-
 def test_unknown_cpu_count_means_one_worker(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
-    monkeypatch.delenv("SCM_IDENT_THREADS", raising=False)
-    assert _parallel.worker_count(100_000) == 1
+    assert _parallel.worker_count() == 1
+
+
+class RecordingExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size, maps in-process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cpus,items,expected", [(8, 3, [3]), (2, 5, [2]), (8, 2, [2]), (8, 1, []), (8, 0, [])]
+)
+def test_pool_never_larger_than_items_or_cpus(monkeypatch, cpus, items, expected):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "requested", [])
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingExecutor)
+    assert _parallel.parallel_map(abs, [-k for k in range(items)]) == list(range(items))
+    assert RecordingExecutor.requested == expected
+
+
+def test_refused_pool_runs_serially(monkeypatch):
+    def refuse(max_workers):
+        raise PermissionError("no processes")
+
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", refuse)
+    assert _parallel.parallel_map(abs, [-3, -1, -2]) == [3, 1, 2]

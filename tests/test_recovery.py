@@ -27,7 +27,7 @@ from scm_ident import (
     match_permutation,
     recover_latents,
 )
-from scm_ident import recovery
+from scm_ident import _parallel, recovery
 from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import _Batch, _empirical_moments, _gradients, _residuals, _starts
 
@@ -329,6 +329,17 @@ class TestFit:
         with pytest.raises(DataError, match="task blocks"):
             fit(dataset, ScmTopology.from_rows(rows), FitConfig(restarts=1))
 
+    @pytest.mark.parametrize("last_id,has", [(10**15, 0), (3, 1)])
+    def test_environment_short_of_samples_rejected(self, ident_spec, last_id, has):
+        # a loaded CSV takes its environment count from the largest id
+        dataset = generate_dataset(ident_spec, 100, seed=0)
+        env_ids = dataset.env_ids.copy()
+        env_ids[-1] = last_id
+        dataset = replace(dataset, num_environments=last_id + 1, env_ids=env_ids)
+        message = f"environment 3 needs at least 2 samples, has {has}"
+        with pytest.raises(DataError, match=message):
+            fit(dataset, ident_spec.topology, FitConfig(restarts=1))
+
     def test_capacity_limit(self):
         wide = ScmTopology.from_rows([[1] * 9])
         dataset = SyntheticDataset(
@@ -529,7 +540,8 @@ class TestExperiment:
         kwargs = dict(
             config=FitConfig(restarts=2, seed=2), seeds=2, samples_per_env=2000
         )
-        serial = identifiability_experiment(ident_spec, collide_spec, workers=1, **kwargs)
-        monkeypatch.setenv("SCM_IDENT_THREADS", "2")
-        parallel = identifiability_experiment(ident_spec, collide_spec, workers=2, **kwargs)
+        monkeypatch.setattr(_parallel, "worker_count", lambda: 1)
+        serial = identifiability_experiment(ident_spec, collide_spec, **kwargs)
+        monkeypatch.setattr(_parallel, "worker_count", lambda: 2)
+        parallel = identifiability_experiment(ident_spec, collide_spec, **kwargs)
         assert serial == parallel
