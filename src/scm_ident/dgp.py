@@ -15,6 +15,7 @@ bit-for-bit reproducible and environments independently generable.
 """
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,8 +366,21 @@ class SyntheticDataset:
     def num_latents(self) -> int:
         return self.latents.shape[1]
 
-    def env_rows(self, env_index: int) -> np.ndarray:
-        return np.flatnonzero(self.env_ids == env_index)
+    def env_groups(self) -> Iterator[np.ndarray]:
+        """Each environment's row indices in ascending order, environment by environment.
+
+        One stable sort of the ids cuts the rows into one run per present
+        environment. An environment without samples gets an empty index,
+        and the groups come lazily, so a caller that rejects an empty
+        environment stops at it.
+        """
+        order = np.argsort(self.env_ids, kind="stable")
+        ids = self.env_ids[order]
+        cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+        runs = {int(ids[lo]): (lo, hi) for lo, hi in zip([0] + cuts, cuts + [ids.size]) if lo < hi}
+        for e in range(self.num_environments):
+            lo, hi = runs.get(e, (0, 0))
+            yield order[lo:hi]
 
 
 def sample_latents(prior: ExpFamilyPrior, env_index: int, count: int, seed: int) -> np.ndarray:

@@ -43,6 +43,10 @@ MAX_FIT_LATENTS = 8
 SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
 STEP_GROWTH = 2.0
+MAX_STEP = 1e6
+# candidates one round tries per restart: after an accept the doubled step
+# usually fails and the search halves back, so a lone restart needs 1 or 3
+HALVINGS_PER_ROUND = 3
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
     means, covs = [], []
     # each environment is checked before anything is sized by their count,
     # which a loaded CSV takes from its largest environment id
-    for e in range(dataset.num_environments):
-        rows = dataset.env_rows(e)
+    for e, rows in enumerate(dataset.env_groups()):
         if rows.shape[0] < 2:
             raise DataError(f"environment {e} needs at least 2 samples, has {rows.shape[0]}")
         block = joint[rows]
@@ -282,12 +285,13 @@ class _Batch:
         )
 
     def moved(self, steps: np.ndarray, grads: "_Batch") -> "_Batch":
-        """Each restart moved against its gradient by its own step."""
-        return _Batch(self.layout, self.params - steps[:, None] * grads.params)
+        """Each restart moved against its gradient by each of its steps.
 
-    def where(self, mask: np.ndarray, other: "_Batch") -> "_Batch":
-        """This batch's restarts where ``mask`` holds, ``other``'s elsewhere."""
-        return _Batch(self.layout, np.where(mask[:, None], self.params, other.params))
+        ``steps`` is (restarts, trials); the result holds restart r's trial t
+        in row ``r * trials + t``.
+        """
+        params = self.params[:, None, :] - steps[..., None] * grads.params[:, None, :]
+        return _Batch(self.layout, params.reshape(-1, self.params.shape[1]))
 
     def take(self, keep: np.ndarray) -> "_Batch":
         return _Batch(self.layout, self.params[keep])
@@ -299,12 +303,6 @@ class _Residuals:
 
     means: np.ndarray  # (restarts, envs, q): model minus empirical mean
     covariances: np.ndarray  # (restarts, envs, q, q): model minus empirical covariance
-
-    def where(self, mask: np.ndarray, other: "_Residuals") -> "_Residuals":
-        return _Residuals(
-            np.where(mask[:, None, None], self.means, other.means),
-            np.where(mask[:, None, None, None], self.covariances, other.covariances),
-        )
 
     def take(self, keep: np.ndarray) -> "_Residuals":
         return _Residuals(self.means[keep], self.covariances[keep])
@@ -368,12 +366,17 @@ def _project(batch: _Batch) -> _Batch:
 
 
 def _descend(start: _Batch, moments: _Moments, config: FitConfig) -> list[RestartResult]:
-    """Backtracking descent of every restart in lock step.
+    """Backtracking descent of every restart in one batch.
 
-    Each restart keeps its own step. A backtracking round evaluates the
-    whole batch; restarts that have accepted discard their candidates. A
-    restart leaves the batch where it would stop alone, so the loop runs
-    max(iterations) times and each restart ends as it would alone.
+    Each restart keeps its own step s. A round evaluates, for every restart
+    still searching in this iteration, its next ``HALVINGS_PER_ROUND``
+    candidates s, s/2, s/4 (those at or above ``min_step``) as one batch.
+    A restart takes the first candidate in that order that lowers its
+    objective and doubles the accepted step; one without a hit goes on
+    from s/8 in the next round. The candidates are halved one at a time,
+    as a lone search forms them, and evaluated slice by slice, so each
+    restart accepts the same candidates and stops at the same iteration
+    as it would alone; the loop runs max(iterations) times.
     """
     batch = _project(start)
     objective, residuals = _residuals(batch, moments)
@@ -398,22 +401,32 @@ def _descend(start: _Batch, moments: _Moments, config: FitConfig) -> list[Restar
     for _ in range(config.max_iters):
         # the largest gradient entry; the joint map's fixed zeros never exceed it
         leave(np.abs(grads.params).max(axis=1) < config.grad_tol, "grad_tol")
-        searching = steps >= config.min_step
-        accepted = np.zeros_like(searching)
-        while searching.any():
-            candidate = _project(batch.moved(np.where(searching, steps, 0.0), grads))
-            candidate_objective, candidate_residuals = _residuals(candidate, moments)
-            better = searching & (candidate_objective < objective)
-            batch = candidate.where(better, batch)
-            objective = np.where(better, candidate_objective, objective)
-            residuals = candidate_residuals.where(better, residuals)
-            steps = np.where(
-                better,
-                np.minimum(steps * STEP_GROWTH, 1e6),
-                np.where(searching, steps * 0.5, steps),
+        searching = np.flatnonzero(steps >= config.min_step)
+        accepted = np.zeros(steps.shape, dtype=bool)
+        while searching.size:
+            trials = np.empty((searching.size, HALVINGS_PER_ROUND))
+            trials[:, 0] = steps[searching]
+            for t in range(1, HALVINGS_PER_ROUND):
+                trials[:, t] = trials[:, t - 1] * 0.5
+            valid = trials >= config.min_step
+            moved = batch.take(searching).moved(np.where(valid, trials, 0.0), grads.take(searching))
+            candidates = _project(moved)
+            candidate_objective, candidate_residuals = _residuals(candidates, moments)
+            better = valid & (
+                candidate_objective.reshape(trials.shape) < objective[searching, None]
             )
-            accepted |= better
-            searching &= ~better & (steps >= config.min_step)
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)[hit]
+            rows, picks = searching[hit], np.flatnonzero(hit) * HALVINGS_PER_ROUND + first
+            batch.params[rows] = candidates.params[picks]
+            objective[rows] = candidate_objective[picks]
+            residuals.means[rows] = candidate_residuals.means[picks]
+            residuals.covariances[rows] = candidate_residuals.covariances[picks]
+            steps[rows] = np.minimum(trials[hit, first] * STEP_GROWTH, MAX_STEP)
+            accepted[rows] = True
+            searching = searching[~hit]
+            steps[searching] = trials[~hit, -1] * 0.5
+            searching = searching[steps[searching] >= config.min_step]
         iterations += 1
         leave(~accepted, "min_step")
         if not ids.shape[0]:
@@ -434,8 +447,7 @@ def _data_driven_init(
     est_latents = np.linalg.solve(mixing, dataset.x.T).T
     means = np.zeros((dataset.num_environments, n))
     variances = np.ones((dataset.num_environments, n))
-    for e in range(dataset.num_environments):
-        rows = dataset.env_rows(e)
+    for e, rows in enumerate(dataset.env_groups()):
         means[e] = est_latents[rows].mean(axis=0)
         variances[e] = np.maximum(est_latents[rows].var(axis=0), VARIANCE_FLOOR)
     parent_indices = topology.parent_indices()

@@ -183,6 +183,19 @@ def reference_export_csv(dataset, path) -> None:
         handle.write(buffer.getvalue())
 
 
+def reference_moments(dataset):
+    """Per-environment means and covariances of ``[x, *y]``, one id scan per environment."""
+    joint = np.hstack([dataset.x, *dataset.y])
+    means, covariances = [], []
+    for e in range(dataset.num_environments):
+        block = joint[np.flatnonzero(dataset.env_ids == e)]
+        mean = block.mean(axis=0)
+        centered = block - mean
+        means.append(mean)
+        covariances.append(centered.T @ centered / block.shape[0])
+    return np.array(means), np.array(covariances)
+
+
 def _reference_singular_ratio(matrix) -> float:
     singular = np.linalg.svd(matrix, compute_uv=False)
     if singular[0] == 0.0:

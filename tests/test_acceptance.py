@@ -161,8 +161,8 @@ def test_09_generator_moments_and_variety():
         spec = identifiable_spec()
         dataset = generate_dataset(spec, 50_000, seed=3)
         F = spec.mixing.matrix
-        for e in range(spec.prior.num_environments):
-            rows = dataset.env_rows(e)
+        assert dataset.num_environments == spec.prior.num_environments
+        for e, rows in enumerate(dataset.env_groups()):
             emp = np.cov(dataset.x[rows], rowvar=False, ddof=0)
             target = F @ np.diag(spec.prior.variances[e]) @ F.T
             rel = np.linalg.norm(emp - target) / np.linalg.norm(target)

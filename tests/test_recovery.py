@@ -8,6 +8,7 @@ from helpers import (
     brute_force_best_matching,
     central_difference,
     reference_descend,
+    reference_moments,
     relative_gradient_error,
 )
 from scm_ident import (
@@ -253,6 +254,34 @@ class TestFitGradient:
         # the batch descends in lock step: one gradient pass per iteration, not per restart
         assert calls["gradients"] == max(iterations) + 1
 
+    def test_one_round_per_iteration(self, collide_spec, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        dataset = generate_dataset(collide_spec, 2000, seed=9)
+        result = fit(dataset, collide_spec.topology, FitConfig(restarts=2, max_iters=200, seed=9))
+        iterations = [r.iterations for r in result.restarts]
+        assert max(iterations) == 200
+        # a round tries each searching restart's next halvings together, so a
+        # doubled step that fails costs no extra round
+        assert calls["residuals"] == calls["project"] <= max(iterations) + 5
+        assert calls["gradients"] == max(iterations) + 1
+
+
+class TestEmpiricalMoments:
+    @pytest.mark.parametrize(
+        "environments, interleaved", [(3, True), (6000, True), (6000, False)]
+    )
+    def test_moments_match_per_environment_scans(self, ident_spec, environments, interleaved):
+        dataset = generate_dataset(ident_spec, 4000, seed=2)
+        per_environment = dataset.env_ids.shape[0] // environments
+        env_ids = np.repeat(np.arange(environments), per_environment)
+        if interleaved:
+            env_ids = np.random.default_rng(2).permutation(env_ids)
+        dataset = replace(dataset, num_environments=environments, env_ids=env_ids)
+        moments = _empirical_moments(dataset)
+        want_means, want_covariances = reference_moments(dataset)
+        assert moments.means.tobytes() == want_means.tobytes()
+        assert moments.covariances.tobytes() == want_covariances.tobytes()
+
 
 class TestFit:
     def test_truth_is_a_fixed_point_of_population_moments(self, ident_spec):
@@ -462,6 +491,35 @@ class TestBatchedDescent:
         assert_restarts_match_reference(dataset, spec.topology, config, init=init)
         # F and every task map of restart 0 start below the singular floor
         assert len(reprojected) >= 1 + spec.topology.num_tasks
+
+    @pytest.mark.parametrize("initial_step, min_step, seed", [(1e-3, 3e-4, 1), (0.05, 0.03, 2)])
+    def test_matches_lone_descent_when_min_step_falls_inside_a_round(
+        self, ident_spec, initial_step, min_step, seed
+    ):
+        # in the second case a step below min_step would lower every restart's objective
+        dataset = generate_dataset(ident_spec, 2000, seed=seed)
+        config = FitConfig(
+            restarts=3, max_iters=300, initial_step=initial_step, min_step=min_step, seed=seed
+        )
+        restarts = assert_restarts_match_reference(dataset, ident_spec.topology, config)
+        assert {r.stop_reason for r in restarts} == {"min_step"}
+
+    def test_matches_lone_descent_when_the_first_step_needs_many_halvings(self, ident_spec):
+        dataset = generate_dataset(ident_spec, 2000, seed=2)
+        config = FitConfig(restarts=3, max_iters=100, initial_step=1e3, seed=2)
+        assert_restarts_match_reference(dataset, ident_spec.topology, config)
+
+    def test_matches_lone_descent_at_the_step_cap(self, ident_spec):
+        # observables shrunk and centred per environment flatten the objective,
+        # so restart 0 keeps accepting doubled steps up to MAX_STEP
+        dataset = generate_dataset(ident_spec, 2000, seed=3)
+        x, y = dataset.x * 1e-4, [block * 1e-4 for block in dataset.y]
+        for rows in dataset.env_groups():
+            for array in (x, *y):
+                array[rows] -= array[rows].mean(axis=0)
+        dataset = replace(dataset, x=x, y=tuple(y))
+        config = FitConfig(restarts=2, max_iters=60, initial_step=1e4, grad_tol=1e-300, seed=3)
+        assert_restarts_match_reference(dataset, ident_spec.topology, config)
 
     def test_matches_lone_descent_when_restarts_stop_for_different_reasons(self, ident_spec):
         dataset = generate_dataset(ident_spec, 2000, seed=0)
