@@ -66,25 +66,12 @@ def _load_json(path):
         return json.load(handle)
 
 
-def _to_jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _to_jsonable(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
-        rendered = json.dumps(_to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        rendered = (
+            json.dumps(payload, sort_keys=True, indent=2, default=lambda value: value.tolist())
+            + "\n"
+        )
     else:
         rendered = "\n".join(text_lines) + "\n"
     out_path = getattr(args, "out", None)

@@ -15,6 +15,7 @@ bit-for-bit reproducible and environments independently generable.
 """
 
 import csv
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -108,13 +109,14 @@ class MixingSpec:
 
     ``matrix`` is the square map behind the source observable;
     ``task_maps[t]`` acts on task ``t``'s parent latents in ascending
-    index order. ``slope`` enables a leaky rectifier after the source map
-    (None keeps the map linear so covariance identities stay exact).
+    index order; the parents come from the topology of the :class:`DgpSpec`
+    holding this spec, which also checks each map's shape and rank.
+    ``slope`` enables a leaky rectifier after the source map (None keeps
+    the map linear so covariance identities stay exact).
     """
 
     matrix: np.ndarray
     task_maps: tuple[np.ndarray, ...]
-    parent_indices: tuple[tuple[int, ...], ...]
     slope: float | None = None
 
     def __post_init__(self) -> None:
@@ -124,21 +126,8 @@ class MixingSpec:
         if singular_ratio(matrix) <= RANK_TOLERANCE:
             raise DomainError("source map is numerically singular")
         task_maps = []
-        if len(self.task_maps) != len(self.parent_indices):
-            raise ShapeError("need exactly one task map per parent tuple")
-        for t, (b, parents) in enumerate(zip(self.task_maps, self.parent_indices)):
-            b = np.asarray(b, dtype=np.float64)
-            expected = len(parents)
-            if b.ndim != 2 or b.shape != (expected, expected):
-                raise ShapeError(
-                    f"task map {t} must be {expected}x{expected} for parents "
-                    f"{parents}, got shape {b.shape}"
-                )
-            if expected and singular_ratio(b) <= RANK_TOLERANCE:
-                raise DomainError(f"task map {t} is numerically singular")
-            if tuple(sorted(parents)) != tuple(parents):
-                raise ShapeError(f"parent indices of task {t} must be ascending")
-            b = b.copy()
+        for b in self.task_maps:
+            b = np.array(b, dtype=np.float64)
             b.setflags(write=False)
             task_maps.append(b)
         if self.slope is not None and not 0.0 < self.slope < 1.0:
@@ -147,13 +136,6 @@ class MixingSpec:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "task_maps", tuple(task_maps))
-        object.__setattr__(
-            self, "parent_indices", tuple(tuple(int(i) for i in p) for p in self.parent_indices)
-        )
-
-    @classmethod
-    def for_topology(cls, topology: ScmTopology, matrix, task_maps, slope=None) -> "MixingSpec":
-        return cls(matrix, tuple(task_maps), topology.parent_indices(), slope)
 
     @property
     def num_latents(self) -> int:
@@ -209,8 +191,17 @@ class DgpSpec:
                 f"mixing covers {self.mixing.num_latents} latents, topology has {n}"
             )
         expected_parents = self.topology.parent_indices()
-        if self.mixing.parent_indices != expected_parents:
-            raise ShapeError("mixing parent indices do not match the topology")
+        if len(self.mixing.task_maps) != len(expected_parents):
+            raise ShapeError("need exactly one task map per task")
+        for t, (b, parents) in enumerate(zip(self.mixing.task_maps, expected_parents)):
+            expected = len(parents)
+            if b.ndim != 2 or b.shape != (expected, expected):
+                raise ShapeError(
+                    f"task map {t} must be {expected}x{expected} for parents "
+                    f"{parents}, got shape {b.shape}"
+                )
+            if expected and singular_ratio(b) <= RANK_TOLERANCE:
+                raise DomainError(f"task map {t} is numerically singular")
         if self.noise.x_std.shape[0] != n or len(self.noise.y_std) != self.topology.num_tasks:
             raise ShapeError("noise levels do not match the topology dimensions")
         for k, std in enumerate(self.noise.y_std):
@@ -277,9 +268,12 @@ class DgpSpec:
         elif nonlinearity["type"] == "leaky":
             if set(nonlinearity) != {"type", "slope"}:
                 raise DataError("nonlinearity 'leaky' takes exactly a 'slope'")
+            slope = nonlinearity["slope"]
+            if isinstance(slope, bool) or not isinstance(slope, numbers.Real):
+                raise DataError(f"malformed generator spec: slope must be a number, got {slope!r}")
             try:
-                slope = float(nonlinearity["slope"])
-            except (TypeError, ValueError) as exc:
+                slope = float(slope)
+            except OverflowError as exc:  # a JSON integer beyond the float range
                 raise DataError(f"malformed generator spec: slope: {exc}") from exc
         else:
             raise DataError(f"unknown nonlinearity type {nonlinearity['type']!r}")
@@ -297,7 +291,7 @@ class DgpSpec:
             task_maps.append(b.reshape(0, 0) if not task_parents and b.shape == (0,) else b)
         noise = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
         try:
-            mixing = MixingSpec.for_topology(topology, np.asarray(data["F"]), task_maps, slope)
+            mixing = MixingSpec(_spec_array(data["F"], "F"), tuple(task_maps), slope)
             return cls(topology, prior, mixing, noise)
         except (ShapeError, DomainError):
             raise
@@ -308,9 +302,15 @@ class DgpSpec:
 def _spec_array(value, name: str) -> np.ndarray:
     """A numeric array from a generator-spec entry; ragged or non-numeric lists are a DataError."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        raw = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed generator spec: {name}: {exc}") from exc
+    if raw.dtype.kind not in "biuf":
+        # np.asarray(..., float64) would parse strings such as "1.0"
+        raise DataError(
+            f"malformed generator spec: {name}: entries must be numbers, got dtype {raw.dtype}"
+        )
+    return np.asarray(raw, dtype=np.float64)
 
 
 def _noise_from_json(noise, num_latents: int, parent_counts) -> NoiseSpec:
@@ -403,18 +403,21 @@ def _leaky(values: np.ndarray, slope: float) -> np.ndarray:
 
 
 def generate_observed(
-    mixing: MixingSpec,
-    noise: NoiseSpec,
+    spec: DgpSpec,
     latents: np.ndarray,
     seed: int = 0,
     env_index: int = 0,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Observables from latent rows: source map plus per-task parent maps.
+    """Observables from latent rows: the spec's source map plus per-task maps.
+
+    Task ``t``'s map acts on the latents that ``spec.topology`` lists as
+    its parents.
 
     Observation noise uses its own stream keyed by (noise purpose, seed
     XOR environment index); with all-zero noise levels the output is a
     deterministic function of the latents.
     """
+    mixing, noise = spec.mixing, spec.noise
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != mixing.num_latents:
         raise ShapeError(
@@ -426,7 +429,7 @@ def generate_observed(
         x = _leaky(x, mixing.slope)
     x = x + rng.standard_normal(x.shape) * noise.x_std
     y_blocks = []
-    for b, parents, y_std in zip(mixing.task_maps, mixing.parent_indices, noise.y_std):
+    for b, parents, y_std in zip(mixing.task_maps, spec.topology.parent_indices(), noise.y_std):
         block = latents[:, list(parents)] @ b.T
         block = block + rng.standard_normal(block.shape) * y_std
         y_blocks.append(block)
@@ -438,7 +441,7 @@ def generate_dataset(spec: DgpSpec, samples_per_env: int, seed: int) -> Syntheti
     env_blocks = []
     for e in range(spec.prior.num_environments):
         latents = sample_latents(spec.prior, e, samples_per_env, seed)
-        x, y = generate_observed(spec.mixing, spec.noise, latents, seed=seed, env_index=e)
+        x, y = generate_observed(spec, latents, seed=seed, env_index=e)
         env_blocks.append((np.full(samples_per_env, e, dtype=np.int64), latents, x, y))
     env_ids = np.concatenate([b[0] for b in env_blocks])
     latents = np.vstack([b[1] for b in env_blocks])
@@ -508,9 +511,8 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     row_format = ",".join(["%d", "%d"] + [_FLOAT_FORMAT] * values.shape[1]) + "\n"
     env_ids = dataset.env_ids
     within_env = np.empty_like(env_ids)
-    for env in np.unique(env_ids):
-        rows = env_ids == env
-        within_env[rows] = np.arange(np.count_nonzero(rows))
+    for rows in dataset.env_groups():
+        within_env[rows] = np.arange(rows.size)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_header(dataset.num_latents, task_widths)) + "\n")
         for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):

@@ -5,7 +5,8 @@ polynomial: pairwise agreement sums are normalized into [-1, 1] and raised
 to a large even power ``alpha``, so fully agreeing pairs contribute 1 while
 partial agreement decays geometrically toward 0. ``uic_loss`` penalizes
 identical latent columns (the identifiability condition), ``dis_loss``
-identical task rows (distinct factor selection across tasks).
+identical task rows (distinct factor selection across tasks); the row
+penalty is the column penalty of the transposed matrix.
 
 For a binary matrix the diagonal terms vanish; for fractional entries the
 diagonal agreement sum falls below the task count, so even powers also
@@ -76,14 +77,27 @@ def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def _column_agreement(matrix: np.ndarray) -> np.ndarray:
-    comp = 1.0 - matrix
-    return matrix.T @ matrix + comp.T @ comp
+def _agreement(matrix, alpha: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The validated matrix, the checked alpha and the column-agreement ratios.
+
+    Entry ``(i, j)`` of the ratios is the agreement sum of latent columns
+    ``i`` and ``j`` over the task count, less 1 on the diagonal.
+    """
+    m_soft = as_soft_adjacency(matrix)
+    alpha = _check_alpha(alpha)
+    m = m_soft.shape[0]
+    comp = 1.0 - m_soft
+    agree = m_soft.T @ m_soft + comp.T @ comp
+    np.fill_diagonal(agree, agree.diagonal() - m)
+    return m_soft, alpha, agree / m
 
 
-def _row_agreement(matrix: np.ndarray) -> np.ndarray:
-    comp = 1.0 - matrix
-    return matrix @ matrix.T + comp @ comp.T
+def _split_diagonal(ratios: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal part of the ratios' ``alpha - 1`` powers."""
+    powers = _int_power(ratios, alpha - 1)
+    diag = powers.diagonal().copy()
+    np.fill_diagonal(powers, 0.0)
+    return diag, powers
 
 
 def uic_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
@@ -93,59 +107,39 @@ def uic_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
     - m*delta_ij)**a`` over all ordered latent pairs; zero exactly when
     the relaxation sees no identical-column structure.
     """
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(alpha)
-    m = m_soft.shape[0]
-    agree = _column_agreement(m_soft)
-    np.fill_diagonal(agree, agree.diagonal() - m)
-    return float(_int_power(agree / m, alpha).sum())
+    _, alpha, ratios = _agreement(matrix, alpha)
+    return float(_int_power(ratios, alpha).sum())
 
 
 def uic_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`uic_loss` per matrix entry."""
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(alpha)
-    m, n = m_soft.shape
-    agree = _column_agreement(m_soft)
-    np.fill_diagonal(agree, agree.diagonal() - m)
-    powers = _int_power(agree / m, alpha - 1)
-    diag = powers.diagonal().copy()
-    off = powers.copy()
-    np.fill_diagonal(off, 0.0)
+    m_soft, alpha, ratios = _agreement(matrix, alpha)
+    diag, off = _split_diagonal(ratios, alpha)
     pair_term = 2.0 * ((2.0 * m_soft - 1.0) @ off)
     diag_term = (4.0 * m_soft - 2.0) * diag[None, :]
-    return (alpha / m) * (pair_term + diag_term)
+    return (alpha / m_soft.shape[0]) * (pair_term + diag_term)
 
 
 def dis_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
-    """Row-agreement penalty.
+    """Row-agreement penalty: :func:`uic_loss` of the transpose.
 
     ``(1/n**a) * sum_{k,k'} (sum_i M[k,i]*M[k',i] + (1-M[k,i])*(1-M[k',i])
     - n*delta_kk')**a`` over all ordered task pairs; penalizes tasks that
     select identical latent subsets.
     """
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(alpha)
-    n = m_soft.shape[1]
-    agree = _row_agreement(m_soft)
-    np.fill_diagonal(agree, agree.diagonal() - n)
-    return float(_int_power(agree / n, alpha).sum())
+    return uic_loss(np.asarray(matrix, dtype=np.float64).T, alpha)
 
 
 def dis_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`dis_loss` per matrix entry."""
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(alpha)
-    m, n = m_soft.shape
-    agree = _row_agreement(m_soft)
-    np.fill_diagonal(agree, agree.diagonal() - n)
-    powers = _int_power(agree / n, alpha - 1)
-    diag = powers.diagonal().copy()
-    off = powers.copy()
-    np.fill_diagonal(off, 0.0)
+    m_soft_t, alpha, ratios = _agreement(np.asarray(matrix, dtype=np.float64).T, alpha)
+    m_soft = m_soft_t.T
+    diag, off = _split_diagonal(ratios, alpha)
+    # its own pair term: the transpose of uic's (2M^T - 1) @ off can
+    # differ from off @ (2M - 1) in the last bits
     pair_term = 2.0 * (off @ (2.0 * m_soft - 1.0))
     diag_term = (4.0 * m_soft - 2.0) * diag[:, None]
-    return (alpha / n) * (pair_term + diag_term)
+    return (alpha / m_soft_t.shape[0]) * (pair_term + diag_term)
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,13 @@ class ScmTopology:
             )
             if isinstance(count, bool) or not whole:
                 raise DataError(f"{key} must be a whole number, got {count!r}")
+        for key in ("latent_names", "task_names"):
+            # the constructor takes any sequence, so "xy" would name two latents
+            names = data.get(key)
+            if names is not None and not (
+                isinstance(names, list) and all(isinstance(name, str) for name in names)
+            ):
+                raise DataError(f"{key} must be an array of strings")
         try:
             return cls(
                 int(data["num_tasks"]),

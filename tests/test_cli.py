@@ -405,6 +405,31 @@ class TestDataAndRecovery:
         assert "64" in capsys.readouterr().err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc.update(F=[[str(v) for v in row] for row in doc["F"]]), id="F"),
+            pytest.param(lambda doc: doc["environments"][0].update(means=["0.0", "1.0"]), id="means"),
+            pytest.param(lambda doc: doc.update(noise={"x": "0.0"}), id="noise"),
+            pytest.param(
+                lambda doc: doc.update(nonlinearity={"type": "leaky", "slope": "0.5"}), id="slope"
+            ),
+            pytest.param(
+                lambda doc: doc.update(nonlinearity={"type": "leaky", "slope": 10**400}),
+                id="slope-beyond-float-range",
+            ),
+        ],
+    )
+    def test_dgp_gen_rejects_non_numeric_spec_entry(self, tmp_path, capsys, edit):
+        doc = identifiable_spec().to_json_dict()
+        edit(doc)
+        spec_path = write_json(tmp_path / "spec.json", doc)
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", spec_path, "--samples", "10", "--out", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed generator spec") and err.count("\n") == 1
+        assert not csv_path.exists()
+
     def test_recover_rejects_malformed_row(self, tmp_path, capsys):
         top_path = write_json(
             tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}

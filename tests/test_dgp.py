@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,23 +85,31 @@ class TestSampleLatents:
             sample_latents(prior3, 0, 0, seed=0)
 
 
+def observed_spec(rows, matrix, task_maps, slope=None) -> DgpSpec:
+    """A noiseless one-environment spec for calling generate_observed directly."""
+    topology = ScmTopology.from_rows(rows)
+    n = topology.num_latents
+    prior = ExpFamilyPrior(means=[[0.0] * n], variances=[[1.0] * n])
+    noise = NoiseSpec.zero(n, [len(p) for p in topology.parent_indices()])
+    return DgpSpec(topology, prior, MixingSpec(matrix, task_maps, slope), noise)
+
+
 class TestGenerateObserved:
     def test_identity_map_reproduces_latents(self):
-        top = ScmTopology.from_rows([[1]])
-        mixing = MixingSpec.for_topology(top, np.eye(1), [np.eye(1)])
+        spec = observed_spec([[1]], np.eye(1), [np.eye(1)])
         latents = np.array([[1.0], [2.0], [-3.0]])
-        x, y = generate_observed(mixing, NoiseSpec.zero(1, [1]), latents)
+        x, y = generate_observed(spec, latents)
         np.testing.assert_array_equal(x, latents)
         np.testing.assert_array_equal(y[0], latents)
 
     def test_zero_noise_linear_identity(self, ident_spec):
         latents = sample_latents(ident_spec.prior, 0, 1000, seed=3)
-        x, _ = generate_observed(ident_spec.mixing, ident_spec.noise, latents)
+        x, _ = generate_observed(ident_spec, latents)
         np.testing.assert_allclose(x, latents @ ident_spec.mixing.matrix.T, atol=1e-14)
 
     def test_covariance_closed_form(self, ident_spec):
         latents = sample_latents(ident_spec.prior, 2, 50_000, seed=7)
-        x, _ = generate_observed(ident_spec.mixing, ident_spec.noise, latents)
+        x, _ = generate_observed(ident_spec, latents)
         F = ident_spec.mixing.matrix
         target = F @ np.diag(ident_spec.prior.variances[2]) @ F.T
         emp = np.cov(x, rowvar=False, ddof=0)
@@ -107,34 +117,32 @@ class TestGenerateObserved:
 
     def test_targets_ignore_non_parents(self, ident_spec):
         latents = sample_latents(ident_spec.prior, 0, 500, seed=9)
-        _, y = generate_observed(ident_spec.mixing, ident_spec.noise, latents)
+        _, y = generate_observed(ident_spec, latents)
         shuffled = latents.copy()
         shuffled[:, 1] = np.random.default_rng(0).permutation(shuffled[:, 1])
-        _, y_shuffled = generate_observed(ident_spec.mixing, ident_spec.noise, shuffled)
+        _, y_shuffled = generate_observed(ident_spec, shuffled)
         np.testing.assert_array_equal(y[0], y_shuffled[0])  # task 0 reads latent 0 only
 
     def test_leaky_map_is_invertible(self):
-        top = ScmTopology.from_rows([[1, 1]])
-        mixing = MixingSpec.for_topology(
-            top, np.array([[1.0, 0.3], [0.2, 1.0]]), [np.eye(2)], slope=0.25
-        )
+        spec = observed_spec([[1, 1]], np.array([[1.0, 0.3], [0.2, 1.0]]), [np.eye(2)], 0.25)
         latents = np.array([[1.0, -2.0], [-0.5, 0.75]])
-        x, _ = generate_observed(mixing, NoiseSpec.zero(2, [2]), latents)
-        pre = latents @ mixing.matrix.T
+        x, _ = generate_observed(spec, latents)
+        pre = latents @ spec.mixing.matrix.T
         recovered = np.where(x >= 0, x, x / 0.25)
         np.testing.assert_allclose(recovered, pre, atol=1e-12)
 
     def test_singular_map_rejected(self):
-        top = ScmTopology.from_rows([[1, 1]])
         with pytest.raises(DomainError):
-            MixingSpec.for_topology(top, np.ones((2, 2)), [np.eye(2)])
+            MixingSpec(np.ones((2, 2)), [np.eye(2)])
 
     def test_noise_changes_output_but_seeded(self, ident_spec):
-        noisy = NoiseSpec(np.array([0.1, 0.1]), (np.array([0.0]), np.array([0.0])))
+        noisy = dataclasses.replace(
+            ident_spec, noise=NoiseSpec(np.array([0.1, 0.1]), (np.array([0.0]), np.array([0.0])))
+        )
         latents = sample_latents(ident_spec.prior, 0, 100, seed=1)
-        x1, _ = generate_observed(ident_spec.mixing, noisy, latents, seed=1)
-        x2, _ = generate_observed(ident_spec.mixing, noisy, latents, seed=1)
-        x3, _ = generate_observed(ident_spec.mixing, noisy, latents, seed=2)
+        x1, _ = generate_observed(noisy, latents, seed=1)
+        x2, _ = generate_observed(noisy, latents, seed=1)
+        x3, _ = generate_observed(noisy, latents, seed=2)
         assert np.array_equal(x1, x2)
         assert not np.array_equal(x1, x3)
 
@@ -173,8 +181,7 @@ def three_task_spec() -> DgpSpec:
         means=[[0.0, 1.0, -0.5], [1.5, -0.5, 0.2], [-1.0, 0.5, 1.1]],
         variances=[[1.0, 0.7, 1.4], [2.5, 1.2, 0.8], [0.6, 3.0, 1.9]],
     )
-    mixing = MixingSpec.for_topology(
-        topology,
+    mixing = MixingSpec(
         np.array([[1.0, 0.6, 0.1], [-0.4, 1.1, 0.3], [0.2, -0.5, 0.9]]),
         [
             np.array([[1.3, 0.2], [-0.1, 0.8]]),
@@ -294,6 +301,16 @@ class TestDatasetRoundTrip:
                     (np.linspace(-1.0, 1.0, 5).reshape(5, 1),),
                 ),
                 id="interleaved-envs",
+            ),
+            pytest.param(
+                SyntheticDataset(
+                    3,
+                    np.array([2, 0, 0, 2]),
+                    np.arange(8.0).reshape(4, 2) / 9.0,
+                    np.arange(8.0).reshape(4, 2) * -0.25,
+                    (np.linspace(0.5, -0.5, 4).reshape(4, 1),),
+                ),
+                id="absent-env",
             ),
             pytest.param(
                 SyntheticDataset(

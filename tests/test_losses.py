@@ -23,6 +23,7 @@ from scm_ident import (
     uic_loss,
     uic_loss_grad,
 )
+from scm_ident.losses import _int_power
 
 soft_matrices = arrays(
     np.float64,
@@ -117,6 +118,63 @@ class TestDisLossValues:
         assert dis_loss(matrix, alpha) == pytest.approx(
             uic_loss(matrix.T, alpha), rel=1e-12, abs=1e-12
         )
+
+
+def written_out_penalties(matrix, alpha: int):
+    """uic, dis and both gradients from the row and column agreement products.
+
+    Column agreement is ``M.T @ M + C.T @ C`` and row agreement
+    ``M @ M.T + C @ C.T`` with ``C = 1 - M``; the gradients' pair terms are
+    ``(2M - 1) @ off`` and ``off @ (2M - 1)``.
+    """
+    soft = np.clip(np.asarray(matrix, dtype=np.float64), 0.0, 1.0)
+    comp = 1.0 - soft
+    m, n = soft.shape
+    out = []
+    for agree, count in ((soft.T @ soft + comp.T @ comp, m), (soft @ soft.T + comp @ comp.T, n)):
+        np.fill_diagonal(agree, agree.diagonal() - count)
+        ratios = agree / count
+        powers = _int_power(ratios, alpha - 1)
+        diag = powers.diagonal().copy()
+        off = powers.copy()
+        np.fill_diagonal(off, 0.0)
+        out.append((float(_int_power(ratios, alpha).sum()), alpha / count, diag, off))
+    (uic, uic_scale, uic_diag, uic_off), (dis, dis_scale, dis_diag, dis_off) = out
+    uic_grad = uic_scale * (
+        2.0 * ((2.0 * soft - 1.0) @ uic_off) + (4.0 * soft - 2.0) * uic_diag[None, :]
+    )
+    dis_grad = dis_scale * (
+        2.0 * (dis_off @ (2.0 * soft - 1.0)) + (4.0 * soft - 2.0) * dis_diag[:, None]
+    )
+    return uic, dis, uic_grad, dis_grad
+
+
+def penalty_cases(kind: str, count: int = 40):
+    rng = np.random.default_rng(["random", "binary", "fortran", "lists", "row", "column"].index(kind))
+    for _ in range(count):
+        shape = {"row": (1, rng.integers(1, 10)), "column": (rng.integers(1, 10), 1)}.get(
+            kind, tuple(rng.integers(1, 10, size=2))
+        )
+        matrix = rng.uniform(0.0, 1.0, size=shape)
+        if kind == "binary":
+            matrix = (matrix > 0.5).astype(np.float64)
+        elif kind == "fortran":
+            matrix = np.asfortranarray(matrix)
+        elif kind == "lists":
+            matrix = matrix.tolist()
+        yield matrix
+
+
+class TestPenaltyBits:
+    @pytest.mark.parametrize("kind", ["random", "binary", "fortran", "lists", "row", "column"])
+    def test_matches_written_out_products_bit_for_bit(self, kind):
+        for matrix in penalty_cases(kind):
+            for alpha in (2, 4, 50):
+                uic, dis, uic_grad, dis_grad = written_out_penalties(matrix, alpha)
+                assert np.float64(uic_loss(matrix, alpha)).tobytes() == np.float64(uic).tobytes()
+                assert np.float64(dis_loss(matrix, alpha)).tobytes() == np.float64(dis).tobytes()
+                assert uic_loss_grad(matrix, alpha).tobytes() == uic_grad.tobytes()
+                assert dis_loss_grad(matrix, alpha).tobytes() == dis_grad.tobytes()
 
 
 class TestGradients:

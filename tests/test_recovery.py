@@ -44,7 +44,7 @@ def truth_model(spec) -> UnmixModel:
         spec.prior.means.copy(),
         spec.prior.variances.copy(),
         tuple(b.copy() for b in spec.mixing.task_maps),
-        spec.mixing.parent_indices,
+        spec.topology.parent_indices(),
     )
 
 
@@ -67,7 +67,7 @@ def moment_exact_dataset(spec, samples_per_env: int, seed: int) -> SyntheticData
         )
         from scm_ident import generate_observed
 
-        x, y = generate_observed(spec.mixing, spec.noise, latents)
+        x, y = generate_observed(spec, latents)
         blocks.append((np.full(samples_per_env, e, dtype=np.int64), latents, x, y))
     return SyntheticDataset(
         spec.prior.num_environments,

@@ -153,6 +153,20 @@ class TestJsonSchema:
         doc = {"num_tasks": count, "num_latents": count, "adjacency": [[1, 0], [0, 1]]}
         assert ScmTopology.from_json_dict(doc) == ScmTopology.from_rows([[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("key", ["latent_names", "task_names"])
+    @pytest.mark.parametrize(
+        "names",
+        [
+            pytest.param("ab", id="string"),
+            pytest.param({"a": 1, "b": 2}, id="object"),
+            pytest.param([1, 2], id="non-string-element"),
+        ],
+    )
+    def test_names_must_be_an_array_of_strings(self, key, names):
+        doc = {"num_tasks": 2, "num_latents": 2, "adjacency": [[1, 0], [0, 1]], key: names}
+        with pytest.raises(DataError, match=f"{key} must be an array of strings"):
+            ScmTopology.from_json_dict(doc)
+
     def test_names_preserved(self):
         doc = {
             "num_tasks": 1,
