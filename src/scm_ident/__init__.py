@@ -12,8 +12,6 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .dgp import (
     DgpSpec,
     ExpFamilyPrior,
-    MixingSpec,
-    NoiseSpec,
     SyntheticDataset,
     check_variety,
     export_dataset,
@@ -113,8 +111,6 @@ __all__ = [
     # data generation
     "DgpSpec",
     "ExpFamilyPrior",
-    "MixingSpec",
-    "NoiseSpec",
     "SyntheticDataset",
     "check_variety",
     "export_dataset",

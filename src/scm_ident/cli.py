@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
-from .errors import ConfigError, ScmIdentError, SingularModelError
+from .errors import ConfigError, DataError, ScmIdentError, SingularModelError
 from .ident import (
     SeedOrigin,
     closure_generate,
@@ -61,9 +61,20 @@ EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
 
+def _json_int(literal: str) -> int:
+    value = int(literal)
+    try:
+        float(value)
+    except OverflowError:
+        # left in, it would crash a later float conversion with an OverflowError
+        digits = len(literal.lstrip("-"))
+        raise DataError(f"JSON integer with {digits} digits is beyond the float range") from None
+    return value
+
+
 def _load_json(path):
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_json_int)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -141,6 +152,14 @@ def _chain_payload(topology: ScmTopology, chain) -> list[dict]:
 
 def _load_topology(path) -> ScmTopology:
     return ScmTopology.from_json_dict(_load_json(path))
+
+
+def _load_spec(path) -> DgpSpec:
+    try:
+        document = _load_json(path)
+    except DataError as exc:
+        raise DataError(f"malformed generator spec: {exc}") from exc
+    return DgpSpec.from_json_dict(document)
 
 
 def cmd_check(args) -> int:
@@ -404,7 +423,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_dgp_gen(args) -> int:
-    spec = DgpSpec.from_json_dict(_load_json(args.spec))
+    spec = _load_spec(args.spec)
     dataset = generate_dataset(spec, args.samples, args.seed)
     export_dataset(dataset, args.csv)
     payload = {
@@ -435,7 +454,6 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
                 np.asarray(init_doc["B"][f"t{k + 1}"], dtype=np.float64)
                 for k in range(topology.num_tasks)
             ),
-            topology.parent_indices(),
         )
     if seed_override is not None:
         data["seed"] = seed_override
@@ -475,8 +493,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec_ident = DgpSpec.from_json_dict(_load_json(args.spec_ident))
-    spec_collide = DgpSpec.from_json_dict(_load_json(args.spec_collide))
+    spec_ident = _load_spec(args.spec_ident)
+    spec_collide = _load_spec(args.spec_collide)
     config_doc = _load_json(args.config) if args.config else None
     if config_doc and "init" in config_doc:
         # one init cannot match both arms' topologies

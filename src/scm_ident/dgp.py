@@ -47,6 +47,13 @@ def singular_ratio(matrix: np.ndarray) -> float:
     return float(singular_ratios(np.asarray(matrix)[None])[0])
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only C-ordered float64 copy."""
+    array = np.array(value, dtype=np.float64, order="C")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ExpFamilyPrior:
     """Per-environment Gaussian latent priors.
@@ -61,8 +68,8 @@ class ExpFamilyPrior:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        variances = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
+        means = np.atleast_2d(_frozen(self.means))
+        variances = np.atleast_2d(_frozen(self.variances))
         if means.shape != variances.shape or means.ndim != 2 or means.size == 0:
             raise ShapeError(
                 f"means and variances must be matching (environments x latents) "
@@ -72,10 +79,6 @@ class ExpFamilyPrior:
             raise DomainError("prior parameters must be finite")
         if np.any(variances <= 0):
             raise DomainError("all prior variances must be positive")
-        means = means.copy()
-        variances = variances.copy()
-        means.setflags(write=False)
-        variances.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 
@@ -104,109 +107,75 @@ class ExpFamilyPrior:
 
 
 @dataclass(frozen=True)
-class MixingSpec:
-    """Invertible maps from latents to observables.
-
-    ``matrix`` is the square map behind the source observable;
-    ``task_maps[t]`` acts on task ``t``'s parent latents in ascending
-    index order; the parents come from the topology of the :class:`DgpSpec`
-    holding this spec, which also checks each map's shape and rank.
-    ``slope`` enables a leaky rectifier after the source map (None keeps
-    the map linear so covariance identities stay exact).
-    """
-
-    matrix: np.ndarray
-    task_maps: tuple[np.ndarray, ...]
-    slope: float | None = None
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError(f"source map must be square, got shape {matrix.shape}")
-        if singular_ratio(matrix) <= RANK_TOLERANCE:
-            raise DomainError("source map is numerically singular")
-        task_maps = []
-        for b in self.task_maps:
-            b = np.array(b, dtype=np.float64)
-            b.setflags(write=False)
-            task_maps.append(b)
-        if self.slope is not None and not 0.0 < self.slope < 1.0:
-            raise DomainError(f"leaky slope must lie in (0, 1), got {self.slope}")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "task_maps", tuple(task_maps))
-
-    @property
-    def num_latents(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-coordinate additive Gaussian noise levels (0 = noiseless)."""
-
-    x_std: np.ndarray
-    y_std: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        x_std = np.asarray(self.x_std, dtype=np.float64)
-        if x_std.ndim != 1:
-            raise ShapeError("source noise levels must be a vector")
-        y_std = tuple(np.asarray(s, dtype=np.float64) for s in self.y_std)
-        if any(s.ndim != 1 for s in y_std):
-            raise ShapeError("task noise levels must be vectors")
-        all_values = np.concatenate([x_std, *y_std]) if y_std else x_std
-        if not np.all(np.isfinite(all_values)) or np.any(all_values < 0):
-            raise DomainError("noise standard deviations must be finite and non-negative")
-        x_std = x_std.copy()
-        x_std.setflags(write=False)
-        object.__setattr__(self, "x_std", x_std)
-        object.__setattr__(self, "y_std", tuple(y_std))
-
-    @classmethod
-    def zero(cls, num_latents: int, parent_counts) -> "NoiseSpec":
-        return cls(np.zeros(num_latents), tuple(np.zeros(p) for p in parent_counts))
-
-
-@dataclass(frozen=True)
 class DgpSpec:
-    """Complete recipe for one synthetic dataset."""
+    """Complete recipe for one synthetic dataset.
+
+    ``source_map`` is the square invertible map behind the source
+    observable; ``task_maps[t]`` acts on the parents of task ``t`` that
+    ``topology`` lists, in ascending index order. ``slope`` enables a
+    leaky rectifier after the source map (None keeps the map linear so
+    covariance identities stay exact). ``noise_x`` and ``noise_y[t]`` are
+    per-coordinate Gaussian noise levels of the source and of task ``t``;
+    None means noiseless. Every array is stored as a read-only copy.
+    """
 
     topology: ScmTopology
     prior: ExpFamilyPrior
-    mixing: MixingSpec
-    noise: NoiseSpec
+    source_map: np.ndarray
+    task_maps: tuple[np.ndarray, ...]
+    slope: float | None = None
+    noise_x: np.ndarray | None = None
+    noise_y: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         n = self.topology.num_latents
+        parents = self.topology.parent_indices()
+        noise_x = _frozen(np.zeros(n) if self.noise_x is None else self.noise_x)
+        if noise_x.ndim != 1:
+            raise ShapeError("source noise levels must be a vector")
+        zero_y = [np.zeros(len(p)) for p in parents]
+        noise_y = tuple(map(_frozen, zero_y if self.noise_y is None else self.noise_y))
+        if any(s.ndim != 1 for s in noise_y):
+            raise ShapeError("task noise levels must be vectors")
+        all_values = np.concatenate([noise_x, *noise_y])
+        if not np.all(np.isfinite(all_values)) or np.any(all_values < 0):
+            raise DomainError("noise standard deviations must be finite and non-negative")
+        source_map = _frozen(self.source_map)
+        if source_map.ndim != 2 or source_map.shape[0] != source_map.shape[1]:
+            raise ShapeError(f"source map must be square, got shape {source_map.shape}")
+        if singular_ratio(source_map) <= RANK_TOLERANCE:
+            raise DomainError("source map is numerically singular")
+        task_maps = tuple(_frozen(b) for b in self.task_maps)
+        if self.slope is not None and not 0.0 < self.slope < 1.0:
+            raise DomainError(f"leaky slope must lie in (0, 1), got {self.slope}")
         if n > MAX_LATENTS:
             raise CapacityError(f"generator supports at most {MAX_LATENTS} latents, got {n}")
         if self.prior.num_latents != n:
             raise ShapeError(
                 f"prior covers {self.prior.num_latents} latents, topology has {n}"
             )
-        if self.mixing.num_latents != n:
-            raise ShapeError(
-                f"mixing covers {self.mixing.num_latents} latents, topology has {n}"
-            )
-        expected_parents = self.topology.parent_indices()
-        if len(self.mixing.task_maps) != len(expected_parents):
+        if source_map.shape[0] != n:
+            raise ShapeError(f"mixing covers {source_map.shape[0]} latents, topology has {n}")
+        if len(task_maps) != len(parents):
             raise ShapeError("need exactly one task map per task")
-        for t, (b, parents) in enumerate(zip(self.mixing.task_maps, expected_parents)):
-            expected = len(parents)
+        for t, (b, task_parents) in enumerate(zip(task_maps, parents)):
+            expected = len(task_parents)
             if b.ndim != 2 or b.shape != (expected, expected):
                 raise ShapeError(
                     f"task map {t} must be {expected}x{expected} for parents "
-                    f"{parents}, got shape {b.shape}"
+                    f"{task_parents}, got shape {b.shape}"
                 )
             if expected and singular_ratio(b) <= RANK_TOLERANCE:
                 raise DomainError(f"task map {t} is numerically singular")
-        if self.noise.x_std.shape[0] != n or len(self.noise.y_std) != self.topology.num_tasks:
+        if noise_x.shape[0] != n or len(noise_y) != len(parents):
             raise ShapeError("noise levels do not match the topology dimensions")
-        for k, std in enumerate(self.noise.y_std):
-            if std.shape[0] != len(expected_parents[k]):
+        for k, std in enumerate(noise_y):
+            if std.shape[0] != len(parents[k]):
                 raise ShapeError(f"noise level for task {k} has the wrong width")
+        object.__setattr__(self, "source_map", source_map)
+        object.__setattr__(self, "task_maps", task_maps)
+        object.__setattr__(self, "noise_x", noise_x)
+        object.__setattr__(self, "noise_y", noise_y)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -218,19 +187,14 @@ class DgpSpec:
                 }
                 for e in range(self.prior.num_environments)
             ],
-            "F": self.mixing.matrix.tolist(),
-            "B": {
-                f"t{k + 1}": self.mixing.task_maps[k].tolist()
-                for k in range(self.topology.num_tasks)
-            },
+            "F": self.source_map.tolist(),
+            "B": {f"t{k + 1}": b.tolist() for k, b in enumerate(self.task_maps)},
             "noise": {
-                "x": self.noise.x_std.tolist(),
-                "y": {f"t{k + 1}": s.tolist() for k, s in enumerate(self.noise.y_std)},
+                "x": self.noise_x.tolist(),
+                "y": {f"t{k + 1}": s.tolist() for k, s in enumerate(self.noise_y)},
             },
             "nonlinearity": (
-                {"type": "none"}
-                if self.mixing.slope is None
-                else {"type": "leaky", "slope": self.mixing.slope}
+                {"type": "none"} if self.slope is None else {"type": "leaky", "slope": self.slope}
             ),
         }
         return out
@@ -289,10 +253,10 @@ class DgpSpec:
             b = _spec_array(b_maps[f"t{k + 1}"], f"B t{k + 1}")
             # JSON writes a 0x0 map as [], which reads back with shape (0,)
             task_maps.append(b.reshape(0, 0) if not task_parents and b.shape == (0,) else b)
-        noise = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
+        noise_x, noise_y = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
         try:
-            mixing = MixingSpec(_spec_array(data["F"], "F"), tuple(task_maps), slope)
-            return cls(topology, prior, mixing, noise)
+            source_map = _spec_array(data["F"], "F")
+            return cls(topology, prior, source_map, tuple(task_maps), slope, noise_x, noise_y)
         except (ShapeError, DomainError):
             raise
         except (TypeError, ValueError) as exc:
@@ -313,9 +277,10 @@ def _spec_array(value, name: str) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64)
 
 
-def _noise_from_json(noise, num_latents: int, parent_counts) -> NoiseSpec:
+def _noise_from_json(noise, num_latents: int, parent_counts):
+    """Source and per-task noise levels; scalars broadcast, absent entries are 0."""
     if noise is None:
-        return NoiseSpec.zero(num_latents, parent_counts)
+        return None, None
     if not isinstance(noise, dict) or set(noise) - {"x", "y"}:
         raise DataError("noise must be an object with optional 'x' and 'y'")
 
@@ -332,7 +297,7 @@ def _noise_from_json(noise, num_latents: int, parent_counts) -> NoiseSpec:
         )
     else:
         y_std = tuple(broadcast(y_value, p) for p in parent_counts)
-    return NoiseSpec(x_std, y_std)
+    return x_std, y_std
 
 
 @dataclass(frozen=True)
@@ -417,19 +382,17 @@ def generate_observed(
     XOR environment index); with all-zero noise levels the output is a
     deterministic function of the latents.
     """
-    mixing, noise = spec.mixing, spec.noise
+    n = spec.topology.num_latents
     latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[1] != mixing.num_latents:
-        raise ShapeError(
-            f"latents must be (samples x {mixing.num_latents}), got shape {latents.shape}"
-        )
+    if latents.ndim != 2 or latents.shape[1] != n:
+        raise ShapeError(f"latents must be (samples x {n}), got shape {latents.shape}")
     rng = stream(OBSERVATION_NOISE, env_seed(seed, env_index))
-    x = latents @ mixing.matrix.T
-    if mixing.slope is not None:
-        x = _leaky(x, mixing.slope)
-    x = x + rng.standard_normal(x.shape) * noise.x_std
+    x = latents @ spec.source_map.T
+    if spec.slope is not None:
+        x = _leaky(x, spec.slope)
+    x = x + rng.standard_normal(x.shape) * spec.noise_x
     y_blocks = []
-    for b, parents, y_std in zip(mixing.task_maps, spec.topology.parent_indices(), noise.y_std):
+    for b, parents, y_std in zip(spec.task_maps, spec.topology.parent_indices(), spec.noise_y):
         block = latents[:, list(parents)] @ b.T
         block = block + rng.standard_normal(block.shape) * y_std
         y_blocks.append(block)

@@ -27,7 +27,6 @@ back to :func:`closure_identifiable` and :func:`uic_check`, matrix by
 matrix.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,13 +342,14 @@ class MinTasksResult:
     witness: ScmTopology
 
 
-def min_tasks_for(n_latents: int, allow_zero_column: bool = True) -> MinTasksResult:
+def min_tasks_for(n_latents: int) -> MinTasksResult:
     """Smallest task count admitting an identifiable ``n_latents`` topology.
 
-    Searches over column assignments: an identifiable topology needs
-    ``n_latents`` pairwise-distinct columns in ``{0,1}**m``, optionally
-    excluding the all-zero column. The returned witness uses the lowest
-    such column patterns and is verified against the agreement decider.
+    An identifiable topology needs ``n_latents`` pairwise-distinct columns
+    in ``{0,1}**m``, so the answer is the smallest m with 2**m at least
+    ``n_latents``. The returned witness uses the lowest column patterns
+    (the all-zero column included) and is verified against the agreement
+    decider.
     """
     if n_latents < 1:
         raise CapacityError("latent count must be positive")
@@ -357,15 +357,9 @@ def min_tasks_for(n_latents: int, allow_zero_column: bool = True) -> MinTasksRes
         raise CapacityError(
             f"witness search supports at most {MIN_TASKS_LATENT_LIMIT} latents, got {n_latents}"
         )
-    for m in itertools.count(1):
-        capacity = (1 << m) if allow_zero_column else (1 << m) - 1
-        if capacity < n_latents:
-            continue
-        start = 0 if allow_zero_column else 1
-        patterns = range(start, start + n_latents)
-        rows = [[(pattern >> k) & 1 for pattern in patterns] for k in range(m)]
-        witness = ScmTopology.from_rows(rows)
-        if not uic_check(witness):
-            raise AssertionError("witness construction produced a non-identifiable topology")
-        return MinTasksResult(m, witness)
-    raise AssertionError("unreachable")
+    m = max(1, (n_latents - 1).bit_length())
+    rows = [[(pattern >> k) & 1 for pattern in range(n_latents)] for k in range(m)]
+    witness = ScmTopology.from_rows(rows)
+    if not uic_check(witness):
+        raise AssertionError("witness construction produced a non-identifiable topology")
+    return MinTasksResult(m, witness)

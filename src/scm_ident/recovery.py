@@ -40,6 +40,7 @@ from .ident import uic_check, uic_violations
 from .topology import ScmTopology
 
 MAX_FIT_LATENTS = 8
+MAX_RESTARTS = 1000  # each restart draws its own start, so the count bounds the fit's work
 SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
 STEP_GROWTH = 2.0
@@ -79,6 +80,8 @@ class FitConfig:
                 raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ConfigError("restarts and max_iters must be positive")
+        if self.restarts > MAX_RESTARTS:
+            raise ConfigError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         if not (self.initial_step > 0 and self.min_step > 0 and self.grad_tol > 0):
             raise ConfigError("step sizes and tolerances must be positive")
         check_seed(self.seed)
@@ -89,15 +92,14 @@ class UnmixModel:
     """Estimated generator: forward mixing map plus per-env latent moments.
 
     Latents are recovered by inverting ``mixing`` on the source
-    observables; the per-task maps are carried so model moments can be
-    reproduced.
+    observables; the per-task maps, each acting on its task's parents in
+    the fitted topology, are carried so model moments can be reproduced.
     """
 
     mixing: np.ndarray
     env_means: np.ndarray
     env_variances: np.ndarray
     task_maps: tuple[np.ndarray, ...]
-    parent_indices: tuple[tuple[int, ...], ...]
 
     def singular_ratio(self) -> float:
         return singular_ratio(self.mixing)
@@ -187,8 +189,6 @@ def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) 
                 f"init {name} must be {num_environments}x{n} (environments x latents), "
                 f"got shape {np.shape(block)}"
             )
-    if tuple(tuple(p) for p in init.parent_indices) != parents:
-        raise ShapeError("init parent indices do not match the topology")
     if len(init.task_maps) != len(parents):
         raise ShapeError(f"init needs one B per task, got {len(init.task_maps)}")
     for k, (b, p) in enumerate(zip(init.task_maps, parents)):
@@ -263,9 +263,9 @@ class _Batch:
         self.variances = params[:, (q + envs) * n :].reshape(restarts, envs, n)
 
     @classmethod
-    def of(cls, models: list[UnmixModel]) -> "_Batch":
+    def of(cls, models: list[UnmixModel], topology: ScmTopology) -> "_Batch":
         envs, n = models[0].env_means.shape
-        layout = _Layout(n, envs, models[0].parent_indices)
+        layout = _Layout(n, envs, topology.parent_indices())
         batch = cls(layout, np.zeros((len(models), (layout.joint_rows + 2 * envs) * n)))
         for r, model in enumerate(models):
             for index, block in zip(layout.blocks, (model.mixing, *model.task_maps)):
@@ -276,13 +276,7 @@ class _Batch:
 
     def model(self, r: int) -> UnmixModel:
         mixing, *task_maps = (self.stacked[r][index] for index in self.layout.blocks)
-        return UnmixModel(
-            mixing,
-            self.means[r].copy(),
-            self.variances[r].copy(),
-            tuple(task_maps),
-            self.layout.parent_indices,
-        )
+        return UnmixModel(mixing, self.means[r].copy(), self.variances[r].copy(), tuple(task_maps))
 
     def moved(self, steps: np.ndarray, grads: "_Batch") -> "_Batch":
         """Each restart moved against its gradient by each of its steps.
@@ -450,16 +444,15 @@ def _data_driven_init(
     for e, rows in enumerate(dataset.env_groups()):
         means[e] = est_latents[rows].mean(axis=0)
         variances[e] = np.maximum(est_latents[rows].var(axis=0), VARIANCE_FLOOR)
-    parent_indices = topology.parent_indices()
     task_maps = []
-    for k, parents in enumerate(parent_indices):
+    for k, parents in enumerate(topology.parent_indices()):
         if parents:
             design = est_latents[:, list(parents)]
             solution, *_ = np.linalg.lstsq(design, dataset.y[k], rcond=None)
             task_maps.append(solution.T)
         else:
             task_maps.append(np.zeros((0, 0)))
-    return UnmixModel(mixing, means, variances, tuple(task_maps), parent_indices)
+    return UnmixModel(mixing, means, variances, tuple(task_maps))
 
 
 def _random_init(
@@ -476,9 +469,8 @@ def _random_init(
     mixing = nonsingular(n)
     means = rng.standard_normal((num_environments, n))
     variances = np.exp(rng.standard_normal((num_environments, n)) * 0.3)
-    parent_indices = topology.parent_indices()
-    task_maps = tuple(nonsingular(len(parents)) for parents in parent_indices)
-    return UnmixModel(mixing, means, variances, task_maps, parent_indices)
+    task_maps = tuple(nonsingular(len(parents)) for parents in topology.parent_indices())
+    return UnmixModel(mixing, means, variances, task_maps)
 
 
 def _starts(
@@ -516,7 +508,7 @@ def fit(
     if init is not None:
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
-    starts = _Batch.of(_starts(dataset, topology, moments, config, init))
+    starts = _Batch.of(_starts(dataset, topology, moments, config, init), topology)
     restarts = _descend(starts, moments, config)
     best = min(restarts, key=lambda res: res.objective)
     if best.model.singular_ratio() <= SINGULAR_RATIO:

@@ -9,8 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from scm_ident import (
     DgpSpec,
     ExpFamilyPrior,
-    MixingSpec,
-    NoiseSpec,
     ScmTopology,
 )
 
@@ -53,8 +51,7 @@ def identifiable_spec() -> DgpSpec:
         means=[[0.0, 1.0], [1.5, -0.5], [-1.0, 0.5]],
         variances=[[1.0, 0.7], [2.5, 1.2], [0.6, 3.0]],
     )
-    mixing = MixingSpec(MIXING_2, [np.array([[1.3]]), np.array([[-0.8]])])
-    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [1, 1]))
+    return DgpSpec(topology, prior, MIXING_2, [np.array([[1.3]]), np.array([[-0.8]])])
 
 
 def colliding_spec() -> DgpSpec:
@@ -69,8 +66,7 @@ def colliding_spec() -> DgpSpec:
         means=[[0.0, 0.0], [1.0, 1.0], [-0.8, -0.8]],
         variances=[[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]],
     )
-    mixing = MixingSpec(MIXING_2, [np.array([[0.9, 0.3], [-0.2, 1.4]])])
-    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [2]))
+    return DgpSpec(topology, prior, MIXING_2, [np.array([[0.9, 0.3], [-0.2, 1.4]])])
 
 
 def parentless_task_spec(rows) -> DgpSpec:
@@ -85,8 +81,7 @@ def parentless_task_spec(rows) -> DgpSpec:
     )
     one_parent_maps = iter([np.array([[1.3]]), np.array([[-0.8]])])
     task_maps = [next(one_parent_maps) if any(row) else np.zeros((0, 0)) for row in rows]
-    mixing = MixingSpec(MIXING_2, task_maps)
-    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(2, [sum(row) for row in rows]))
+    return DgpSpec(topology, prior, MIXING_2, task_maps)
 
 
 PARENTLESS_TASK_ROWS = {

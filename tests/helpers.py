@@ -203,21 +203,21 @@ def _reference_singular_ratio(matrix) -> float:
     return float(singular[-1] / singular[0])
 
 
-def _reference_stacked_map(model, q: int):
+def _reference_stacked_map(model, parent_indices, q: int):
     n = model.mixing.shape[0]
     stacked = np.zeros((q, n))
     stacked[:n] = model.mixing
     row = n
-    for b, parents in zip(model.task_maps, model.parent_indices):
+    for b, parents in zip(model.task_maps, parent_indices):
         width = len(parents)
         stacked[row : row + width, list(parents)] = b
         row += width
     return stacked
 
 
-def _reference_residuals(model, means, covariances):
+def _reference_residuals(model, parent_indices, means, covariances):
     q = means.shape[1]
-    stacked = _reference_stacked_map(model, q)
+    stacked = _reference_stacked_map(model, parent_indices, q)
     objective = 0.0
     scaled_maps, mean_resids, cov_resids = [], [], []
     for e in range(means.shape[0]):
@@ -231,7 +231,7 @@ def _reference_residuals(model, means, covariances):
     return objective, (stacked, scaled_maps, mean_resids, cov_resids)
 
 
-def _reference_gradients(model, residuals):
+def _reference_gradients(model, parent_indices, residuals):
     n = model.mixing.shape[0]
     stacked, scaled_maps, mean_resids, cov_resids = residuals
     d_stacked = np.zeros_like(stacked)
@@ -245,7 +245,7 @@ def _reference_gradients(model, residuals):
     d_mixing = d_stacked[:n]
     d_task_maps = []
     row = n
-    for parents in model.parent_indices:
+    for parents in parent_indices:
         width = len(parents)
         d_task_maps.append(d_stacked[row : row + width][:, list(parents)])
         row += width
@@ -270,11 +270,12 @@ def _reference_project(model):
     return model
 
 
-def reference_descend(model, means, covariances, config):
+def reference_descend(model, parent_indices, means, covariances, config):
     """One restart's backtracking descent, alone, the way the fit ran before batching.
 
-    ``model`` is an ``UnmixModel`` used as a plain container, ``means``
-    (envs, q) and ``covariances`` (envs, q, q) the empirical moments.
+    ``model`` is an ``UnmixModel`` used as a plain container whose task
+    maps act on ``parent_indices``, ``means`` (envs, q) and
+    ``covariances`` (envs, q, q) the empirical moments.
     Returns ``(objective, iterations, model, stop_reason)``.
     """
     model = _reference_project(replace(
@@ -284,8 +285,8 @@ def reference_descend(model, means, covariances, config):
         env_variances=model.env_variances.copy(),
         task_maps=tuple(b.copy() for b in model.task_maps),
     ))
-    objective, residuals = _reference_residuals(model, means, covariances)
-    grads = _reference_gradients(model, residuals)
+    objective, residuals = _reference_residuals(model, parent_indices, means, covariances)
+    grads = _reference_gradients(model, parent_indices, residuals)
     step = config.initial_step
     iterations = 0
     stop_reason = "max_iters"
@@ -306,7 +307,7 @@ def reference_descend(model, means, covariances, config):
                 task_maps=tuple(b - step * g for b, g in zip(model.task_maps, d_task_maps)),
             ))
             candidate_objective, candidate_residuals = _reference_residuals(
-                candidate, means, covariances
+                candidate, parent_indices, means, covariances
             )
             if candidate_objective < objective:
                 model = candidate
@@ -320,5 +321,5 @@ def reference_descend(model, means, covariances, config):
         if not accepted:
             stop_reason = "min_step"
             break
-        grads = _reference_gradients(model, residuals)
+        grads = _reference_gradients(model, parent_indices, residuals)
     return objective, iterations, model, stop_reason

@@ -160,7 +160,7 @@ def test_09_generator_moments_and_variety():
     with criterion(9, "x covariance within 5% of F Sigma F^T at N=50k; variety verdicts"):
         spec = identifiable_spec()
         dataset = generate_dataset(spec, 50_000, seed=3)
-        F = spec.mixing.matrix
+        F = spec.source_map
         assert dataset.num_environments == spec.prior.num_environments
         for e, rows in enumerate(dataset.env_groups()):
             emp = np.cov(dataset.x[rows], rowvar=False, ddof=0)

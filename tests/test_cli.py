@@ -13,6 +13,7 @@ from conftest import (
 )
 from scm_ident import cli
 from scm_ident.cli import main
+from scm_ident.recovery import MAX_RESTARTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -316,12 +317,12 @@ class TestDataAndRecovery:
                 "restarts": 1,
                 "seed": 6,
                 "init": {
-                    "F": spec.mixing.matrix.tolist(),
+                    "F": spec.source_map.tolist(),
                     "means": spec.prior.means.tolist(),
                     "variances": spec.prior.variances.tolist(),
                     "B": {
-                        "t1": spec.mixing.task_maps[0].tolist(),
-                        "t2": spec.mixing.task_maps[1].tolist(),
+                        "t1": spec.task_maps[0].tolist(),
+                        "t2": spec.task_maps[1].tolist(),
                     },
                 },
             },
@@ -344,12 +345,12 @@ class TestDataAndRecovery:
             {
                 "restarts": 1,
                 "init": {
-                    "F": spec.mixing.matrix.tolist(),
+                    "F": spec.source_map.tolist(),
                     "means": spec.prior.means[:1].tolist(),  # 1 row, 3 environments
                     "variances": spec.prior.variances.tolist(),
                     "B": {
-                        "t1": spec.mixing.task_maps[0].tolist(),
-                        "t2": spec.mixing.task_maps[1].tolist(),
+                        "t1": spec.task_maps[0].tolist(),
+                        "t2": spec.task_maps[1].tolist(),
                     },
                 },
             },
@@ -448,12 +449,12 @@ class TestDataAndRecovery:
             {
                 "restarts": 1,
                 "init": {
-                    "F": spec.mixing.matrix.tolist(),
+                    "F": spec.source_map.tolist(),
                     "means": spec.prior.means.tolist(),
                     "variances": spec.prior.variances.tolist(),
                     "B": {
-                        "t1": spec.mixing.task_maps[0].tolist(),
-                        "t2": spec.mixing.task_maps[1].tolist(),
+                        "t1": spec.task_maps[0].tolist(),
+                        "t2": spec.task_maps[1].tolist(),
                     },
                 },
             },
@@ -554,7 +555,51 @@ def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["loss", "mask", "recover"])
+def test_integer_beyond_float_range_exit_two(tmp_path, capsys, command):
+    huge = 10**400
+    top_path = write_json(
+        tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+    )
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n0,1,0.25,0.5,0.75\n")
+    argv = {
+        "loss": ["loss", write_json(tmp_path / "matrix.json", [[1, huge]])],
+        "mask": ["mask", "--scores", write_json(tmp_path / "scores.json", [0.5, huge])],
+        "recover": [
+            "recover",
+            str(csv_path),
+            top_path,
+            "--config",
+            write_json(tmp_path / "cfg.json", {"initial_step": huge}),
+        ],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: JSON integer with 401 digits is beyond the float range\n"
+
+
+def test_recover_rejects_restarts_above_the_bound(tmp_path, capsys):
+    top_path = write_json(
+        tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+    )
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n0,1,0.25,0.5,0.75\n")
+    config = write_json(tmp_path / "cfg.json", {"restarts": MAX_RESTARTS + 1, "max_iters": 1})
+    assert main(["recover", str(csv_path), top_path, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: restarts must be at most {MAX_RESTARTS}, got {MAX_RESTARTS + 1}\n"
+
+
 class TestDeterminism:
+    def test_dgp_gen_matches_golden(self, tmp_path, capsys):
+        # leaky slope, source and task noise, and a parentless task between two others
+        csv_path = tmp_path / "data.csv"
+        spec_path = str(GOLDEN / "dgp_gen_leaky_noisy.spec.json")
+        argv = ["dgp-gen", spec_path, "--samples", "20", "--seed", "11", "--out", str(csv_path)]
+        assert main(argv) == 0
+        assert csv_path.read_bytes() == (GOLDEN / "dgp_gen_leaky_noisy.csv").read_bytes()
+
     def test_json_outputs_byte_identical(self, identity_topology_file, capsys):
         main(["check", identity_topology_file, "--format", "json", "--seed", "9"])
         first = capsys.readouterr().out

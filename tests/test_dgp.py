@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from scm_ident import (
     DomainError,
     ExpFamilyPrior,
     FitConfig,
-    MixingSpec,
-    NoiseSpec,
     ScmTopology,
     ShapeError,
     SyntheticDataset,
@@ -90,8 +90,7 @@ def observed_spec(rows, matrix, task_maps, slope=None) -> DgpSpec:
     topology = ScmTopology.from_rows(rows)
     n = topology.num_latents
     prior = ExpFamilyPrior(means=[[0.0] * n], variances=[[1.0] * n])
-    noise = NoiseSpec.zero(n, [len(p) for p in topology.parent_indices()])
-    return DgpSpec(topology, prior, MixingSpec(matrix, task_maps, slope), noise)
+    return DgpSpec(topology, prior, matrix, task_maps, slope)
 
 
 class TestGenerateObserved:
@@ -105,12 +104,12 @@ class TestGenerateObserved:
     def test_zero_noise_linear_identity(self, ident_spec):
         latents = sample_latents(ident_spec.prior, 0, 1000, seed=3)
         x, _ = generate_observed(ident_spec, latents)
-        np.testing.assert_allclose(x, latents @ ident_spec.mixing.matrix.T, atol=1e-14)
+        np.testing.assert_allclose(x, latents @ ident_spec.source_map.T, atol=1e-14)
 
     def test_covariance_closed_form(self, ident_spec):
         latents = sample_latents(ident_spec.prior, 2, 50_000, seed=7)
         x, _ = generate_observed(ident_spec, latents)
-        F = ident_spec.mixing.matrix
+        F = ident_spec.source_map
         target = F @ np.diag(ident_spec.prior.variances[2]) @ F.T
         emp = np.cov(x, rowvar=False, ddof=0)
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) <= 0.05
@@ -127,18 +126,16 @@ class TestGenerateObserved:
         spec = observed_spec([[1, 1]], np.array([[1.0, 0.3], [0.2, 1.0]]), [np.eye(2)], 0.25)
         latents = np.array([[1.0, -2.0], [-0.5, 0.75]])
         x, _ = generate_observed(spec, latents)
-        pre = latents @ spec.mixing.matrix.T
+        pre = latents @ spec.source_map.T
         recovered = np.where(x >= 0, x, x / 0.25)
         np.testing.assert_allclose(recovered, pre, atol=1e-12)
 
     def test_singular_map_rejected(self):
-        with pytest.raises(DomainError):
-            MixingSpec(np.ones((2, 2)), [np.eye(2)])
+        with pytest.raises(DomainError, match="source map is numerically singular"):
+            observed_spec([[1, 1]], np.ones((2, 2)), [np.eye(2)])
 
     def test_noise_changes_output_but_seeded(self, ident_spec):
-        noisy = dataclasses.replace(
-            ident_spec, noise=NoiseSpec(np.array([0.1, 0.1]), (np.array([0.0]), np.array([0.0])))
-        )
+        noisy = dataclasses.replace(ident_spec, noise_x=np.array([0.1, 0.1]))
         latents = sample_latents(ident_spec.prior, 0, 100, seed=1)
         x1, _ = generate_observed(noisy, latents, seed=1)
         x2, _ = generate_observed(noisy, latents, seed=1)
@@ -181,7 +178,9 @@ def three_task_spec() -> DgpSpec:
         means=[[0.0, 1.0, -0.5], [1.5, -0.5, 0.2], [-1.0, 0.5, 1.1]],
         variances=[[1.0, 0.7, 1.4], [2.5, 1.2, 0.8], [0.6, 3.0, 1.9]],
     )
-    mixing = MixingSpec(
+    return DgpSpec(
+        topology,
+        prior,
         np.array([[1.0, 0.6, 0.1], [-0.4, 1.1, 0.3], [0.2, -0.5, 0.9]]),
         [
             np.array([[1.3, 0.2], [-0.1, 0.8]]),
@@ -189,9 +188,9 @@ def three_task_spec() -> DgpSpec:
             np.array([[-0.9, 0.3], [0.6, 1.1]]),
         ],
     )
-    return DgpSpec(topology, prior, mixing, NoiseSpec.zero(3, [2, 2, 2]))
 
 
+LEAKY_NOISY_SPEC = Path(__file__).parent / "golden" / "dgp_gen_leaky_noisy.spec.json"
 HEADER = "env,sample,l_1,x_1,y1_1\n"
 
 
@@ -276,7 +275,7 @@ class TestDatasetRoundTrip:
         assert [r.objective for r in from_csv.restarts] == [
             r.objective for r in in_memory.restarts
         ]
-        assert from_csv.model.parent_indices == ((0,), (1,), ())
+        assert [b.shape for b in from_csv.model.task_maps] == [(1, 1), (1, 1), (0, 0)]
 
     def test_interior_task_without_parents_round_trips(self, tmp_path):
         spec = parentless_task_spec(PARENTLESS_TASK_ROWS["interior"])
@@ -398,14 +397,46 @@ class TestSpecJson:
         doc = identifiable_spec().to_json_dict()
         doc["noise"] = {"x": 0.5, "y": 0.1}
         spec = DgpSpec.from_json_dict(doc)
-        np.testing.assert_array_equal(spec.noise.x_std, [0.5, 0.5])
-        np.testing.assert_array_equal(spec.noise.y_std[0], [0.1])
+        np.testing.assert_array_equal(spec.noise_x, [0.5, 0.5])
+        np.testing.assert_array_equal(spec.noise_y[0], [0.1])
 
     def test_missing_noise_means_zero(self):
         doc = identifiable_spec().to_json_dict()
         del doc["noise"]
-        noise = DgpSpec.from_json_dict(doc).noise
-        assert not any(np.any(s) for s in (noise.x_std, *noise.y_std))
+        spec = DgpSpec.from_json_dict(doc)
+        assert not any(np.any(s) for s in (spec.noise_x, *spec.noise_y))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(
+                DgpSpec.from_json_dict(json.loads(LEAKY_NOISY_SPEC.read_text())), id="from-json"
+            ),
+            pytest.param(
+                dataclasses.replace(
+                    three_task_spec(),
+                    noise_x=np.array([0.1, 0.2, 0.3]),
+                    noise_y=(np.array([0.1, 0.0]),) * 3,
+                ),
+                id="python",
+            ),
+        ],
+    )
+    def test_every_array_is_read_only(self, spec):
+        arrays = [
+            item
+            for value in (*vars(spec).values(), *vars(spec.prior).values())
+            for item in (value if isinstance(value, tuple) else (value,))
+            if isinstance(item, np.ndarray)
+        ]
+        assert len(arrays) == 4 + 2 * spec.topology.num_tasks
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_arrays_are_copies(self):
+        noise_x, source_map = np.array([0.1, 0.2, 0.3]), three_task_spec().source_map.copy()
+        spec = dataclasses.replace(three_task_spec(), source_map=source_map, noise_x=noise_x)
+        noise_x[0] = source_map[0, 0] = 9.0
+        assert spec.noise_x[0] == 0.1 and spec.source_map[0, 0] == 1.0
 
     def test_bad_nonlinearity_rejected(self):
         doc = identifiable_spec().to_json_dict()

@@ -325,28 +325,21 @@ def by_identifiable(report, m, n):
 
 class TestMinTasks:
     def test_two_latents_with_zero_column(self):
-        result = min_tasks_for(2, allow_zero_column=True)
+        result = min_tasks_for(2)
         assert result.num_tasks == 1
         assert sorted(result.witness.column_masks()) == [0, 1]
 
     def test_four_latents(self):
-        assert min_tasks_for(4, allow_zero_column=True).num_tasks == 2
+        assert min_tasks_for(4).num_tasks == 2
 
     def test_five_latents_needs_three_tasks(self):
-        assert min_tasks_for(5, allow_zero_column=True).num_tasks == 3
-        assert min_tasks_for(5, allow_zero_column=False).num_tasks == 3
-
-    def test_zero_column_exclusion_shifts_boundary(self):
-        assert min_tasks_for(2, allow_zero_column=False).num_tasks == 2
-        assert min_tasks_for(4, allow_zero_column=False).num_tasks == 3
+        assert min_tasks_for(5).num_tasks == 3
 
     def test_witness_is_identifiable(self):
-        for n in range(1, 9):
-            for allow in (True, False):
-                result = min_tasks_for(n, allow_zero_column=allow)
-                assert uic_check(result.witness)
-                if not allow:
-                    assert 0 not in result.witness.column_masks()
+        for n in range(1, 17):
+            result = min_tasks_for(n)
+            assert uic_check(result.witness)
+            assert 1 << (result.num_tasks - 1) < n <= 1 << result.num_tasks or n == 1
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

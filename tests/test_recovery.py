@@ -33,18 +33,17 @@ from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import _Batch, _empirical_moments, _gradients, _residuals, _starts
 
 
-def objective(model: UnmixModel, moments) -> float:
+def objective(model: UnmixModel, topology, moments) -> float:
     """The fit objective of one model, evaluated as a batch of one."""
-    return float(_residuals(_Batch.of([model]), moments)[0][0])
+    return float(_residuals(_Batch.of([model], topology), moments)[0][0])
 
 
 def truth_model(spec) -> UnmixModel:
     return UnmixModel(
-        spec.mixing.matrix.copy(),
+        spec.source_map.copy(),
         spec.prior.means.copy(),
         spec.prior.variances.copy(),
-        tuple(b.copy() for b in spec.mixing.task_maps),
-        spec.topology.parent_indices(),
+        tuple(b.copy() for b in spec.task_maps),
     )
 
 
@@ -172,7 +171,6 @@ def perturbed_truth(spec, seed: int) -> UnmixModel:
         truth.env_means + 0.1 * rng.standard_normal(truth.env_means.shape),
         truth.env_variances * np.exp(0.1 * rng.standard_normal(truth.env_variances.shape)),
         tuple(b + 0.1 * rng.standard_normal(b.shape) for b in truth.task_maps),
-        truth.parent_indices,
     )
 
 
@@ -203,7 +201,7 @@ class TestFitGradient:
         spec = spec_fn()
         moments = _empirical_moments(generate_dataset(spec, 500, seed=12))
         model = perturbed_truth(spec, seed=13)
-        batch = _Batch.of([model])
+        batch = _Batch.of([model], spec.topology)
         grads = _gradients(batch, _residuals(batch, moments)[1]).model(0)
         analytic = {
             "mixing": grads.mixing,
@@ -212,7 +210,7 @@ class TestFitGradient:
         }
         analytic.update({f"B{k}": g for k, g in enumerate(grads.task_maps)})
         numeric = central_difference(
-            lambda value: objective(with_block(model, block, value), moments),
+            lambda value: objective(with_block(model, block, value), spec.topology, moments),
             block_value(model, block),
         )
         assert np.abs(numeric).max() > 1e-3  # the check is not vacuous
@@ -287,7 +285,7 @@ class TestFit:
     def test_truth_is_a_fixed_point_of_population_moments(self, ident_spec):
         dataset = moment_exact_dataset(ident_spec, 4000, seed=5)
         truth = truth_model(ident_spec)
-        floor = objective(truth, _empirical_moments(dataset))
+        floor = objective(truth, ident_spec.topology, _empirical_moments(dataset))
         assert floor <= 1e-18
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, seed=5), init=truth_model(ident_spec))
         assert result.objective <= floor + 1e-18
@@ -301,18 +299,15 @@ class TestFit:
 
     def test_best_restart_near_truth_objective(self, ident_spec):
         dataset = generate_dataset(ident_spec, 20000, seed=6)
-        floor = objective(truth_model(ident_spec), _empirical_moments(dataset))
+        floor = objective(truth_model(ident_spec), ident_spec.topology, _empirical_moments(dataset))
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=8, seed=6))
         assert result.objective <= 10.0 * floor
 
     def test_single_environment_is_non_unique(self, ident_spec):
-        from scm_ident import DgpSpec, ExpFamilyPrior
+        from scm_ident import ExpFamilyPrior
 
-        one_env = DgpSpec(
-            ident_spec.topology,
-            ExpFamilyPrior(means=[[0.2, -0.1]], variances=[[1.0, 1.0]]),
-            ident_spec.mixing,
-            ident_spec.noise,
+        one_env = replace(
+            ident_spec, prior=ExpFamilyPrior(means=[[0.2, -0.1]], variances=[[1.0, 1.0]])
         )
         dataset = generate_dataset(one_env, 20000, seed=4)
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=6, seed=4))
@@ -389,7 +384,6 @@ class TestFit:
             ("env_variances", np.ones((3, 3))),
             ("task_maps", (np.eye(1),)),
             ("task_maps", (np.eye(1), np.eye(2))),
-            ("parent_indices", ((0,), (0,))),
         ],
     )
     def test_mismatched_init_rejected(self, ident_spec, field, value):
@@ -401,6 +395,8 @@ class TestFit:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             FitConfig(restarts=0)
+        with pytest.raises(ConfigError):
+            FitConfig(restarts=recovery.MAX_RESTARTS + 1)
         with pytest.raises(ConfigError):
             FitConfig(initial_step=-1.0)
 
@@ -438,7 +434,7 @@ def assert_restarts_match_reference(dataset, topology, config, init=None) -> lis
     assert len(result.restarts) == len(starts) == config.restarts
     for got, start in zip(result.restarts, starts):
         want_objective, want_iterations, want, want_reason = reference_descend(
-            start, moments.means, moments.covariances, config
+            start, topology.parent_indices(), moments.means, moments.covariances, config
         )
         assert np.float64(got.objective).tobytes() == np.float64(want_objective).tobytes()
         assert got.iterations == want_iterations
