@@ -141,11 +141,15 @@ class DgpSpec:
         if not np.all(np.isfinite(all_values)) or np.any(all_values < 0):
             raise DomainError("noise standard deviations must be finite and non-negative")
         source_map = _frozen(self.source_map)
+        task_maps = tuple(_frozen(b) for b in self.task_maps)
+        named = [("F", source_map), *((f"B t{t + 1}", b) for t, b in enumerate(task_maps))]
+        for name, block in named:
+            if not np.all(np.isfinite(block)):
+                raise DataError(f"malformed generator spec: {name} entries must be finite")
         if source_map.ndim != 2 or source_map.shape[0] != source_map.shape[1]:
             raise ShapeError(f"source map must be square, got shape {source_map.shape}")
         if singular_ratio(source_map) <= RANK_TOLERANCE:
             raise DomainError("source map is numerically singular")
-        task_maps = tuple(_frozen(b) for b in self.task_maps)
         if self.slope is not None and not 0.0 < self.slope < 1.0:
             raise DomainError(f"leaky slope must lie in (0, 1), got {self.slope}")
         if n > MAX_LATENTS:
@@ -331,18 +335,28 @@ class SyntheticDataset:
     def num_latents(self) -> int:
         return self.latents.shape[1]
 
-    def env_groups(self) -> Iterator[np.ndarray]:
-        """Each environment's row indices in ascending order, environment by environment.
+    def env_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One stable sort of the ids: the row order, each present id and its row count.
 
-        One stable sort of the ids cuts the rows into one run per present
-        environment. An environment without samples gets an empty index,
-        and the groups come lazily, so a caller that rejects an empty
-        environment stops at it.
+        The order lists the rows environment by environment, ascending
+        within each; the present ids ascend, and nothing is sized by the
+        environment count.
         """
         order = np.argsort(self.env_ids, kind="stable")
         ids = self.env_ids[order]
-        cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
-        runs = {int(ids[lo]): (lo, hi) for lo, hi in zip([0] + cuts, cuts + [ids.size]) if lo < hi}
+        starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
+        return order, ids[starts], np.diff(np.append(starts, ids.size))
+
+    def env_groups(self) -> Iterator[np.ndarray]:
+        """Each environment's row indices in ascending order, environment by environment.
+
+        An environment without samples gets an empty index, and the
+        groups come lazily, so a caller that rejects an empty environment
+        stops at it.
+        """
+        order, present, sizes = self.env_runs()
+        ends = np.cumsum(sizes)
+        runs = dict(zip(present.tolist(), zip((ends - sizes).tolist(), ends.tolist())))
         for e in range(self.num_environments):
             lo, hi = runs.get(e, (0, 0))
             yield order[lo:hi]

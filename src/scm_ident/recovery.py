@@ -2,12 +2,13 @@
 
 For linear-Gaussian data the per-environment means and covariances of the
 joint observable vector are sufficient statistics, so fitting a model by
-matching those moments is likelihood-equivalent at the population level
-and admits closed-form gradients. The fitted model is inverted to
-estimate latents, which are then aligned to the ground truth by the
-permutation maximizing the mean absolute Pearson correlation — for scalar
-Gaussian latents perfect recovery up to an affine map per latent is
-exactly |correlation| = 1.
+matching those moments is likelihood-equivalent at the population level.
+The residuals are smooth in the parameters with a closed-form Jacobian, so
+the fit is a damped Gauss-Newton (Levenberg-Marquardt) least-squares
+solve. The fitted model is inverted to estimate latents, which are then
+aligned to the ground truth by the permutation maximizing the mean
+absolute Pearson correlation — for scalar Gaussian latents perfect
+recovery up to an affine map per latent is exactly |correlation| = 1.
 
 The contrast experiment runs the same pipeline on a topology whose latent
 columns are all distinct and on one with a colliding pair: the collider
@@ -41,28 +42,32 @@ from .topology import ScmTopology
 
 MAX_FIT_LATENTS = 8
 MAX_RESTARTS = 1000  # each restart draws its own start, so the count bounds the fit's work
+# Jacobian entries held at once (32 MB): restarts are solved in batches under it,
+# and a single restart above it is refused
+MAX_JACOBIAN_ENTRIES = 1 << 22
 SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
-STEP_GROWTH = 2.0
-MAX_STEP = 1e6
-# candidates one round tries per restart: after an accept the doubled step
-# usually fails and the search halves back, so a lone restart needs 1 or 3
-HALVINGS_PER_ROUND = 3
+# Marquardt's damping: its start, and its change after an accepted or a rejected step
+INITIAL_DAMPING = 1e-3
+DAMPING_DOWN = 3.0
+DAMPING_UP = 4.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """First-order descent settings.
+    """Levenberg-Marquardt settings.
 
-    Each iteration backtracks (halving) from the current step until the
-    objective strictly decreases, then doubles the step for the next
-    iteration; descent stops when the step or gradient norm underflows
-    its floor.
+    Each iteration solves the damped normal equations of the moment
+    residuals once and tries the step; the objective must strictly
+    decrease for the step to be kept. A restart stops at the first of:
+    ``grad_tol`` (the objective gradient's largest entry is below it),
+    ``min_step`` (the step's largest entry is below it; rejected steps
+    shrink geometrically, so this rule ends every fit) and ``max_iters``
+    (tried steps, accepted or not).
     """
 
     restarts: int = 8
     max_iters: int = 2000
-    initial_step: float = 1e-2
     min_step: float = 1e-10
     grad_tol: float = 1e-9
     seed: int = 0
@@ -72,8 +77,7 @@ class FitConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # an infinite step never halves below min_step, so its descent never ends
-        for name in ("initial_step", "min_step", "grad_tol"):
+        for name in ("min_step", "grad_tol"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and math.isfinite(value)):
@@ -82,7 +86,7 @@ class FitConfig:
             raise ConfigError("restarts and max_iters must be positive")
         if self.restarts > MAX_RESTARTS:
             raise ConfigError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
-        if not (self.initial_step > 0 and self.min_step > 0 and self.grad_tol > 0):
+        if not (self.min_step > 0 and self.grad_tol > 0):
             raise ConfigError("step sizes and tolerances must be positive")
         check_seed(self.seed)
 
@@ -109,9 +113,10 @@ class UnmixModel:
 class RestartResult:
     """One restart's final model and objective.
 
-    ``stop_reason`` says why its descent ended: ``grad_tol`` (gradient
-    below tolerance), ``min_step`` (no step at or above ``min_step``
-    lowered the objective) or ``max_iters`` (iteration budget spent).
+    ``iterations`` counts the steps it tried. ``stop_reason`` says why it
+    ended: ``grad_tol`` (the gradient's largest entry fell below
+    ``grad_tol``), ``min_step`` (the next step's largest entry fell below
+    ``min_step``) or ``max_iters`` (``max_iters`` steps tried).
     """
 
     objective: float
@@ -129,31 +134,59 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-environment empirical moments of the joint observable vector."""
+    """Per-environment empirical moments of the joint observable vector.
+
+    ``order`` lists the rows environment by environment and ``sizes``
+    holds each environment's row count, for statistics of other columns.
+    """
 
     means: np.ndarray  # (envs, q)
     covariances: np.ndarray  # (envs, q, q)
+    order: np.ndarray
+    sizes: np.ndarray
 
 
-def _joint_rows(dataset: SyntheticDataset) -> np.ndarray:
-    return np.hstack([dataset.x, *dataset.y]) if dataset.y else dataset.x.copy()
+def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in environment order and each environment's row count.
+
+    Every environment needs 2 rows. The first short one is the first id
+    missing from the runs or the first run of one row, found without
+    sizing anything by the environment count, which a loaded CSV takes
+    from its largest id.
+    """
+    order, present, sizes = dataset.env_runs()
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    missing = int(gaps[0]) if gaps.size else present.size
+    single = present[sizes < 2]
+    if single.size and single[0] < missing:
+        raise DataError(f"environment {single[0]} needs at least 2 samples, has 1")
+    if missing < dataset.num_environments:
+        raise DataError(f"environment {missing} needs at least 2 samples, has 0")
+    return order, sizes
+
+
+def _grouped_moments(rows: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariances of consecutive runs of ``sizes`` rows, each centred on its own mean.
+
+    ``rows`` is centred in place; every temporary is one column long.
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = np.add.reduceat(rows, starts, axis=0) / sizes[:, None]
+    width = rows.shape[1]
+    for j in range(width):
+        rows[:, j] -= np.repeat(means[:, j], sizes)
+    covariances = np.empty((sizes.size, width, width))
+    for i in range(width):
+        for j in range(i + 1):
+            products = np.add.reduceat(rows[:, i] * rows[:, j], starts) / sizes
+            covariances[:, i, j] = covariances[:, j, i] = products
+    return means, covariances
 
 
 def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
-    joint = _joint_rows(dataset)
-    q = joint.shape[1]
-    means, covs = [], []
-    # each environment is checked before anything is sized by their count,
-    # which a loaded CSV takes from its largest environment id
-    for e, rows in enumerate(dataset.env_groups()):
-        if rows.shape[0] < 2:
-            raise DataError(f"environment {e} needs at least 2 samples, has {rows.shape[0]}")
-        block = joint[rows]
-        mean = block.mean(axis=0)
-        centered = block - mean
-        means.append(mean)
-        covs.append(centered.T @ centered / rows.shape[0])
-    return _Moments(np.reshape(means, (-1, q)), np.reshape(covs, (-1, q, q)))
+    order, sizes = _environment_rows(dataset)
+    joint = np.concatenate([dataset.x[order], *(block[order] for block in dataset.y)], axis=1)
+    return _Moments(*_grouped_moments(joint, sizes), order, sizes)
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -234,6 +267,18 @@ class _Layout:
         return fixed
 
     @cached_property
+    def free(self) -> np.ndarray:
+        """Positions in a parameter row of the entries the fit moves: all but the fixed zeros."""
+        latent_moments = np.ones(2 * self.num_environments * self.num_latents, dtype=bool)
+        return np.flatnonzero(np.concatenate([~self.fixed.ravel(), latent_moments]))
+
+    @cached_property
+    def jacobian_entries(self) -> int:
+        """Residuals times free parameters: the size of one restart's Jacobian."""
+        q = self.joint_rows
+        return self.num_environments * (q + q * q) * self.free.size
+
+    @cached_property
     def square_groups(self) -> tuple[tuple[list[int], tuple[np.ndarray, np.ndarray]], ...]:
         """Non-empty maps grouped by side: their block numbers and one joint-map index."""
         groups: dict[int, list[int]] = {}
@@ -278,28 +323,28 @@ class _Batch:
         mixing, *task_maps = (self.stacked[r][index] for index in self.layout.blocks)
         return UnmixModel(mixing, self.means[r].copy(), self.variances[r].copy(), tuple(task_maps))
 
-    def moved(self, steps: np.ndarray, grads: "_Batch") -> "_Batch":
-        """Each restart moved against its gradient by each of its steps.
-
-        ``steps`` is (restarts, trials); the result holds restart r's trial t
-        in row ``r * trials + t``.
-        """
-        params = self.params[:, None, :] - steps[..., None] * grads.params[:, None, :]
-        return _Batch(self.layout, params.reshape(-1, self.params.shape[1]))
-
     def take(self, keep: np.ndarray) -> "_Batch":
         return _Batch(self.layout, self.params[keep])
 
 
 @dataclass(frozen=True)
 class _Residuals:
-    """Per-environment moment residuals of a batch, kept for its gradient."""
+    """Per-environment moment residuals of a batch, kept for its next step."""
 
     means: np.ndarray  # (restarts, envs, q): model minus empirical mean
     covariances: np.ndarray  # (restarts, envs, q, q): model minus empirical covariance
 
     def take(self, keep: np.ndarray) -> "_Residuals":
         return _Residuals(self.means[keep], self.covariances[keep])
+
+    def vector(self) -> np.ndarray:
+        """Each restart's residuals as one row.
+
+        Per environment: the mean's, then the covariance's row by row.
+        """
+        restarts, envs, q = self.means.shape
+        flat_covariances = self.covariances.reshape(restarts, envs, q * q)
+        return np.concatenate([self.means, flat_covariances], axis=2).reshape(restarts, -1)
 
 
 def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals]:
@@ -322,22 +367,37 @@ def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals
     return objective, _Residuals(mean_resid, cov_resid)
 
 
-def _gradients(batch: _Batch, residuals: _Residuals) -> _Batch:
-    """Objective gradient of each restart, laid out like its parameters."""
+def _jacobian(batch: _Batch) -> np.ndarray:
+    """Jacobian of each restart's residuals, (restarts, residuals, free parameters).
+
+    Rows follow ``_Residuals.vector`` and columns ``_Layout.free``: the
+    free entries of the joint map W, then the latent means μ and the
+    variances v. With D_e = diag(v_e), s_b column b of W·D_e and w_i
+    column i of W, environment e's residuals move as
+    ∂(Wμ_e)/∂W_ab = e_a·μ_e,b, ∂(Wμ_e)/∂μ_e = W,
+    ∂(W·D_e·Wᵀ)/∂W_ab = e_a·s_bᵀ + s_b·e_aᵀ and
+    ∂(W·D_e·Wᵀ)/∂v_e,i = w_i·w_iᵀ; other environments' μ and v do not
+    move them.
+    """
+    layout = batch.layout
+    q, n, envs = layout.joint_rows, layout.num_latents, layout.num_environments
+    restarts = batch.params.shape[0]
+    a, b = np.nonzero(~layout.fixed)
+    unit = np.eye(q)[:, a]  # [c == a] for residual row c and free map entry (a, b)
     per_env = batch.stacked[:, None]
-    scaled = per_env * batch.variances[..., None, :]
-    d_per_env = 2.0 * (residuals.means[..., :, None] * batch.means[..., None, :]) + 4.0 * (
-        np.matmul(residuals.covariances, scaled)
+    scaled = (per_env * batch.variances[..., None, :])[..., b]
+    jacobian = np.zeros((restarts, envs, q + q * q, layout.free.size))
+    jacobian[:, :, :q, : a.size] = unit * batch.means[..., None, b]
+    by_map = unit[:, None] * scaled[:, :, None] + unit * scaled[:, :, :, None]
+    jacobian[:, :, q:, : a.size] = by_map.reshape(restarts, envs, q * q, a.size)
+    env = np.arange(envs)[:, None, None]
+    latent = np.arange(n)
+    jacobian[:, env, np.arange(q)[:, None], a.size + env * n + latent] = per_env
+    outer = per_env[..., :, None, :] * per_env[..., None, :, :]
+    jacobian[:, env, q + np.arange(q * q)[:, None], a.size + (envs + env) * n + latent] = (
+        outer.reshape(restarts, 1, q * q, n)
     )
-    grads = _Batch(batch.layout, np.zeros_like(batch.params))
-    for e in range(d_per_env.shape[1]):
-        grads.stacked += d_per_env[:, e]
-    grads.stacked[:, batch.layout.fixed] = 0.0
-    d_means = np.matmul(per_env.swapaxes(-1, -2), residuals.means[..., None])[..., 0]
-    grads.means[...] = 2.0 * d_means
-    back = np.matmul(residuals.covariances, per_env)
-    grads.variances[...] = 2.0 * np.einsum("...qi,...qi->...i", per_env, back)
-    return grads
+    return jacobian.reshape(restarts, -1, layout.free.size)
 
 
 def _reproject(matrix: np.ndarray) -> np.ndarray:
@@ -359,73 +419,81 @@ def _project(batch: _Batch) -> _Batch:
     return batch
 
 
-def _descend(start: _Batch, moments: _Moments, config: FitConfig) -> list[RestartResult]:
-    """Backtracking descent of every restart in one batch.
+def _solve(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with ``matrices @ x = vectors`` per slice, and which slices were solvable.
 
-    Each restart keeps its own step s. A round evaluates, for every restart
-    still searching in this iteration, its next ``HALVINGS_PER_ROUND``
-    candidates s, s/2, s/4 (those at or above ``min_step``) as one batch.
-    A restart takes the first candidate in that order that lowers its
-    objective and doubles the accepted step; one without a hit goes on
-    from s/8 in the next round. The candidates are halved one at a time,
-    as a lone search forms them, and evaluated slice by slice, so each
-    restart accepts the same candidates and stops at the same iteration
-    as it would alone; the loop runs max(iterations) times.
+    An exactly singular slice gets ``x = 0``. When one is present the
+    others are solved again one at a time, through the same stacked call
+    a lone slice makes, so each slice gets the bits it would get alone.
+    """
+    try:
+        return np.linalg.solve(matrices, vectors[..., None])[..., 0], np.ones(len(vectors), bool)
+    except np.linalg.LinAlgError:
+        if len(vectors) == 1:
+            return np.zeros_like(vectors), np.zeros(1, bool)
+        parts = [_solve(matrices[k : k + 1], vectors[k : k + 1]) for k in range(len(vectors))]
+        return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+
+def _levenberg_marquardt(
+    start: _Batch, moments: _Moments, config: FitConfig
+) -> list[RestartResult]:
+    """Levenberg-Marquardt on the moment residuals of every restart in one batch.
+
+    An iteration solves (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr over the free
+    parameters of every restart still running, in one stacked solve,
+    projects each moved model (``_project``) and keeps it only if its
+    objective strictly decreases; λ starts at ``INITIAL_DAMPING`` and is
+    divided by ``DAMPING_DOWN`` after a kept step, multiplied by
+    ``DAMPING_UP`` after a rejected one. Products and solves run slice by
+    slice, so each restart keeps the bits it would reach alone, and the
+    loop runs max(iterations) times.
     """
     batch = _project(start)
     objective, residuals = _residuals(batch, moments)
-    grads = _gradients(batch, residuals)
-    steps = np.full(objective.shape, config.initial_step)
+    damping = np.full(objective.shape, INITIAL_DAMPING)
     ids = np.arange(objective.shape[0])
     results: list[RestartResult] = [None] * ids.shape[0]  # type: ignore[list-item]
+    free = batch.layout.free
+    diagonal = np.arange(free.size)
     iterations = 0
 
-    def leave(mask: np.ndarray, stop_reason: str) -> None:
-        nonlocal batch, objective, residuals, grads, steps, ids
-        if not mask.any():
-            return
+    def leave(mask: np.ndarray, stop_reason: str) -> np.ndarray:
+        nonlocal batch, objective, residuals, damping, ids
         for i in np.flatnonzero(mask):
             results[ids[i]] = RestartResult(
                 float(objective[i]), iterations, batch.model(i), stop_reason
             )
         keep = ~mask
-        batch, residuals, grads = batch.take(keep), residuals.take(keep), grads.take(keep)
-        objective, steps, ids = objective[keep], steps[keep], ids[keep]
+        if mask.any():
+            batch, residuals = batch.take(keep), residuals.take(keep)
+            objective, damping, ids = objective[keep], damping[keep], ids[keep]
+        return keep
 
     for _ in range(config.max_iters):
-        # the largest gradient entry; the joint map's fixed zeros never exceed it
-        leave(np.abs(grads.params).max(axis=1) < config.grad_tol, "grad_tol")
-        searching = np.flatnonzero(steps >= config.min_step)
-        accepted = np.zeros(steps.shape, dtype=bool)
-        while searching.size:
-            trials = np.empty((searching.size, HALVINGS_PER_ROUND))
-            trials[:, 0] = steps[searching]
-            for t in range(1, HALVINGS_PER_ROUND):
-                trials[:, t] = trials[:, t - 1] * 0.5
-            valid = trials >= config.min_step
-            moved = batch.take(searching).moved(np.where(valid, trials, 0.0), grads.take(searching))
-            candidates = _project(moved)
-            candidate_objective, candidate_residuals = _residuals(candidates, moments)
-            better = valid & (
-                candidate_objective.reshape(trials.shape) < objective[searching, None]
-            )
-            hit = better.any(axis=1)
-            first = better.argmax(axis=1)[hit]
-            rows, picks = searching[hit], np.flatnonzero(hit) * HALVINGS_PER_ROUND + first
-            batch.params[rows] = candidates.params[picks]
-            objective[rows] = candidate_objective[picks]
-            residuals.means[rows] = candidate_residuals.means[picks]
-            residuals.covariances[rows] = candidate_residuals.covariances[picks]
-            steps[rows] = np.minimum(trials[hit, first] * STEP_GROWTH, MAX_STEP)
-            accepted[rows] = True
-            searching = searching[~hit]
-            steps[searching] = trials[~hit, -1] * 0.5
-            searching = searching[steps[searching] >= config.min_step]
-        iterations += 1
-        leave(~accepted, "min_step")
+        jacobian = _jacobian(batch)
+        half_gradient = np.matmul(residuals.vector()[:, None], jacobian)[:, 0]  # Jᵀr
+        normal = np.matmul(jacobian.swapaxes(1, 2), jacobian)
+        normal[:, diagonal, diagonal] *= 1.0 + damping[:, None]
+        step, solved = _solve(normal, -half_gradient)
+        converged = 2.0 * np.abs(half_gradient).max(axis=1) < config.grad_tol
+        keep = leave(converged, "grad_tol")
+        step, solved = step[keep], solved[keep]
+        # a step that is not a number is no step either
+        keep = leave(solved & ~(np.abs(step).max(axis=1) >= config.min_step), "min_step")
+        step = step[keep]
         if not ids.shape[0]:
             break
-        grads = _gradients(batch, residuals)
+        candidates = _Batch(batch.layout, batch.params.copy())
+        candidates.params[:, free] += step
+        candidate_objective, candidate_residuals = _residuals(_project(candidates), moments)
+        better = candidate_objective < objective
+        batch.params[better] = candidates.params[better]
+        objective[better] = candidate_objective[better]
+        residuals.means[better] = candidate_residuals.means[better]
+        residuals.covariances[better] = candidate_residuals.covariances[better]
+        damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
+        iterations += 1
     leave(np.ones(ids.shape, dtype=bool), "max_iters")
     return results
 
@@ -439,11 +507,8 @@ def _data_driven_init(
     jitter = 1e-10 * max(float(np.trace(avg_cov)) / n, 1.0)
     mixing = np.linalg.cholesky(avg_cov + jitter * np.eye(n))
     est_latents = np.linalg.solve(mixing, dataset.x.T).T
-    means = np.zeros((dataset.num_environments, n))
-    variances = np.ones((dataset.num_environments, n))
-    for e, rows in enumerate(dataset.env_groups()):
-        means[e] = est_latents[rows].mean(axis=0)
-        variances[e] = np.maximum(est_latents[rows].var(axis=0), VARIANCE_FLOOR)
+    means, covariances = _grouped_moments(est_latents[moments.order], moments.sizes)
+    variances = np.maximum(np.diagonal(covariances, axis1=1, axis2=2), VARIANCE_FLOOR)
     task_maps = []
     for k, parents in enumerate(topology.parent_indices()):
         if parents:
@@ -494,12 +559,14 @@ def fit(
     config: FitConfig = FitConfig(),
     init: UnmixModel | None = None,
 ) -> FitResult:
-    """Match per-environment joint moments by multi-restart descent.
+    """Match per-environment joint moments by multi-restart Levenberg-Marquardt.
 
-    All restarts descend together as one batch; each restart's result is
-    the one it would reach alone. Restart 0 starts from the supplied ``init`` when given, otherwise
-    from a whitening-style data-driven guess; later restarts draw random
-    parameters from the fit stream of ``config.seed``. The best restart
+    The restarts run together in batches whose Jacobians hold at most
+    ``MAX_JACOBIAN_ENTRIES`` entries; each restart's result is the one it
+    would reach alone, and a restart whose Jacobian alone is larger raises
+    ``CapacityError``. Restart 0 starts from the supplied ``init`` when
+    given, otherwise from a whitening-style data-driven guess; later
+    restarts draw random parameters from the fit stream of ``config.seed``. The best restart
     by final objective wins, ties going to the earliest. An ``init``
     whose shapes do not match the topology and the dataset's
     environments raises ``ShapeError``.
@@ -509,7 +576,18 @@ def fit(
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
     starts = _Batch.of(_starts(dataset, topology, moments, config, init), topology)
-    restarts = _descend(starts, moments, config)
+    entries = starts.layout.jacobian_entries
+    if entries > MAX_JACOBIAN_ENTRIES:
+        raise CapacityError(
+            f"fit supports at most {MAX_JACOBIAN_ENTRIES} Jacobian entries per restart, "
+            f"got {entries}"
+        )
+    size = MAX_JACOBIAN_ENTRIES // entries
+    restarts = [
+        restart
+        for lo in range(0, config.restarts, size)
+        for restart in _levenberg_marquardt(starts.take(slice(lo, lo + size)), moments, config)
+    ]
     best = min(restarts, key=lambda res: res.objective)
     if best.model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("every restart collapsed to a singular mixing map")

@@ -9,7 +9,6 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -194,132 +193,3 @@ def reference_moments(dataset):
         means.append(mean)
         covariances.append(centered.T @ centered / block.shape[0])
     return np.array(means), np.array(covariances)
-
-
-def _reference_singular_ratio(matrix) -> float:
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular[0] == 0.0:
-        return 0.0
-    return float(singular[-1] / singular[0])
-
-
-def _reference_stacked_map(model, parent_indices, q: int):
-    n = model.mixing.shape[0]
-    stacked = np.zeros((q, n))
-    stacked[:n] = model.mixing
-    row = n
-    for b, parents in zip(model.task_maps, parent_indices):
-        width = len(parents)
-        stacked[row : row + width, list(parents)] = b
-        row += width
-    return stacked
-
-
-def _reference_residuals(model, parent_indices, means, covariances):
-    q = means.shape[1]
-    stacked = _reference_stacked_map(model, parent_indices, q)
-    objective = 0.0
-    scaled_maps, mean_resids, cov_resids = [], [], []
-    for e in range(means.shape[0]):
-        scaled = stacked * model.env_variances[e][None, :]
-        mean_resid = stacked @ model.env_means[e] - means[e]
-        cov_resid = scaled @ stacked.T - covariances[e]
-        objective += float(mean_resid @ mean_resid) + float((cov_resid * cov_resid).sum())
-        scaled_maps.append(scaled)
-        mean_resids.append(mean_resid)
-        cov_resids.append(cov_resid)
-    return objective, (stacked, scaled_maps, mean_resids, cov_resids)
-
-
-def _reference_gradients(model, parent_indices, residuals):
-    n = model.mixing.shape[0]
-    stacked, scaled_maps, mean_resids, cov_resids = residuals
-    d_stacked = np.zeros_like(stacked)
-    d_means = np.zeros_like(model.env_means)
-    d_vars = np.zeros_like(model.env_variances)
-    for e, (scaled, mean_resid, cov_resid) in enumerate(zip(scaled_maps, mean_resids, cov_resids)):
-        d_stacked += 2.0 * np.outer(mean_resid, model.env_means[e]) + 4.0 * (cov_resid @ scaled)
-        d_means[e] = 2.0 * (stacked.T @ mean_resid)
-        back = cov_resid @ stacked
-        d_vars[e] = 2.0 * np.einsum("qi,qi->i", stacked, back)
-    d_mixing = d_stacked[:n]
-    d_task_maps = []
-    row = n
-    for parents in parent_indices:
-        width = len(parents)
-        d_task_maps.append(d_stacked[row : row + width][:, list(parents)])
-        row += width
-    return d_mixing, d_means, d_vars, d_task_maps
-
-
-def _reference_reproject(matrix):
-    u, s, vt = np.linalg.svd(matrix)
-    floor = max(s[0], 1.0) * 10 * 1e-8
-    return (u * np.maximum(s, floor)) @ vt
-
-
-def _reference_project(model):
-    model.env_variances = np.maximum(model.env_variances, 1e-8)
-    if _reference_singular_ratio(model.mixing) <= 1e-8:
-        model.mixing = _reference_reproject(model.mixing)
-    for t, b in enumerate(model.task_maps):
-        if b.size and _reference_singular_ratio(b) <= 1e-8:
-            new_maps = list(model.task_maps)
-            new_maps[t] = _reference_reproject(b)
-            model.task_maps = tuple(new_maps)
-    return model
-
-
-def reference_descend(model, parent_indices, means, covariances, config):
-    """One restart's backtracking descent, alone, the way the fit ran before batching.
-
-    ``model`` is an ``UnmixModel`` used as a plain container whose task
-    maps act on ``parent_indices``, ``means`` (envs, q) and
-    ``covariances`` (envs, q, q) the empirical moments.
-    Returns ``(objective, iterations, model, stop_reason)``.
-    """
-    model = _reference_project(replace(
-        model,
-        mixing=model.mixing.copy(),
-        env_means=model.env_means.copy(),
-        env_variances=model.env_variances.copy(),
-        task_maps=tuple(b.copy() for b in model.task_maps),
-    ))
-    objective, residuals = _reference_residuals(model, parent_indices, means, covariances)
-    grads = _reference_gradients(model, parent_indices, residuals)
-    step = config.initial_step
-    iterations = 0
-    stop_reason = "max_iters"
-    for _ in range(config.max_iters):
-        d_mixing, d_means, d_vars, d_task_maps = grads
-        parts = [np.abs(d_mixing).max(), np.abs(d_means).max(), np.abs(d_vars).max()]
-        parts += [np.abs(b).max() for b in d_task_maps if b.size]
-        if float(max(parts)) < config.grad_tol:
-            stop_reason = "grad_tol"
-            break
-        accepted = False
-        while step >= config.min_step:
-            candidate = _reference_project(replace(
-                model,
-                mixing=model.mixing - step * d_mixing,
-                env_means=model.env_means - step * d_means,
-                env_variances=model.env_variances - step * d_vars,
-                task_maps=tuple(b - step * g for b, g in zip(model.task_maps, d_task_maps)),
-            ))
-            candidate_objective, candidate_residuals = _reference_residuals(
-                candidate, parent_indices, means, covariances
-            )
-            if candidate_objective < objective:
-                model = candidate
-                objective = candidate_objective
-                residuals = candidate_residuals
-                step = min(step * 2.0, 1e6)
-                accepted = True
-                break
-            step *= 0.5
-        iterations += 1
-        if not accepted:
-            stop_reason = "min_step"
-            break
-        grads = _reference_gradients(model, parent_indices, residuals)
-    return objective, iterations, model, stop_reason

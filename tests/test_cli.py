@@ -11,7 +11,7 @@ from conftest import (
     identifiable_spec,
     parentless_task_spec,
 )
-from scm_ident import cli
+from scm_ident import FitConfig, cli, fit, load_dataset
 from scm_ident.cli import main
 from scm_ident.recovery import MAX_RESTARTS
 
@@ -375,8 +375,8 @@ class TestDataAndRecovery:
             {"max_iters": True},
             {"restarts": True},
             {"restarts": 2.0},
-            {"initial_step": "0.1"},
-            {"initial_step": 1e400},
+            {"min_step": "0.1"},
+            {"min_step": 1e400},
             {"grad_tol": None},
             {"seed": True},
         ],
@@ -390,6 +390,31 @@ class TestDataAndRecovery:
         config_path = write_json(tmp_path / "cfg.json", config)
         assert main(["recover", str(csv_path), top_path, "--config", config_path]) == 2
         assert f"input error: {next(iter(config))} must be" in capsys.readouterr().err
+
+    def test_recover_rejects_the_removed_initial_step(self, tmp_path, capsys):
+        top_path = write_json(
+            tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+        )
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n0,1,0.25,0.5,0.75\n")
+        config_path = write_json(tmp_path / "cfg.json", {"initial_step": 0.01})
+        assert main(["recover", str(csv_path), top_path, "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "'initial_step'" in err and err.count("\n") == 1
+
+    def test_recover_with_an_unbounded_fit_budget_ends(self, tmp_path, capsys):
+        spec = colliding_spec()
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        main(["dgp-gen", spec_path, "--samples", "20000", "--seed", "3", "--out", str(csv_path)])
+        config = {"restarts": 2, "max_iters": 10**300}
+        config_path = write_json(tmp_path / "cfg.json", config)
+        start = time.perf_counter()
+        assert main(["recover", str(csv_path), top_path, "--config", config_path]) == 0
+        assert time.perf_counter() - start < 10.0
+        result = fit(load_dataset(csv_path), spec.topology, FitConfig(**config))
+        assert all(r.stop_reason != "max_iters" for r in result.restarts)
 
     def test_dgp_gen_above_the_latent_limit_exit_two(self, tmp_path, capsys):
         n = 65
@@ -429,6 +454,18 @@ class TestDataAndRecovery:
         assert main(["dgp-gen", spec_path, "--samples", "10", "--out", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: malformed generator spec") and err.count("\n") == 1
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("name", ["F", "B t2"])
+    def test_dgp_gen_rejects_non_finite_map(self, tmp_path, capsys, name):
+        doc = identifiable_spec().to_json_dict()
+        (doc["F"] if name == "F" else doc["B"]["t2"])[0][0] = 12345.5
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc).replace("12345.5", "1e400"))
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", str(spec_path), "--samples", "10", "--out", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: malformed generator spec: {name} entries must be finite\n"
         assert not csv_path.exists()
 
     def test_recover_rejects_malformed_row(self, tmp_path, capsys):
@@ -571,7 +608,7 @@ def test_integer_beyond_float_range_exit_two(tmp_path, capsys, command):
             str(csv_path),
             top_path,
             "--config",
-            write_json(tmp_path / "cfg.json", {"initial_step": huge}),
+            write_json(tmp_path / "cfg.json", {"min_step": huge}),
         ],
     }[command]
     assert main(argv) == 2
