@@ -42,9 +42,6 @@ from .topology import ScmTopology
 
 MAX_FIT_LATENTS = 8
 MAX_RESTARTS = 1000  # each restart draws its own start, so the count bounds the fit's work
-# Jacobian entries held at once (32 MB): restarts are solved in batches under it,
-# and a single restart above it is refused
-MAX_JACOBIAN_ENTRIES = 1 << 22
 SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
 # Marquardt's damping: its start, and its change after an accepted or a rejected step
@@ -61,9 +58,9 @@ class FitConfig:
     residuals once and tries the step; the objective must strictly
     decrease for the step to be kept. A restart stops at the first of:
     ``grad_tol`` (the objective gradient's largest entry is below it),
-    ``min_step`` (the step's largest entry is below it; rejected steps
-    shrink geometrically, so this rule ends every fit) and ``max_iters``
-    (tried steps, accepted or not).
+    ``min_step`` (the step's largest entry is below it; a run of rejected
+    steps shrinks the step geometrically until it is) and ``max_iters``
+    (tried steps, accepted or not), the only bound on a run of kept steps.
     """
 
     restarts: int = 8
@@ -273,10 +270,22 @@ class _Layout:
         return np.flatnonzero(np.concatenate([~self.fixed.ravel(), latent_moments]))
 
     @cached_property
-    def jacobian_entries(self) -> int:
-        """Residuals times free parameters: the size of one restart's Jacobian."""
-        q = self.joint_rows
-        return self.num_environments * (q + q * q) * self.free.size
+    def map_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column in the joint map of each free entry, in ``free`` order."""
+        return np.nonzero(~self.fixed)
+
+    @cached_property
+    def map_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For free entries (a, b) and (a', b'): [a = a'], b·n + b' and (a·n + b')·q·n + a'·n + b.
+
+        Flat indices into an (n, n) and a (q·n, q·n) matrix, for the
+        map-with-map block of ``_normal_equations``.
+        """
+        a, b = self.map_entries
+        n, width = self.num_latents, self.joint_rows * self.num_latents
+        same_row = a[:, None] == a
+        crossed = (a[:, None] * n + b) * width + a * n + b[:, None]
+        return same_row, b[:, None] * n + b, crossed
 
     @cached_property
     def square_groups(self) -> tuple[tuple[list[int], tuple[np.ndarray, np.ndarray]], ...]:
@@ -337,15 +346,6 @@ class _Residuals:
     def take(self, keep: np.ndarray) -> "_Residuals":
         return _Residuals(self.means[keep], self.covariances[keep])
 
-    def vector(self) -> np.ndarray:
-        """Each restart's residuals as one row.
-
-        Per environment: the mean's, then the covariance's row by row.
-        """
-        restarts, envs, q = self.means.shape
-        flat_covariances = self.covariances.reshape(restarts, envs, q * q)
-        return np.concatenate([self.means, flat_covariances], axis=2).reshape(restarts, -1)
-
 
 def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals]:
     """Objective per restart (summed squared residuals) and the residuals behind it.
@@ -367,37 +367,111 @@ def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals
     return objective, _Residuals(mean_resid, cov_resid)
 
 
-def _jacobian(batch: _Batch) -> np.ndarray:
-    """Jacobian of each restart's residuals, (restarts, residuals, free parameters).
+@dataclass(frozen=True)
+class _NormalEquations:
+    """JᵀJ and Jᵀr of each restart's residuals, block by block, J never formed.
 
-    Rows follow ``_Residuals.vector`` and columns ``_Layout.free``: the
-    free entries of the joint map W, then the latent means μ and the
-    variances v. With D_e = diag(v_e), s_b column b of W·D_e and w_i
-    column i of W, environment e's residuals move as
-    ∂(Wμ_e)/∂W_ab = e_a·μ_e,b, ∂(Wμ_e)/∂μ_e = W,
-    ∂(W·D_e·Wᵀ)/∂W_ab = e_a·s_bᵀ + s_b·e_aᵀ and
-    ∂(W·D_e·Wᵀ)/∂v_e,i = w_i·w_iᵀ; other environments' μ and v do not
-    move them.
+    The free joint-map entries θ move every environment's residuals, while
+    environment e's latent means and variances φ_e = (μ_e, v_e) move only
+    its own, so JᵀJ is block-arrow: ``shared`` (θ with θ), ``cross`` (φ_e
+    with θ, one block per environment) and ``local`` (φ_e with φ_e, the
+    same for every environment, with no μ-v coupling). Everything grows
+    linearly with the environments.
+    """
+
+    shared: np.ndarray  # (restarts, p, p)
+    cross: np.ndarray  # (restarts, 2n, envs, p): X_eᵀ side by side
+    local: np.ndarray  # (restarts, 2n, 2n)
+    shared_gradient: np.ndarray  # (restarts, p): Jᵀr over θ
+    local_gradient: np.ndarray  # (restarts, 2n, envs): Jᵀr over each φ_e
+
+    def half_gradient(self) -> np.ndarray:
+        """Jᵀr per restart over the free parameters, in ``_Layout.free`` order."""
+        return _free_order(self.shared_gradient, self.local_gradient)
+
+    def step(self, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """δ with (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr per restart, and which restarts had one.
+
+        The φ_e are eliminated first (a Schur complement): with the damped
+        blocks U, X_e and V, (U − Σ_e X_e·V⁻¹·X_eᵀ)·δθ = −g_θ + Σ_e X_e·V⁻¹·g_e
+        and δφ_e = −V⁻¹·(g_e + X_eᵀ·δθ). A restart with an exactly
+        singular system gets δ = 0.
+        """
+        restarts, width, envs, p = self.cross.shape
+        scale = 1.0 + damping[:, None]
+        local, shared = self.local.copy(), self.shared.copy()
+        local[:, range(width), range(width)] *= scale
+        shared[:, range(p), range(p)] *= scale
+        # V⁻¹·[X_eᵀ | g_e] for every environment at once
+        rhs = np.concatenate([self.cross, self.local_gradient[..., None]], axis=3)
+        eliminated, local_solved = _solve(local, rhs.reshape(restarts, width, -1))
+        eliminated = eliminated.reshape(rhs.shape)
+        cross = self.cross.reshape(restarts, width * envs, p).swapaxes(1, 2)
+        reduced = shared - np.matmul(cross, eliminated[..., :p].reshape(restarts, width * envs, p))
+        folded = np.matmul(cross, eliminated[..., p].reshape(restarts, width * envs, 1))[..., 0]
+        shared_step, solved = _solve(reduced, (folded - self.shared_gradient)[..., None])
+        local_step = -eliminated[..., p] - np.matmul(eliminated[..., :p], shared_step[:, None])[..., 0]
+        solved &= local_solved
+        step = _free_order(shared_step[..., 0], local_step)
+        return np.where(solved[:, None], step, 0.0), solved
+
+
+def _free_order(shared: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """θ-part (restarts, p) and φ-part (restarts, 2n, envs) as rows in ``_Layout.free`` order."""
+    restarts, width, envs = local.shape
+    # means then variances, each environment by environment
+    by_environment = local.reshape(restarts, 2, width // 2, envs).swapaxes(2, 3)
+    return np.concatenate([shared, by_environment.reshape(restarts, -1)], axis=1)
+
+
+def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
+    """JᵀJ and Jᵀr of the residuals ``_residuals`` returned for ``batch``.
+
+    With D_e = diag(v_e), S_e = W·D_e and w_i column i of W, environment
+    e's residuals r_e = Wμ_e − m_e and R_e = W·D_e·Wᵀ − C_e move as
+    ∂r_e/∂W_ab = e_a·μ_e,b, ∂r_e/∂μ_e = W, ∂R_e/∂W_ab = e_a·s_bᵀ + s_b·e_aᵀ
+    (s_b column b of S_e) and ∂R_e/∂v_e,i = w_i·w_iᵀ. Their inner
+    products give each block in closed form.
     """
     layout = batch.layout
     q, n, envs = layout.joint_rows, layout.num_latents, layout.num_environments
     restarts = batch.params.shape[0]
-    a, b = np.nonzero(~layout.fixed)
-    unit = np.eye(q)[:, a]  # [c == a] for residual row c and free map entry (a, b)
-    per_env = batch.stacked[:, None]
-    scaled = (per_env * batch.variances[..., None, :])[..., b]
-    jacobian = np.zeros((restarts, envs, q + q * q, layout.free.size))
-    jacobian[:, :, :q, : a.size] = unit * batch.means[..., None, b]
-    by_map = unit[:, None] * scaled[:, :, None] + unit * scaled[:, :, :, None]
-    jacobian[:, :, q:, : a.size] = by_map.reshape(restarts, envs, q * q, a.size)
-    env = np.arange(envs)[:, None, None]
-    latent = np.arange(n)
-    jacobian[:, env, np.arange(q)[:, None], a.size + env * n + latent] = per_env
-    outer = per_env[..., :, None, :] * per_env[..., None, :, :]
-    jacobian[:, env, q + np.arange(q * q)[:, None], a.size + (envs + env) * n + latent] = (
-        outer.reshape(restarts, 1, q * q, n)
+    a, b = layout.map_entries
+    same_row, gathered, crossed = layout.map_pairs
+    w, means = batch.stacked, batch.means
+    scaled = w[:, None] * batch.variances[..., None, :]  # S_e, (restarts, envs, q, n)
+    stacked_scaled = scaled.reshape(restarts, envs * q, n)
+    # θ with θ: [a = a']·K_bb' + 2·Σ_e S_e[a, b']·S_e[a', b], K = Σ_e μ_e·μ_eᵀ + 2·S_eᵀ·S_e
+    k = np.matmul(means.swapaxes(1, 2), means)
+    k += 2.0 * np.matmul(stacked_scaled.swapaxes(1, 2), stacked_scaled)
+    flat = scaled.reshape(restarts, envs, q * n)
+    pairs = np.matmul(flat.swapaxes(1, 2), flat).reshape(restarts, -1)
+    shared = same_row * k.reshape(restarts, -1)[:, gathered] + 2.0 * pairs[:, crossed]
+    # φ_e with θ: μ_e,b·W[a, i] for the means, 2·W[a, i]·(S_eᵀ·W)[b, i] for the variances
+    rows = w[:, a].swapaxes(1, 2)[:, :, None]  # W[a, i], (restarts, n, 1, p)
+    overlap = np.matmul(w[:, None].swapaxes(-1, -2), scaled)[..., b].swapaxes(1, 2)
+    cross = np.empty((restarts, 2 * n, envs, a.size))
+    np.multiply(rows, means[:, None, :, b], out=cross[:, :n])
+    np.multiply(rows, 2.0 * overlap, out=cross[:, n:])  # overlap: (S_eᵀ·W)[b, i] at [i, e]
+    # φ_e with φ_e: WᵀW for the means, its elementwise square for the variances
+    gram = np.matmul(w.swapaxes(1, 2), w)
+    local = np.zeros((restarts, 2 * n, 2 * n))
+    local[:, :n, :n] = gram
+    local[:, n:, n:] = gram * gram
+    # Jᵀr: Σ_e r_e·μ_eᵀ + (R_e + R_eᵀ)·S_e over θ, then Wᵀr_e and w_iᵀ·R_e·w_i
+    mean_resid, cov_resid = residuals.means, residuals.covariances
+    symmetric = (cov_resid + cov_resid.swapaxes(-1, -2)).swapaxes(1, 2)
+    shared_gradient = np.matmul(mean_resid.swapaxes(1, 2), means) + np.matmul(
+        symmetric.reshape(restarts, q, envs * q), stacked_scaled
     )
-    return jacobian.reshape(restarts, -1, layout.free.size)
+    local_gradient = np.concatenate(
+        [
+            np.matmul(w.swapaxes(1, 2), mean_resid.swapaxes(1, 2)),
+            (np.matmul(cov_resid, w[:, None]) * w[:, None]).sum(axis=2).swapaxes(1, 2),
+        ],
+        axis=1,
+    )
+    return _NormalEquations(shared, cross, local, shared_gradient[:, a, b], local_gradient)
 
 
 def _reproject(matrix: np.ndarray) -> np.ndarray:
@@ -419,19 +493,20 @@ def _project(batch: _Batch) -> _Batch:
     return batch
 
 
-def _solve(matrices: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` with ``matrices @ x = vectors`` per slice, and which slices were solvable.
+def _solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with ``matrices @ x = rhs`` per restart (leading axis), and which were solvable.
 
-    An exactly singular slice gets ``x = 0``. When one is present the
-    others are solved again one at a time, through the same stacked call
-    a lone slice makes, so each slice gets the bits it would get alone.
+    A restart with an exactly singular matrix gets ``x = 0``. When one is
+    present the others are solved again one at a time, through the same
+    stacked call a lone restart makes, so each gets the bits it would get
+    alone.
     """
     try:
-        return np.linalg.solve(matrices, vectors[..., None])[..., 0], np.ones(len(vectors), bool)
+        return np.linalg.solve(matrices, rhs), np.ones(len(rhs), bool)
     except np.linalg.LinAlgError:
-        if len(vectors) == 1:
-            return np.zeros_like(vectors), np.zeros(1, bool)
-        parts = [_solve(matrices[k : k + 1], vectors[k : k + 1]) for k in range(len(vectors))]
+        if len(rhs) == 1:
+            return np.zeros_like(rhs), np.zeros(1, bool)
+        parts = [_solve(matrices[k : k + 1], rhs[k : k + 1]) for k in range(len(rhs))]
         return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
@@ -441,7 +516,7 @@ def _levenberg_marquardt(
     """Levenberg-Marquardt on the moment residuals of every restart in one batch.
 
     An iteration solves (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr over the free
-    parameters of every restart still running, in one stacked solve,
+    parameters of every restart still running (``_NormalEquations.step``),
     projects each moved model (``_project``) and keeps it only if its
     objective strictly decreases; λ starts at ``INITIAL_DAMPING`` and is
     divided by ``DAMPING_DOWN`` after a kept step, multiplied by
@@ -455,7 +530,6 @@ def _levenberg_marquardt(
     ids = np.arange(objective.shape[0])
     results: list[RestartResult] = [None] * ids.shape[0]  # type: ignore[list-item]
     free = batch.layout.free
-    diagonal = np.arange(free.size)
     iterations = 0
 
     def leave(mask: np.ndarray, stop_reason: str) -> np.ndarray:
@@ -471,12 +545,9 @@ def _levenberg_marquardt(
         return keep
 
     for _ in range(config.max_iters):
-        jacobian = _jacobian(batch)
-        half_gradient = np.matmul(residuals.vector()[:, None], jacobian)[:, 0]  # Jᵀr
-        normal = np.matmul(jacobian.swapaxes(1, 2), jacobian)
-        normal[:, diagonal, diagonal] *= 1.0 + damping[:, None]
-        step, solved = _solve(normal, -half_gradient)
-        converged = 2.0 * np.abs(half_gradient).max(axis=1) < config.grad_tol
+        normal = _normal_equations(batch, residuals)
+        step, solved = normal.step(damping)
+        converged = 2.0 * np.abs(normal.half_gradient()).max(axis=1) < config.grad_tol
         keep = leave(converged, "grad_tol")
         step, solved = step[keep], solved[keep]
         # a step that is not a number is no step either
@@ -561,10 +632,8 @@ def fit(
 ) -> FitResult:
     """Match per-environment joint moments by multi-restart Levenberg-Marquardt.
 
-    The restarts run together in batches whose Jacobians hold at most
-    ``MAX_JACOBIAN_ENTRIES`` entries; each restart's result is the one it
-    would reach alone, and a restart whose Jacobian alone is larger raises
-    ``CapacityError``. Restart 0 starts from the supplied ``init`` when
+    The restarts run together in one batch, each reaching the result it
+    would reach alone. Restart 0 starts from the supplied ``init`` when
     given, otherwise from a whitening-style data-driven guess; later
     restarts draw random parameters from the fit stream of ``config.seed``. The best restart
     by final objective wins, ties going to the earliest. An ``init``
@@ -576,18 +645,7 @@ def fit(
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
     starts = _Batch.of(_starts(dataset, topology, moments, config, init), topology)
-    entries = starts.layout.jacobian_entries
-    if entries > MAX_JACOBIAN_ENTRIES:
-        raise CapacityError(
-            f"fit supports at most {MAX_JACOBIAN_ENTRIES} Jacobian entries per restart, "
-            f"got {entries}"
-        )
-    size = MAX_JACOBIAN_ENTRIES // entries
-    restarts = [
-        restart
-        for lo in range(0, config.restarts, size)
-        for restart in _levenberg_marquardt(starts.take(slice(lo, lo + size)), moments, config)
-    ]
+    restarts = _levenberg_marquardt(starts, moments, config)
     best = min(restarts, key=lambda res: res.objective)
     if best.model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("every restart collapsed to a singular mixing map")

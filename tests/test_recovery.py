@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import (
     _Batch,
     _empirical_moments,
-    _jacobian,
+    _normal_equations,
     _residuals,
     _solve,
     _starts,
@@ -207,11 +208,44 @@ def block_cases():
 
 
 def block_columns(model: UnmixModel, topology, block: str) -> np.ndarray:
-    """The Jacobian columns of one block's entries, shaped like the block."""
+    """The free-parameter columns of one block's entries, shaped like the block."""
     batch = _Batch.of([model], topology)
     positions = _Batch(batch.layout, np.arange(batch.params.shape[1], dtype=float)[None])
     full = block_value(positions.model(0), block).astype(int)
     return np.searchsorted(batch.layout.free, full)
+
+
+def residual_vector(residuals) -> np.ndarray:
+    """The first restart's residuals: per environment the mean's, then the covariance's."""
+    means, covariances = residuals.means[0], residuals.covariances[0]
+    return np.concatenate([means, covariances.reshape(means.shape[0], -1)], axis=1).ravel()
+
+
+def numeric_jacobian(batch, moments) -> np.ndarray:
+    """Central differences of the first restart's residual vector in every free parameter."""
+    columns = []
+    for position in batch.layout.free:
+        values = []
+        for delta in (1e-6, -1e-6):
+            bumped = _Batch(batch.layout, batch.params[:1].copy())
+            bumped.params[0, position] += delta
+            values.append(residual_vector(_residuals(bumped, moments)[1]))
+        columns.append((values[0] - values[1]) / 2e-6)
+    return np.column_stack(columns)
+
+
+def dense_normal_equations(normal, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Restart r's JᵀJ and Jᵀr from the blocks, as dense arrays in ``_Layout.free`` order."""
+    _, width, envs, p = normal.cross.shape
+    n = width // 2
+    matrix = np.zeros((p + envs * width,) * 2)
+    matrix[:p, :p] = normal.shared[r]
+    for e in range(envs):
+        local = p + np.r_[e * n : (e + 1) * n, (envs + e) * n : (envs + e + 1) * n]
+        matrix[local, :p] = normal.cross[r, :, e]
+        matrix[:p, local] = normal.cross[r, :, e].T
+        matrix[np.ix_(local, local)] = normal.local[r]
+    return matrix, normal.half_gradient()[r]
 
 
 class TestFitGradient:
@@ -222,29 +256,27 @@ class TestFitGradient:
         return spec, moments, perturbed_truth(spec, seed=13)
 
     @pytest.mark.parametrize("spec_fn, block", list(block_cases()))
-    def test_jacobian_matches_central_difference(self, spec_fn, block):
+    def test_normal_equations_match_central_difference(self, spec_fn, block):
         spec, moments, model = self.case(spec_fn)
-        jacobian = _jacobian(_Batch.of([model], spec.topology))[0]
-        columns = block_columns(model, spec.topology, block)
-        value = block_value(model, block)
-        for index in np.ndindex(*value.shape):
-
-            def residuals(delta):
-                bumped = value.copy()
-                bumped[index] += delta
-                batch = _Batch.of([with_block(model, block, bumped)], spec.topology)
-                return _residuals(batch, moments)[1].vector()[0]
-
-            numeric = (residuals(1e-6) - residuals(-1e-6)) / 2e-6
-            assert np.abs(numeric).max() > 1e-3  # every free entry moves the residuals
-            assert relative_gradient_error(jacobian[:, columns[index]], numeric) < 1e-7
+        batch = _Batch.of([model], spec.topology)
+        residuals = _residuals(batch, moments)[1]
+        matrix, half_gradient = dense_normal_equations(_normal_equations(batch, residuals))
+        jacobian = numeric_jacobian(batch, moments)
+        columns = block_columns(model, spec.topology, block).ravel()
+        # every free entry moves the residuals
+        assert np.abs(jacobian[:, columns]).max(axis=0).min() > 1e-3
+        # every row of the block's columns, the zeros between environments included
+        want = jacobian.T @ jacobian[:, columns]
+        assert relative_gradient_error(matrix[:, columns], want) < 1e-7
+        want = jacobian[:, columns].T @ residual_vector(residuals)
+        assert relative_gradient_error(half_gradient[columns], want) < 1e-7
 
     @pytest.mark.parametrize("spec_fn, block", list(block_cases()))
     def test_gradient_matches_central_difference(self, spec_fn, block):
         spec, moments, model = self.case(spec_fn)
         batch = _Batch.of([model], spec.topology)
-        residuals = _residuals(batch, moments)[1].vector()[0]
-        gradient = 2.0 * residuals @ _jacobian(batch)[0]
+        normal = _normal_equations(batch, _residuals(batch, moments)[1])
+        gradient = 2.0 * normal.half_gradient()[0]
         numeric = central_difference(
             lambda value: objective(with_block(model, block, value), spec.topology, moments),
             block_value(model, block),
@@ -253,9 +285,25 @@ class TestFitGradient:
         analytic = gradient[block_columns(model, spec.topology, block)]
         assert relative_gradient_error(analytic, numeric) < 1e-6
 
+    @pytest.mark.parametrize(
+        "spec_fn", [identifiable_spec, colliding_spec, interior_parentless_spec]
+    )
+    def test_step_solves_the_damped_normal_equations(self, spec_fn):
+        spec, moments, model = self.case(spec_fn)
+        batch = _Batch.of([model, perturbed_truth(spec, seed=14)], spec.topology)
+        normal = _normal_equations(batch, _residuals(batch, moments)[1])
+        damping = np.array([1e-3, 10.0])
+        step, solved = normal.step(damping)
+        assert solved.all()
+        for r in range(2):
+            matrix, half_gradient = dense_normal_equations(normal, r)
+            matrix += damping[r] * np.diag(np.diag(matrix))
+            want = np.linalg.solve(matrix, -half_gradient)
+            assert relative_gradient_error(step[r], want) < 1e-9
+
     @staticmethod
     def count_calls(monkeypatch) -> dict:
-        calls = {"project": 0, "residuals": 0, "jacobian": 0}
+        calls = {"project": 0, "residuals": 0, "normal_equations": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -275,7 +323,7 @@ class TestFitGradient:
         assert result.restarts[0].iterations == 5
         # the start, then one projected and evaluated candidate per iteration
         assert calls["residuals"] == calls["project"] == 6
-        assert calls["jacobian"] == 5
+        assert calls["normal_equations"] == 5
 
     def test_restarts_share_each_gradient_evaluation(self, ident_spec, monkeypatch):
         calls = self.count_calls(monkeypatch)
@@ -283,10 +331,10 @@ class TestFitGradient:
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=3, seed=9))
         iterations = max(r.iterations for r in result.restarts)
         assert iterations > 3 and "max_iters" not in {r.stop_reason for r in result.restarts}
-        # the batch moves in lock step: one Jacobian pass and one candidate batch per
-        # iteration, not per restart; the last pass finds every remaining restart done
+        # the batch moves in lock step: one normal-equation pass and one candidate batch
+        # per iteration, not per restart; the last pass finds every remaining restart done
         assert calls["residuals"] == calls["project"] == iterations + 1
-        assert calls["jacobian"] == iterations + 1
+        assert calls["normal_equations"] == iterations + 1
 
 
 class TestEmpiricalMoments:
@@ -400,6 +448,22 @@ class TestFit:
         message = f"environment 1 needs at least 2 samples, has {has}"
         with pytest.raises(DataError, match=message):
             fit(dataset, ident_spec.topology, FitConfig(restarts=1))
+
+    def test_many_environments_fit_in_linear_memory(self, ident_spec):
+        # 3,000 rows dealt into 300 environments; one restart's dense Jacobian
+        # would hold 300 * (4 + 4 * 4) * (6 + 2 * 300 * 2) doubles, 58 MB
+        dataset = generate_dataset(ident_spec, 1000, seed=3)
+        environments = 300
+        env_ids = np.arange(dataset.env_ids.shape[0]) % environments
+        dataset = replace(dataset, num_environments=environments, env_ids=env_ids)
+        tracemalloc.start()
+        try:
+            result = fit(dataset, ident_spec.topology, FitConfig(restarts=2, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert {r.stop_reason for r in result.restarts} <= {"grad_tol", "min_step"}
 
     def test_capacity_limit(self):
         wide = ScmTopology.from_rows([[1] * 9])
@@ -519,44 +583,30 @@ class TestBatchedDescent:
 
     def test_matches_lone_descent_when_restarts_stop_for_different_reasons(self, ident_spec):
         dataset = generate_dataset(ident_spec, 2000, seed=1)
-        config = FitConfig(restarts=4, max_iters=20, seed=1)
+        config = FitConfig(restarts=4, max_iters=15, seed=1)
         restarts = assert_restarts_match_lone_fits(dataset, ident_spec.topology, config)
         assert {r.stop_reason for r in restarts} == {"grad_tol", "min_step", "max_iters"}
 
     def test_matches_lone_descent_through_a_singular_solve(self, collide_spec, monkeypatch):
         unsolved, solve = [], recovery._solve
 
-        def counted(matrices, vectors):
-            steps, solved = solve(matrices, vectors)
-            unsolved.append((len(vectors), int((~solved).sum())))
+        def counted(matrices, rhs):
+            steps, solved = solve(matrices, rhs)
+            unsolved.append((len(rhs), int((~solved).sum())))
             return steps, solved
 
         monkeypatch.setattr(recovery, "_solve", counted)
-        dataset = generate_dataset(collide_spec, 20000, seed=2)
-        config = FitConfig(restarts=8, seed=2)
+        dataset = generate_dataset(collide_spec, 2000, seed=9)
+        config = FitConfig(restarts=8, seed=9)
         assert_restarts_match_lone_fits(dataset, collide_spec.topology, config)
         # a restart's damping fell so far that its system was exactly singular in the batch
         assert any(batch > 1 and count for batch, count in unsolved)
-
-    def test_batches_under_the_jacobian_bound_match_one_batch(self, ident_spec, monkeypatch):
-        dataset = generate_dataset(ident_spec, 2000, seed=5)
-        config = FitConfig(restarts=5, seed=5)
-        whole = fit(dataset, ident_spec.topology, config).restarts
-        # 3 environments of 4 + 4 * 4 residuals; 4 entries of F, 2 of the task maps
-        # and 12 latent moments
-        per_restart = 3 * (4 + 4 * 4) * (4 + 2 + 12)
-        monkeypatch.setattr(recovery, "MAX_JACOBIAN_ENTRIES", 2 * per_restart)
-        split = fit(dataset, ident_spec.topology, config).restarts
-        assert list(map(restart_bytes, split)) == list(map(restart_bytes, whole))
-        monkeypatch.setattr(recovery, "MAX_JACOBIAN_ENTRIES", per_restart - 1)
-        with pytest.raises(CapacityError, match="Jacobian entries per restart"):
-            fit(dataset, ident_spec.topology, config)
 
     def test_a_singular_slice_gets_no_step_and_leaves_the_others_alone(self):
         rng = np.random.default_rng(0)
         matrices = rng.standard_normal((3, 4, 4))
         matrices[1, :, 3] = matrices[1, :, 0]
-        vectors = rng.standard_normal((3, 4))
+        vectors = rng.standard_normal((3, 4, 1))
         steps, solved = _solve(matrices, vectors)
         assert solved.tolist() == [True, False, True]
         assert not steps[1].any()
