@@ -1,20 +1,40 @@
-"""Vectorised audit kernel.
+"""The exhaustive-audit kernel: one numpy implementation.
 
 Matrix encoding used by :func:`audit_shape`: an m x n binary adjacency is
-packed into an integer with bit ``k * n + j`` holding entry ``(k, j)``.
-Encodings are decided :data:`CHUNK` at a time, so every temporary of
-:func:`decide` is an (n, CHUNK) or (m, CHUNK) array of at most int32:
-80 KB at n = 5, but growing with the shape rather than bounded by it.
+packed into an integer with bit ``k * n + j`` holding entry ``(k, j)``;
+:func:`decode_matrix` is its inverse. Encodings are decided :data:`CHUNK`
+at a time, so every temporary of :func:`decide` is an (n, CHUNK) or
+(m, CHUNK) array of at most int32: 80 KB at n = 5, but growing with the
+shape rather than bounded by it. ``BACKEND`` names the kernel so run
+reports can say which one ran.
 """
+
+import sys
 
 import numpy as np
 
-BACKEND_NAME = "pure"
+from .topology import ScmTopology
+
+BACKEND = "pure"
 
 CHUNK = 4096
 # 2**30 matrices is already out of reach; the bound also keeps every
 # encoding and latent mask inside int32.
 MAX_CELLS = 30
+
+
+def backends() -> dict[str, object]:
+    """Every available kernel by name."""
+    return {BACKEND: sys.modules[__name__]}
+
+
+def decode_matrix(encoding: int, num_tasks: int, num_latents: int) -> ScmTopology:
+    """Inverse of the audit encoding (bit ``k * n + j`` is entry ``k, j``)."""
+    rows = [
+        [(encoding >> (k * num_latents + j)) & 1 for j in range(num_latents)]
+        for k in range(num_tasks)
+    ]
+    return ScmTopology.from_rows(rows)
 
 
 def audit_shape(m: int, n: int):

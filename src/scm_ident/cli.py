@@ -15,6 +15,7 @@ the same invocation.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import GRADCHECK, stream
-from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
+from .dgp import DgpSpec, _numbers, export_dataset, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, ScmIdentError, SingularModelError
 from .ident import (
     SeedOrigin,
@@ -75,6 +76,17 @@ def _json_int(literal: str) -> int:
 def _load_json(path):
     with open(path) as handle:
         return json.load(handle, parse_int=_json_int)
+
+
+def _check_keys(document, what: str, allowed, required=()) -> None:
+    if not isinstance(document, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown = set(document) - set(allowed)
+    if unknown:
+        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in document:
+            raise DataError(f"{what} missing key {key!r}")
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -287,7 +299,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    matrix = np.asarray(_load_json(args.matrix), dtype=np.float64)
+    matrix = _numbers(_load_json(args.matrix), "loss matrix")
     config = LossConfig(alpha=args.alpha, lambda_uic=args.lambda_uic, lambda_dis=args.lambda_dis)
     uic_value = uic_loss(matrix, config.alpha)
     dis_value = dis_loss(matrix, config.alpha)
@@ -371,7 +383,7 @@ def cmd_mask(args) -> int:
     lines: list[str] = []
     status = EXIT_OK
     if args.scores is not None:
-        scores = np.asarray(_load_json(args.scores), dtype=np.float64)
+        scores = _numbers(_load_json(args.scores), "mask scores")
         soft = soft_mask(scores, scale=args.scale)
         hard = sample_hard_mask(soft, seed=args.seed)
         gumbel = gumbel_softmax_mask(soft, temperature=args.temperature, seed=args.seed)
@@ -442,18 +454,19 @@ def cmd_dgp_gen(args) -> int:
 
 
 def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_override):
-    data = dict(data or {})
+    data = {} if data is None else data
+    _check_keys(data, "fit config", {f.name for f in dataclasses.fields(FitConfig)} | {"init"})
+    data = dict(data)
     init = None
     if "init" in data:
         init_doc = data.pop("init")
+        names = ("F", "means", "variances", "B")
+        _check_keys(init_doc, "fit config init", names, names)
+        tasks = [f"t{k + 1}" for k in range(topology.num_tasks)]
+        _check_keys(init_doc["B"], "fit config init B", tasks, tasks)
         init = UnmixModel(
-            np.asarray(init_doc["F"], dtype=np.float64),
-            np.asarray(init_doc["means"], dtype=np.float64),
-            np.asarray(init_doc["variances"], dtype=np.float64),
-            tuple(
-                np.asarray(init_doc["B"][f"t{k + 1}"], dtype=np.float64)
-                for k in range(topology.num_tasks)
-            ),
+            *(_numbers(init_doc[name], f"init {name}") for name in names[:3]),
+            tuple(_numbers(init_doc["B"][task], f"init B {task}") for task in tasks),
         )
     if seed_override is not None:
         data["seed"] = seed_override
@@ -496,7 +509,7 @@ def cmd_experiment(args) -> int:
     spec_ident = _load_spec(args.spec_ident)
     spec_collide = _load_spec(args.spec_collide)
     config_doc = _load_json(args.config) if args.config else None
-    if config_doc and "init" in config_doc:
+    if isinstance(config_doc, dict) and "init" in config_doc:
         # one init cannot match both arms' topologies
         raise ConfigError("fit config key 'init' is for recover only, not experiment")
     config, _ = _fit_config_from_json(config_doc, spec_ident.topology, args.seed)

@@ -16,7 +16,6 @@ bit-for-bit reproducible and environments independently generable.
 
 import csv
 import numbers
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,18 +266,20 @@ class DgpSpec:
             raise DataError(f"malformed generator spec: {exc}") from exc
 
 
-def _spec_array(value, name: str) -> np.ndarray:
-    """A numeric array from a generator-spec entry; ragged or non-numeric lists are a DataError."""
+def _numbers(value, what: str) -> np.ndarray:
+    """A float64 array from JSON numbers; a ragged or non-numeric list is a DataError."""
     try:
         raw = np.asarray(value)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed generator spec: {name}: {exc}") from exc
+        raise DataError(f"{what}: {exc}") from exc
     if raw.dtype.kind not in "biuf":
         # np.asarray(..., float64) would parse strings such as "1.0"
-        raise DataError(
-            f"malformed generator spec: {name}: entries must be numbers, got dtype {raw.dtype}"
-        )
+        raise DataError(f"{what}: entries must be numbers, got dtype {raw.dtype}")
     return np.asarray(raw, dtype=np.float64)
+
+
+def _spec_array(value, name: str) -> np.ndarray:
+    return _numbers(value, f"malformed generator spec: {name}")
 
 
 def _noise_from_json(noise, num_latents: int, parent_counts):
@@ -346,20 +347,6 @@ class SyntheticDataset:
         ids = self.env_ids[order]
         starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
         return order, ids[starts], np.diff(np.append(starts, ids.size))
-
-    def env_groups(self) -> Iterator[np.ndarray]:
-        """Each environment's row indices in ascending order, environment by environment.
-
-        An environment without samples gets an empty index, and the
-        groups come lazily, so a caller that rejects an empty environment
-        stops at it.
-        """
-        order, present, sizes = self.env_runs()
-        ends = np.cumsum(sizes)
-        runs = dict(zip(present.tolist(), zip((ends - sizes).tolist(), ends.tolist())))
-        for e in range(self.num_environments):
-            lo, hi = runs.get(e, (0, 0))
-            yield order[lo:hi]
 
 
 def sample_latents(prior: ExpFamilyPrior, env_index: int, count: int, seed: int) -> np.ndarray:
@@ -487,9 +474,10 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     values = np.hstack([dataset.latents, dataset.x, *dataset.y])
     row_format = ",".join(["%d", "%d"] + [_FLOAT_FORMAT] * values.shape[1]) + "\n"
     env_ids = dataset.env_ids
+    order, _, sizes = dataset.env_runs()
     within_env = np.empty_like(env_ids)
-    for rows in dataset.env_groups():
-        within_env[rows] = np.arange(rows.size)
+    # position in the sorted order less the start of the row's run
+    within_env[order] = np.arange(env_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_header(dataset.num_latents, task_widths)) + "\n")
         for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):

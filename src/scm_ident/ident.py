@@ -21,17 +21,18 @@ columns) members) serves only the ``closure`` listing and its traces.
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
 requested shape, in one process and one shape at a time. The audit
-kernel decides each matrix by its own vectorised closure, agreement and
-distinctness checks; the tests tie its closure and agreement verdicts
-back to :func:`closure_identifiable` and :func:`uic_check`, matrix by
-matrix.
+kernel (:mod:`scm_ident._kernels`, which also holds the matrix encoding
+and its inverse) decides each matrix by its own vectorised closure,
+agreement and distinctness checks; the tests tie its closure and
+agreement verdicts back to :func:`closure_identifiable` and
+:func:`uic_check`, matrix by matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import audit_shape, decode_matrix
 from .errors import CapacityError
 from .topology import MAX_LATENTS, ScmTopology
 
@@ -249,15 +250,6 @@ def uic_check(topology: ScmTopology) -> bool:
     return not uic_violations(topology)
 
 
-def decode_matrix(encoding: int, num_tasks: int, num_latents: int) -> ScmTopology:
-    """Inverse of the audit encoding (bit ``k * n + j`` is entry ``k, j``)."""
-    rows = [
-        [(encoding >> (k * num_latents + j)) & 1 for j in range(num_latents)]
-        for k in range(num_tasks)
-    ]
-    return ScmTopology.from_rows(rows)
-
-
 @dataclass(frozen=True)
 class ShapeAudit:
     num_tasks: int
@@ -319,7 +311,7 @@ def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
     distinct_mismatches: list[ScmTopology] = []
     shape_reports: list[ShapeAudit] = []
     for m, n in shapes:
-        shape_total, identifiable, closure_vs_agree, agree_vs_distinct = _kernels.audit_shape(m, n)
+        shape_total, identifiable, closure_vs_agree, agree_vs_distinct = audit_shape(m, n)
         total += shape_total
         agreements += shape_total - len(closure_vs_agree)
         mismatches.extend(decode_matrix(enc, m, n) for enc in closure_vs_agree)

@@ -226,6 +226,12 @@ def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) 
             raise ShapeError(
                 f"init B for task {k} must be {len(p)}x{len(p)}, got shape {np.shape(b)}"
             )
+    blocks = {"F": init.mixing, "means": init.env_means, "variances": init.env_variances}
+    blocks.update((f"B for task {k}", b) for k, b in enumerate(init.task_maps))
+    for name, block in blocks.items():
+        # a NaN objective would win the choice between restarts
+        if not np.isfinite(block).all():
+            raise DomainError(f"init {name} entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -286,18 +292,6 @@ class _Layout:
         same_row = a[:, None] == a
         crossed = (a[:, None] * n + b) * width + a * n + b[:, None]
         return same_row, b[:, None] * n + b, crossed
-
-    @cached_property
-    def square_groups(self) -> tuple[tuple[list[int], tuple[np.ndarray, np.ndarray]], ...]:
-        """Non-empty maps grouped by side: their block numbers and one joint-map index."""
-        groups: dict[int, list[int]] = {}
-        for k, (rows, _) in enumerate(self.blocks):
-            if rows.size:
-                groups.setdefault(rows.size, []).append(k)
-        return tuple(
-            (ks, tuple(np.stack(axis) for axis in zip(*(self.blocks[k] for k in ks))))
-            for ks in groups.values()
-        )
 
 
 class _Batch:
@@ -484,12 +478,11 @@ def _reproject(matrix: np.ndarray) -> np.ndarray:
 def _project(batch: _Batch) -> _Batch:
     """Floor the variances and reproject near-singular maps, in place."""
     np.maximum(batch.variances, VARIANCE_FLOOR, out=batch.variances)
-    # one singular-value pass per map size: F and the task maps of its size together
-    for blocks, (rows, cols) in batch.layout.square_groups:
-        maps = batch.stacked[:, rows, cols]  # (restarts, len(blocks), side, side)
-        low = singular_ratios(maps.reshape((-1,) + maps.shape[2:])) <= SINGULAR_RATIO
-        for r, g in zip(*np.nonzero(low.reshape(maps.shape[:2]))):
-            batch.stacked[r][batch.layout.blocks[blocks[g]]] = _reproject(maps[r, g])
+    for rows, cols in batch.layout.blocks:
+        if rows.size:
+            maps = batch.stacked[:, rows, cols]  # (restarts, side, side)
+            for r in np.flatnonzero(singular_ratios(maps) <= SINGULAR_RATIO):
+                batch.stacked[r, rows, cols] = _reproject(maps[r])
     return batch
 
 
@@ -638,7 +631,8 @@ def fit(
     restarts draw random parameters from the fit stream of ``config.seed``. The best restart
     by final objective wins, ties going to the earliest. An ``init``
     whose shapes do not match the topology and the dataset's
-    environments raises ``ShapeError``.
+    environments raises ``ShapeError``, and one with a non-finite entry
+    ``DomainError``.
     """
     _check_dataset(dataset, topology)
     if init is not None:

@@ -500,6 +500,12 @@ class TestDataAndRecovery:
         assert main(argv + ["--config", config]) == 2
         assert "init" in capsys.readouterr().err
 
+    def test_experiment_config_must_be_an_object(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json", identifiable_spec().to_json_dict())
+        config = write_json(tmp_path / "cfg.json", "init")
+        assert main(["experiment", spec_path, spec_path, "--config", config]) == 2
+        assert capsys.readouterr().err == "input error: fit config must be a JSON object\n"
+
     def test_experiment_workers_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "ident.json", "collide.json", "--workers", "2"])
@@ -614,6 +620,70 @@ def test_integer_beyond_float_range_exit_two(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "input error: JSON integer with 401 digits is beyond the float range\n"
+
+
+@pytest.fixture
+def recover_files(tmp_path, capsys):
+    """A small identifiable dataset, its topology file and the truth as a fit-config init."""
+    spec = identifiable_spec()
+    spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+    top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+    csv_path = str(tmp_path / "data.csv")
+    main(["dgp-gen", spec_path, "--samples", "200", "--seed", "6", "--out", csv_path])
+    capsys.readouterr()
+    init = {
+        "F": spec.source_map.tolist(),
+        "means": spec.prior.means.tolist(),
+        "variances": spec.prior.variances.tolist(),
+        "B": {"t1": spec.task_maps[0].tolist(), "t2": spec.task_maps[1].tolist()},
+    }
+    return csv_path, top_path, init
+
+
+@pytest.mark.parametrize("command", ["loss", "mask", "recover"])
+def test_string_cells_in_numeric_inputs_exit_two(tmp_path, capsys, recover_files, command):
+    csv_path, top_path, init = recover_files
+    config = {"restarts": 1, "init": dict(init, F=[["1", 0], [0, "1"]])}
+    argv = {
+        "loss": ["loss", write_json(tmp_path / "matrix.json", [["1", "0.5"], ["0", "1"]])],
+        "mask": ["mask", "--scores", write_json(tmp_path / "scores.json", ["0.5", "-1"])],
+        "recover": [
+            "recover", csv_path, top_path, "--config", write_json(tmp_path / "cfg.json", config)
+        ],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "entries must be numbers" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "case", ["unknown-key", "init-not-object", "init-without-B", "init-1e400", "init-nan"]
+)
+def test_recover_rejects_malformed_fit_config(tmp_path, capsys, recover_files, case):
+    csv_path, top_path, init = recover_files
+    config, message = {
+        "unknown-key": ({"foo": 1}, "unknown fit config keys: ['foo']"),
+        "init-not-object": ({"init": 5}, "fit config init must be a JSON object"),
+        "init-without-B": (
+            {"init": {key: value for key, value in init.items() if key != "B"}},
+            "fit config init missing key 'B'",
+        ),
+        # the marker becomes 1e400, which JSON reads as infinity
+        "init-1e400": (
+            {"init": dict(init, F=[[12345.5, 0.6], [-0.4, 1.1]])},
+            "init F entries must be finite",
+        ),
+        "init-nan": (
+            {"init": dict(init, B={"t1": [[float("nan")]], "t2": init["B"]["t2"]})},
+            "init B for task 0 entries must be finite",
+        ),
+    }[case]
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config).replace("12345.5", "1e400"))
+    assert main(["recover", csv_path, top_path, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_recover_rejects_restarts_above_the_bound(tmp_path, capsys):

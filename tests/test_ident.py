@@ -21,8 +21,9 @@ from scm_ident import (
     uic_check,
     uic_violations,
 )
+from scm_ident._kernels import decode_matrix
 from scm_ident.cli import main
-from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin, decode_matrix
+from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin
 
 
 def random_topology(rng, m, n) -> ScmTopology:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scm_ident import closure_identifiable, uic_check
-from scm_ident._kernels import BACKEND, audit_shape, backends, pure
-from scm_ident.ident import decode_matrix
+from scm_ident import _kernels
+from scm_ident._kernels import BACKEND, audit_shape, backends, decode_matrix
 
 
 AUDITED_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
@@ -27,7 +27,7 @@ def test_a_backend_is_selected():
 
 
 def test_pure_backend_always_available():
-    assert backends() == {"pure": pure}
+    assert backends() == {"pure": _kernels}
 
 
 @pytest.mark.parametrize("m,n", AUDITED_SHAPES + [(4, 5)])
@@ -41,7 +41,7 @@ def test_kernel_closure_matches_traced_closure():
     for m in range(1, 4):
         for n in range(1, 4):
             enc = np.arange(1 << (m * n), dtype=np.int32)
-            closure_ok, _, _ = pure.decide(enc, m, n)
+            closure_ok, _, _ = _kernels.decide(enc, m, n)
             expected = [
                 closure_identifiable(decode_matrix(int(e), m, n)).identifiable for e in enc
             ]
@@ -52,7 +52,7 @@ def test_kernel_closure_matches_traced_closure():
 def test_kernel_agreement_and_distinctness_per_matrix(m, n):
     """Agreement equals the pairwise decider; distinctness and closure plain column tuples."""
     enc = np.arange(1 << (m * n), dtype=np.int32)
-    closure_ok, agreement_ok, distinct_ok = pure.decide(enc, m, n)
+    closure_ok, agreement_ok, distinct_ok = _kernels.decide(enc, m, n)
     agreement = [uic_check(decode_matrix(e, m, n)) for e in range(len(enc))]
     distinct = [distinct_columns(e, m, n) for e in range(len(enc))]
     assert agreement_ok.tolist() == agreement
@@ -64,9 +64,9 @@ def test_kernel_agreement_and_distinctness_per_matrix(m, n):
 def test_kernel_verdicts_on_sampled_matrices(m, n):
     """All three verdicts equal plain column tuples on a fixed sample of each shape."""
     rng = np.random.default_rng(1000 * m + n)
-    enc = rng.integers(0, 1 << (m * n), size=pure.CHUNK, dtype=np.int32)
+    enc = rng.integers(0, 1 << (m * n), size=_kernels.CHUNK, dtype=np.int32)
     expected = [distinct_columns(int(e), m, n) for e in enc]
-    for verdict in pure.decide(enc, m, n):
+    for verdict in _kernels.decide(enc, m, n):
         assert verdict.tolist() == expected
 
 
@@ -78,4 +78,4 @@ def test_non_positive_dimensions_rejected(m, n):
 
 def test_shape_beyond_enumerable_range_rejected():
     with pytest.raises(ValueError):
-        audit_shape(1, pure.MAX_CELLS + 1)
+        audit_shape(1, _kernels.MAX_CELLS + 1)

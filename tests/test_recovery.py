@@ -34,6 +34,7 @@ from scm_ident.recovery import (
     _Batch,
     _empirical_moments,
     _normal_equations,
+    _project,
     _residuals,
     _solve,
     _starts,
@@ -601,6 +602,22 @@ class TestBatchedDescent:
         assert_restarts_match_lone_fits(dataset, collide_spec.topology, config)
         # a restart's damping fell so far that its system was exactly singular in the batch
         assert any(batch > 1 and count for batch, count in unsolved)
+
+    def test_projection_reprojects_each_flagged_map_as_a_lone_restart_would(
+        self, collide_spec, monkeypatch
+    ):
+        # F and the one task map are both 2x2; restart 1's F and restart 2's task map collapse
+        models = [perturbed_truth(collide_spec, seed=s) for s in range(3)]
+        models[1].mixing = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        models[2].task_maps = (np.array([[0.5, -1.0], [-0.5, 1.0 + 1e-13]]),)
+        reprojected, reproject = [], recovery._reproject
+        monkeypatch.setattr(recovery, "_reproject", lambda m: reprojected.append(m) or reproject(m))
+        together = _project(_Batch.of(models, collide_spec.topology))
+        flagged = [m.tobytes() for m in reprojected]
+        assert flagged == [models[1].mixing.tobytes(), models[2].task_maps[0].tobytes()]
+        for r, model in enumerate(models):
+            alone = _project(_Batch.of([model], collide_spec.topology))
+            assert together.params[r].tobytes() == alone.params[0].tobytes()
 
     def test_a_singular_slice_gets_no_step_and_leaves_the_others_alone(self):
         rng = np.random.default_rng(0)
