@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import GRADCHECK, stream
-from .dgp import DgpSpec, _numbers, export_dataset, generate_dataset, load_dataset
+from .dgp import DgpSpec, _numbers, _task_map, export_dataset, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, ScmIdentError, SingularModelError
 from .ident import (
     SeedOrigin,
@@ -466,7 +466,10 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
         _check_keys(init_doc["B"], "fit config init B", tasks, tasks)
         init = UnmixModel(
             *(_numbers(init_doc[name], f"init {name}") for name in names[:3]),
-            tuple(_numbers(init_doc["B"][task], f"init B {task}") for task in tasks),
+            tuple(
+                _task_map(init_doc["B"][task], len(p), f"init B {task}")
+                for task, p in zip(tasks, topology.parent_indices())
+            ),
         )
     if seed_override is not None:
         data["seed"] = seed_override

@@ -253,9 +253,10 @@ class DgpSpec:
         parents = topology.parent_indices()
         task_maps = []
         for k, task_parents in enumerate(parents):
-            b = _spec_array(b_maps[f"t{k + 1}"], f"B t{k + 1}")
-            # JSON writes a 0x0 map as [], which reads back with shape (0,)
-            task_maps.append(b.reshape(0, 0) if not task_parents and b.shape == (0,) else b)
+            label = f"t{k + 1}"
+            task_maps.append(
+                _task_map(b_maps[label], len(task_parents), f"malformed generator spec: B {label}")
+            )
         noise_x, noise_y = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
         try:
             source_map = _spec_array(data["F"], "F")
@@ -276,6 +277,15 @@ def _numbers(value, what: str) -> np.ndarray:
         # np.asarray(..., float64) would parse strings such as "1.0"
         raise DataError(f"{what}: entries must be numbers, got dtype {raw.dtype}")
     return np.asarray(raw, dtype=np.float64)
+
+
+def _task_map(value, num_parents: int, what: str) -> np.ndarray:
+    """A task's map from JSON numbers; ``[]`` is read as 0x0 for a task without parents.
+
+    JSON writes a 0x0 map as ``[]``, which reads back with shape (0,).
+    """
+    b = _numbers(value, what)
+    return b.reshape(0, 0) if num_parents == 0 and b.shape == (0,) else b
 
 
 def _spec_array(value, name: str) -> np.ndarray:

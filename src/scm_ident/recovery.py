@@ -131,16 +131,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-environment empirical moments of the joint observable vector.
-
-    ``order`` lists the rows environment by environment and ``sizes``
-    holds each environment's row count, for statistics of other columns.
-    """
+    """Per-environment empirical moments of the joint observable vector."""
 
     means: np.ndarray  # (envs, q)
-    covariances: np.ndarray  # (envs, q, q)
-    order: np.ndarray
-    sizes: np.ndarray
+    covariances: np.ndarray  # (envs, q, q), each divided by its environment's rows
+    sizes: np.ndarray  # (envs,): each environment's row count
 
 
 def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -162,11 +157,13 @@ def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray
     return order, sizes
 
 
-def _grouped_moments(rows: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariances of consecutive runs of ``sizes`` rows, each centred on its own mean.
+def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
+    """Each environment's moments of ``[x, *y]``, its rows centred on its own mean.
 
-    ``rows`` is centred in place; every temporary is one column long.
+    The joint rows are centred in place; every temporary is one column long.
     """
+    order, sizes = _environment_rows(dataset)
+    rows = np.concatenate([dataset.x[order], *(block[order] for block in dataset.y)], axis=1)
     starts = np.cumsum(sizes) - sizes
     means = np.add.reduceat(rows, starts, axis=0) / sizes[:, None]
     width = rows.shape[1]
@@ -177,13 +174,7 @@ def _grouped_moments(rows: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, n
         for j in range(i + 1):
             products = np.add.reduceat(rows[:, i] * rows[:, j], starts) / sizes
             covariances[:, i, j] = covariances[:, j, i] = products
-    return means, covariances
-
-
-def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
-    order, sizes = _environment_rows(dataset)
-    joint = np.concatenate([dataset.x[order], *(block[order] for block in dataset.y)], axis=1)
-    return _Moments(*_grouped_moments(joint, sizes), order, sizes)
+    return _Moments(means, covariances, sizes)
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -562,26 +553,37 @@ def _levenberg_marquardt(
     return results
 
 
-def _data_driven_init(
-    dataset: SyntheticDataset, topology: ScmTopology, moments: _Moments
-) -> UnmixModel:
-    """Whitening-style initialization from the averaged source covariance."""
+def _data_driven_init(topology: ScmTopology, moments: _Moments) -> UnmixModel:
+    """Whitening-style start, built from the moments alone.
+
+    With L the Cholesky factor of the averaged source covariance, the
+    latents are estimated as L⁻¹x. Their moments are the source moments
+    whitened by L⁻¹, and each task's least-squares map on its parents'
+    estimates solves the p×p normal equations of the pooled uncentered
+    second moments Σ_e n_e·(C_e + μ_e·μ_eᵀ), through ``lstsq`` so that a
+    rank-deficient design still gets the minimum-norm map.
+    """
     n = topology.num_latents
     avg_cov = moments.covariances[:, :n, :n].mean(axis=0)
     jitter = 1e-10 * max(float(np.trace(avg_cov)) / n, 1.0)
     mixing = np.linalg.cholesky(avg_cov + jitter * np.eye(n))
-    est_latents = np.linalg.solve(mixing, dataset.x.T).T
-    means, covariances = _grouped_moments(est_latents[moments.order], moments.sizes)
-    variances = np.maximum(np.diagonal(covariances, axis1=1, axis2=2), VARIANCE_FLOOR)
-    task_maps = []
-    for k, parents in enumerate(topology.parent_indices()):
-        if parents:
-            design = est_latents[:, list(parents)]
-            solution, *_ = np.linalg.lstsq(design, dataset.y[k], rcond=None)
-            task_maps.append(solution.T)
+    whiten = np.eye(moments.means.shape[1])
+    whiten[:n, :n] = np.linalg.inv(mixing)
+    means = moments.means @ whiten.T
+    covariances = whiten @ moments.covariances @ whiten.T
+    variances = np.maximum(np.diagonal(covariances[:, :n, :n], axis1=1, axis2=2), VARIANCE_FLOOR)
+    uncentered = covariances + means[:, :, None] * means[:, None, :]
+    second = np.tensordot(moments.sizes, uncentered, axes=1)
+    task_maps, row = [], n
+    for parents in topology.parent_indices():
+        p = list(parents)
+        if p:
+            design, target = second[np.ix_(p, p)], second[p, row : row + len(p)]
+            task_maps.append(np.linalg.lstsq(design, target, rcond=None)[0].T)
         else:
             task_maps.append(np.zeros((0, 0)))
-    return UnmixModel(mixing, means, variances, tuple(task_maps))
+        row += len(p)
+    return UnmixModel(mixing, means[:, :n], variances, tuple(task_maps))
 
 
 def _random_init(
@@ -603,18 +605,13 @@ def _random_init(
 
 
 def _starts(
-    dataset: SyntheticDataset,
-    topology: ScmTopology,
-    moments: _Moments,
-    config: FitConfig,
-    init: UnmixModel | None,
+    topology: ScmTopology, moments: _Moments, config: FitConfig, init: UnmixModel | None
 ) -> list[UnmixModel]:
     """Starting model of each restart, in restart order."""
-    first = init if init is not None else _data_driven_init(dataset, topology, moments)
+    first = init if init is not None else _data_driven_init(topology, moments)
     rng = stream(FIT_INIT, config.seed)
-    return [first] + [
-        _random_init(rng, topology, dataset.num_environments) for _ in range(config.restarts - 1)
-    ]
+    envs = moments.means.shape[0]
+    return [first] + [_random_init(rng, topology, envs) for _ in range(config.restarts - 1)]
 
 
 def fit(
@@ -627,18 +624,18 @@ def fit(
 
     The restarts run together in one batch, each reaching the result it
     would reach alone. Restart 0 starts from the supplied ``init`` when
-    given, otherwise from a whitening-style data-driven guess; later
-    restarts draw random parameters from the fit stream of ``config.seed``. The best restart
-    by final objective wins, ties going to the earliest. An ``init``
-    whose shapes do not match the topology and the dataset's
-    environments raises ``ShapeError``, and one with a non-finite entry
-    ``DomainError``.
+    given, otherwise from a whitening-style guess made from the moments;
+    later restarts draw random parameters from the fit stream of
+    ``config.seed``. The best restart by final objective wins, ties going
+    to the earliest. An ``init`` whose shapes do not match the topology
+    and the dataset's environments raises ``ShapeError``, and one with a
+    non-finite entry ``DomainError``.
     """
     _check_dataset(dataset, topology)
     if init is not None:
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
-    starts = _Batch.of(_starts(dataset, topology, moments, config, init), topology)
+    starts = _Batch.of(_starts(topology, moments, config, init), topology)
     restarts = _levenberg_marquardt(starts, moments, config)
     best = min(restarts, key=lambda res: res.objective)
     if best.model.singular_ratio() <= SINGULAR_RATIO:

@@ -193,3 +193,31 @@ def reference_moments(dataset):
         means.append(mean)
         covariances.append(centered.T @ centered / block.shape[0])
     return np.array(means), np.array(covariances)
+
+
+def reference_data_driven_start(dataset, topology):
+    """The fit's whitening-style start computed from the rows.
+
+    With L the Cholesky factor of the averaged per-environment source
+    covariance (plus the fit's jitter), the rows are whitened to L⁻¹x; the
+    start holds L, each environment's mean and variance of the whitened
+    rows, and per task the transposed ``lstsq`` map from its parents'
+    whitened columns to its observed block over all rows.
+    """
+    n = topology.num_latents
+    envs = range(dataset.num_environments)
+    source_covariances = [np.cov(dataset.x[dataset.env_ids == e].T, bias=True) for e in envs]
+    avg_cov = np.mean(source_covariances, axis=0).reshape(n, n)
+    jitter = 1e-10 * max(float(np.trace(avg_cov)) / n, 1.0)
+    mixing = np.linalg.cholesky(avg_cov + jitter * np.eye(n))
+    whitened = np.linalg.solve(mixing, dataset.x.T).T
+    means = np.array([whitened[dataset.env_ids == e].mean(axis=0) for e in envs])
+    variances = np.array([whitened[dataset.env_ids == e].var(axis=0) for e in envs])
+    task_maps = []
+    for k, parents in enumerate(topology.parent_indices()):
+        if parents:
+            design = whitened[:, list(parents)]
+            task_maps.append(np.linalg.lstsq(design, dataset.y[k], rcond=None)[0].T)
+        else:
+            task_maps.append(np.zeros((0, 0)))
+    return mixing, means, variances, task_maps

@@ -333,6 +333,26 @@ class TestDataAndRecovery:
         assert code == 0
         assert payload["mcc"] >= 0.999
 
+    @pytest.mark.parametrize("place", sorted(PARENTLESS_TASK_ROWS))
+    def test_recover_truth_init_with_parentless_task(self, tmp_path, capsys, place):
+        # the parentless task's B is written as [], which must read back as 0x0
+        spec = parentless_task_spec(PARENTLESS_TASK_ROWS[place])
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        argv = ["dgp-gen", spec_path, "--samples", "300", "--seed", "7", "--out", str(csv_path)]
+        assert main(argv) == 0
+        init = {
+            "F": spec.source_map.tolist(),
+            "means": spec.prior.means.tolist(),
+            "variances": spec.prior.variances.tolist(),
+            "B": {f"t{k + 1}": b.tolist() for k, b in enumerate(spec.task_maps)},
+        }
+        assert [] in init["B"].values()
+        config = write_json(tmp_path / "cfg.json", {"restarts": 1, "init": init})
+        assert main(["recover", str(csv_path), top_path, "--config", config]) == 0
+        assert "mcc:" in capsys.readouterr().out
+
     def test_recover_rejects_mismatched_init(self, tmp_path, capsys):
         spec = identifiable_spec()
         spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())

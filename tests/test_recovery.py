@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ from conftest import PARENTLESS_TASK_ROWS, colliding_spec, identifiable_spec, pa
 from helpers import (
     brute_force_best_matching,
     central_difference,
+    reference_data_driven_start,
     reference_moments,
     relative_gradient_error,
 )
@@ -32,10 +36,12 @@ from scm_ident import _parallel, recovery
 from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import (
     _Batch,
+    _data_driven_init,
     _empirical_moments,
     _normal_equations,
     _project,
     _residuals,
+    _run_experiment_seed,
     _solve,
     _starts,
 )
@@ -355,6 +361,23 @@ class TestEmpiricalMoments:
         np.testing.assert_allclose(moments.covariances, want_covariances, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [identifiable_spec(), colliding_spec()]
+    + [parentless_task_spec(rows) for rows in PARENTLESS_TASK_ROWS.values()],
+    ids=["identifiable", "colliding", *(f"parentless-{place}" for place in PARENTLESS_TASK_ROWS)],
+)
+def test_data_driven_start_matches_row_based_reference(spec):
+    dataset = generate_dataset(spec, 20000, seed=3)
+    start = _data_driven_init(spec.topology, _empirical_moments(dataset))
+    mixing, means, variances, task_maps = reference_data_driven_start(dataset, spec.topology)
+    got = (start.mixing, start.env_means, start.env_variances, *start.task_maps)
+    for block, want in zip(got, (mixing, means, variances, *task_maps), strict=True):
+        assert block.shape == want.shape
+        if want.size:
+            assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestFit:
     def test_truth_is_a_fixed_point_of_population_moments(self, ident_spec):
         dataset = moment_exact_dataset(ident_spec, 4000, seed=5)
@@ -540,7 +563,7 @@ def restart_bytes(restart) -> tuple:
 def assert_restarts_match_lone_fits(dataset, topology, config, init=None) -> list:
     """Every restart of the batched fit equals a one-restart fit from its start, bit for bit."""
     result = fit(dataset, topology, config, init=init)
-    starts = _starts(dataset, topology, _empirical_moments(dataset), config, init)
+    starts = _starts(topology, _empirical_moments(dataset), config, init)
     assert len(result.restarts) == len(starts) == config.restarts
     for got, start in zip(result.restarts, starts):
         (want,) = fit(dataset, topology, replace(config, restarts=1), init=start).restarts
@@ -709,3 +732,24 @@ class TestExperiment:
         monkeypatch.setattr(_parallel, "worker_count", lambda: 2)
         parallel = identifiability_experiment(ident_spec, collide_spec, **kwargs)
         assert serial == parallel
+
+
+def thread_counts_around_experiment_job(spec) -> tuple[int, int]:
+    """This process's thread count before and after one contrast job on ``spec``."""
+    before = len(os.listdir("/proc/self/task"))
+    _run_experiment_seed((spec, FitConfig(), 20000, 0))
+    return before, len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_experiment_jobs_start_no_thread_in_a_forked_worker():
+    """A contrast job leaves a freshly forked pool worker with its one thread.
+
+    A LAPACK call over all the rows would make OpenBLAS start a helper
+    thread in the worker, which spins on the CPU the other worker needs.
+    """
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        specs = [identifiable_spec(), colliding_spec()]
+        counts = list(pool.map(thread_counts_around_experiment_job, specs))
+    assert counts == [(1, 1), (1, 1)]
