@@ -33,11 +33,11 @@ from .errors import (
 )
 from .ident import (
     AuditReport,
-    ClosureFamily,
     IdentVerdict,
     MinTasksResult,
     closure_generate,
     closure_identifiable,
+    derivation_chain,
     equivalence_audit,
     min_tasks_for,
     pair_agreement_counts,
@@ -83,11 +83,11 @@ __all__ = [
     "ScmTopology",
     # deciders
     "AuditReport",
-    "ClosureFamily",
     "IdentVerdict",
     "MinTasksResult",
     "closure_generate",
     "closure_identifiable",
+    "derivation_chain",
     "equivalence_audit",
     "min_tasks_for",
     "pair_agreement_counts",

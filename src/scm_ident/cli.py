@@ -26,9 +26,12 @@ from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, _numbers, _task_map, export_dataset, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, ScmIdentError, SingularModelError
 from .ident import (
+    DifferenceOrigin,
     SeedOrigin,
     closure_generate,
     closure_identifiable,
+    closure_members,
+    derivation_chain,
     equivalence_audit,
     uic_violations,
 )
@@ -113,35 +116,24 @@ def _set_label(topology: ScmTopology, mask: int) -> str:
     return "{" + ",".join(_labels(topology, mask)) + "}"
 
 
-def _operand_label(topology: ScmTopology, family, mask: int) -> str:
-    origin = family.origins.get(mask)
-    if isinstance(origin, SeedOrigin):
-        if origin.kind == "task":
-            return f"Pa({topology.task_label(origin.task)})"
-        if origin.kind == "universal":
-            return "U"
-        if origin.kind == "empty":
-            return "{}"
-    return _set_label(topology, mask)
+def _chain_lines(topology: ScmTopology, chain) -> list[str]:
+    # each operand comes earlier in the chain, with its origin; no
+    # singleton's derivation holds the empty set
+    origins = dict(chain)
 
+    def operand(mask: int) -> str:
+        origin = origins[mask]
+        if isinstance(origin, DifferenceOrigin):
+            return _set_label(topology, mask)
+        return "U" if origin.kind == "universal" else f"Pa({topology.task_label(origin.task)})"
 
-def _chain_lines(topology: ScmTopology, family, chain) -> list[str]:
     lines = []
     for mask, origin in chain:
-        if isinstance(origin, SeedOrigin):
-            if origin.kind == "task":
-                label = f"Pa({topology.task_label(origin.task)})"
-            elif origin.kind == "universal":
-                label = "U (all latents)"
-            else:
-                label = "empty set"
-            lines.append(f"  {_set_label(topology, mask)} = {label}  [seed]")
+        if isinstance(origin, DifferenceOrigin):
+            rhs = f"{operand(origin.left)} - {operand(origin.right)}"
         else:
-            lines.append(
-                f"  {_set_label(topology, mask)} = "
-                f"{_operand_label(topology, family, origin.left)} - "
-                f"{_operand_label(topology, family, origin.right)}"
-            )
+            rhs = ("U (all latents)" if origin.kind == "universal" else operand(mask)) + "  [seed]"
+        lines.append(f"  {_set_label(topology, mask)} = {rhs}")
     return lines
 
 
@@ -214,34 +206,36 @@ def cmd_check(args) -> int:
 
 def cmd_closure(args) -> int:
     topology = _load_topology(args.topology)
-    family = closure_generate(topology)
-    missing = family.missing_singletons()
-    identifiable = not missing
+    members = closure_members(topology)
+    verdict = closure_identifiable(topology)
     payload: dict = {
-        "family_size": len(family),
-        "identifiable": identifiable,
-        "members": [_labels(topology, mask) for mask in sorted(family.members)],
-        "missing_singletons": [topology.latent_label(j) for j in missing],
+        "family_size": len(members),
+        "identifiable": verdict.identifiable,
+        "members": [_labels(topology, mask) for mask in members],
+        "missing_singletons": [
+            topology.latent_label(j) for j, chain in enumerate(verdict.per_latent) if chain is None
+        ],
     }
     lines = [
-        f"family size: {len(family)} (bound 2^n = {1 << topology.num_latents})",
-        f"identifiable: {'yes' if identifiable else 'no'}",
+        f"family size: {len(members)} (bound 2^n = {1 << topology.num_latents})",
+        f"identifiable: {'yes' if verdict.identifiable else 'no'}",
     ]
     if payload["missing_singletons"]:
         lines.append("missing singletons: " + ", ".join(payload["missing_singletons"]))
     if args.trace:
+        origins = closure_generate(topology)
         traces = {}
-        for j in range(topology.num_latents):
-            if j in missing:
+        for j, certificate in enumerate(verdict.per_latent):
+            if certificate is None:
                 continue
             label = topology.latent_label(j)
-            chain = family.derivation_chain(1 << j)
+            chain = derivation_chain(origins, 1 << j)
             traces[label] = _chain_payload(topology, chain)
             lines.append(f"derivation of {{{label}}}:")
-            lines.extend(_chain_lines(topology, family, chain))
+            lines.extend(_chain_lines(topology, chain))
         payload["traces"] = traces
     _emit(args, payload, lines)
-    return EXIT_OK if identifiable else EXIT_NOT_IDENTIFIABLE
+    return EXIT_OK if verdict.identifiable else EXIT_NOT_IDENTIFIABLE
 
 
 def cmd_enumerate(args) -> int:

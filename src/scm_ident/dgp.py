@@ -340,6 +340,10 @@ class SyntheticDataset:
             raise ShapeError("all task arrays must have one row per sample")
         if rows and (env_ids.min() < 0 or env_ids.max() >= self.num_environments):
             raise DataError("sample environment id outside the configured range")
+        blocks = {"l": self.latents, "x": self.x} | {f"y{t + 1}": b for t, b in enumerate(self.y)}
+        for prefix, block in blocks.items():
+            if not np.isfinite(block).all():
+                raise DataError(f"non-finite cell in dataset columns {prefix}_*")
         object.__setattr__(self, "env_ids", env_ids)
 
     @property
@@ -398,15 +402,18 @@ def generate_observed(
     if latents.ndim != 2 or latents.shape[1] != n:
         raise ShapeError(f"latents must be (samples x {n}), got shape {latents.shape}")
     rng = stream(OBSERVATION_NOISE, env_seed(seed, env_index))
-    x = latents @ spec.source_map.T
-    if spec.slope is not None:
-        x = _leaky(x, spec.slope)
-    x = x + rng.standard_normal(x.shape) * spec.noise_x
-    y_blocks = []
-    for b, parents, y_std in zip(spec.task_maps, spec.topology.parent_indices(), spec.noise_y):
-        block = latents[:, list(parents)] @ b.T
-        block = block + rng.standard_normal(block.shape) * y_std
-        y_blocks.append(block)
+    # a product beyond the float range leaves an inf or nan cell, which
+    # SyntheticDataset rejects with one typed error instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = latents @ spec.source_map.T
+        if spec.slope is not None:
+            x = _leaky(x, spec.slope)
+        x = x + rng.standard_normal(x.shape) * spec.noise_x
+        y_blocks = []
+        for b, parents, y_std in zip(spec.task_maps, spec.topology.parent_indices(), spec.noise_y):
+            block = latents[:, list(parents)] @ b.T
+            block = block + rng.standard_normal(block.shape) * y_std
+            y_blocks.append(block)
     return x, tuple(y_blocks)
 
 

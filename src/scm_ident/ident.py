@@ -15,8 +15,10 @@ of a topology can be told apart from the data it generates:
   many tasks their adjacency columns agree (both present or both absent)
   and accepts iff no pair agrees on all ``m`` tasks.
 
-The full subtraction fixpoint (:func:`closure_generate`, 2^(distinct
-columns) members) serves only the ``closure`` listing and its traces.
+The family's members are the unions of atoms (:meth:`ScmTopology.atoms`),
+which :func:`closure_members` lists for ``closure``. The subtraction
+fixpoint (:func:`closure_generate`) only records the first-found
+derivations that ``closure --trace`` prints.
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
@@ -37,8 +39,10 @@ from .errors import CapacityError
 from .topology import MAX_LATENTS, ScmTopology
 
 AUDIT_CELL_LIMIT = 20
-# Largest family the ``closure`` listing enumerates: 2^11 members took
-# 5.4 s on a two-core host.
+# Largest family ``closure`` accepts, with or without ``--trace``, so both
+# accept the same topologies. It guards the trace's fixpoint, which pairs
+# members with members: 2.2-2.8 s for ``closure --trace`` at 2^11 on a
+# two-core host, where listing the unions of atoms takes under 1 ms.
 CLOSURE_MEMBER_LIMIT = 1 << 11
 MIN_TASKS_LATENT_LIMIT = 16
 
@@ -64,51 +68,27 @@ class DifferenceOrigin:
 Origin = SeedOrigin | DifferenceOrigin
 
 
-@dataclass(frozen=True)
-class ClosureFamily:
-    """Subtraction-closed family of latent sets with derivation records.
+def derivation_chain(origins: dict[int, Origin], mask: int) -> tuple[tuple[int, Origin], ...]:
+    """Steps producing ``mask`` from :func:`closure_generate`'s origins,
+    dependencies first and seeds unrolled, so replaying them in order
+    reproduces the target set exactly."""
+    if mask not in origins:
+        raise KeyError(f"mask {mask:#x} is not a family member")
+    chain: list[tuple[int, Origin]] = []
+    emitted: set[int] = set()
 
-    ``members`` lists each set's mask exactly once in discovery order;
-    ``origins`` maps every member to the first derivation that produced
-    it, so ``mask in family.origins`` tests membership. The fixpoint is
-    unique, so any processing order yields the same member set (only the
-    recorded derivations may differ).
-    """
+    def visit(target: int) -> None:
+        if target in emitted:
+            return
+        origin = origins[target]
+        if isinstance(origin, DifferenceOrigin):
+            visit(origin.left)
+            visit(origin.right)
+        emitted.add(target)
+        chain.append((target, origin))
 
-    width: int
-    members: tuple[int, ...]
-    origins: dict[int, Origin]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def missing_singletons(self) -> tuple[int, ...]:
-        """Latent indices whose singleton never entered the family."""
-        return tuple(j for j in range(self.width) if (1 << j) not in self.origins)
-
-    def derivation_chain(self, mask: int) -> tuple[tuple[int, Origin], ...]:
-        """Steps producing ``mask``, dependencies first, seeds unrolled.
-
-        Every referenced mask appears earlier in the chain, so replaying
-        the subtractions in order reproduces the target set exactly.
-        """
-        if mask not in self.origins:
-            raise KeyError(f"mask {mask:#x} is not a family member")
-        chain: list[tuple[int, Origin]] = []
-        emitted: set[int] = set()
-
-        def visit(target: int) -> None:
-            if target in emitted:
-                return
-            origin = self.origins[target]
-            if isinstance(origin, DifferenceOrigin):
-                visit(origin.left)
-                visit(origin.right)
-            emitted.add(target)
-            chain.append((target, origin))
-
-        visit(mask)
-        return tuple(chain)
+    visit(mask)
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -131,25 +111,37 @@ def _check_width(topology: ScmTopology) -> None:
         raise CapacityError(f"closure supports at most {MAX_LATENTS} latents, got {n}")
 
 
-def closure_generate(topology: ScmTopology) -> ClosureFamily:
-    """Generate the subtraction closure of the topology's parent sets.
-
-    Every new member is paired against all earlier members in discovery
-    order and both subtraction directions are kept, so the family is the
-    least one containing the seeds and closed under pairwise subtraction.
-    The family has 2^(distinct columns) members; above
-    :data:`CLOSURE_MEMBER_LIMIT` it raises :class:`CapacityError` before
-    enumerating anything.
-    """
+def _family_atoms(topology: ScmTopology) -> tuple[int, ...]:
+    """The topology's atoms; :class:`CapacityError` unless its family of
+    2^(atoms) members fits :data:`CLOSURE_MEMBER_LIMIT`."""
     _check_width(topology)
-    size = 1 << len(set(topology.column_masks()))
-    if size > CLOSURE_MEMBER_LIMIT:
+    atoms = topology.atoms()
+    if 1 << len(atoms) > CLOSURE_MEMBER_LIMIT:
         raise CapacityError(
             f"closure listing supports at most {CLOSURE_MEMBER_LIMIT} members, "
-            f"this topology's family has {size}"
+            f"this topology's family has {1 << len(atoms)}"
         )
-    n = topology.num_latents
-    universal = (1 << n) - 1
+    return atoms
+
+
+def closure_members(topology: ScmTopology) -> tuple[int, ...]:
+    """Members of the subtraction closure, ascending: every union of atoms."""
+    unions = [0]
+    for atom in _family_atoms(topology):
+        unions += [union | atom for union in unions]
+    return tuple(sorted(unions))
+
+
+def closure_generate(topology: ScmTopology) -> dict[int, Origin]:
+    """Each member of the subtraction closure mapped to its first
+    derivation, in discovery order.
+
+    Every new member is paired against all earlier members, both
+    subtraction directions, until all 2^(atoms) members are found; no
+    recorded derivation can change after that.
+    """
+    size = 1 << len(_family_atoms(topology))
+    universal = (1 << topology.num_latents) - 1
     members: list[int] = []
     origins: dict[int, Origin] = {}
 
@@ -160,17 +152,16 @@ def closure_generate(topology: ScmTopology) -> ClosureFamily:
 
     add(0, SeedOrigin("empty"))
     add(universal, SeedOrigin("universal"))
-    for k in range(topology.num_tasks):
-        add(topology.row_masks()[k], SeedOrigin("task", k))
+    for k, parents in enumerate(topology.row_masks()):
+        add(parents, SeedOrigin("task", k))
     i = 0
-    while i < len(members):
+    while i < len(members) < size:
         x = members[i]
-        for j in range(i):
-            y = members[j]
+        for y in members[:i]:
             add(x & ~y, DifferenceOrigin(x, y))
             add(y & ~x, DifferenceOrigin(y, x))
         i += 1
-    return ClosureFamily(n, tuple(members), origins)
+    return origins
 
 
 def _atom_chain(topology: ScmTopology, j: int) -> tuple[tuple[int, Origin], ...] | None:
@@ -212,7 +203,7 @@ def closure_identifiable(topology: ScmTopology) -> IdentVerdict:
 
     ``per_latent[j]`` is latent ``j``'s atom chain (see the module
     docstring): a replayable derivation of ``{j}`` in the
-    :meth:`ClosureFamily.derivation_chain` format, at most ``2m``
+    :func:`derivation_chain` format, at most ``2m``
     subtractions long, or ``None`` when the atom is larger than ``{j}``.
     The verdict is pure set algebra; the full fixpoint is never built.
     """

@@ -42,6 +42,9 @@ from .topology import ScmTopology
 
 MAX_FIT_LATENTS = 8
 MAX_RESTARTS = 1000  # each restart draws its own start, so the count bounds the fit's work
+# a run of kept steps ends only here: 5x the default, and about 40x the
+# longest restart (236 steps) of the default experiment
+MAX_ITERS = 10_000
 SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
 # Marquardt's damping: its start, and its change after an accepted or a rejected step
@@ -60,7 +63,8 @@ class FitConfig:
     ``grad_tol`` (the objective gradient's largest entry is below it),
     ``min_step`` (the step's largest entry is below it; a run of rejected
     steps shrinks the step geometrically until it is) and ``max_iters``
-    (tried steps, accepted or not), the only bound on a run of kept steps.
+    (tried steps, accepted or not; at most :data:`MAX_ITERS`), the only
+    bound on a run of kept steps.
     """
 
     restarts: int = 8
@@ -83,6 +87,8 @@ class FitConfig:
             raise ConfigError("restarts and max_iters must be positive")
         if self.restarts > MAX_RESTARTS:
             raise ConfigError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
+        if self.max_iters > MAX_ITERS:
+            raise ConfigError(f"max_iters must be at most {MAX_ITERS}, got {self.max_iters}")
         if not (self.min_step > 0 and self.grad_tol > 0):
             raise ConfigError("step sizes and tolerances must be positive")
         check_seed(self.seed)

@@ -67,7 +67,10 @@ def soft_mask(scores, scale: float = DEFAULT_SCALE) -> np.ndarray:
     arr = _as_scores(scores)
     if not np.isfinite(scale) or scale <= 0:
         raise DomainError(f"scale must be a positive real, got {scale}")
-    return np.clip(_sigmoid(scale * arr), _OPEN_LOW, _OPEN_HIGH)
+    # a product beyond the float range is +-inf, whose logistic is exactly 1 or 0
+    with np.errstate(over="ignore"):
+        scaled = scale * arr
+    return np.clip(_sigmoid(scaled), _OPEN_LOW, _OPEN_HIGH)
 
 
 def sample_hard_mask(soft, seed: int = 0) -> np.ndarray:

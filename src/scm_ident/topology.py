@@ -125,6 +125,13 @@ class ScmTopology:
         """Per-task parent pattern: bit j set iff latent j feeds the task."""
         return self._row_masks
 
+    def atoms(self) -> tuple[int, ...]:
+        """Latent masks of the groups of equal columns, ordered by lowest latent."""
+        groups: dict[int, int] = {}
+        for j, column in enumerate(self._column_masks):
+            groups[column] = groups.get(column, 0) | (1 << j)
+        return tuple(groups.values())
+
     def parent_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per task, the indices of the latents feeding it, ascending."""
         n = self.num_latents

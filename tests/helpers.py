@@ -103,6 +103,29 @@ def shuffled_closure(parent_sets, n: int, rng) -> set[frozenset]:
         family |= new
 
 
+def reference_closure_origins(topology) -> dict:
+    """Subtraction-closure fixpoint with each member's first derivation.
+
+    Pairs every new member with every earlier one, both directions, until
+    no member is left unpaired, with no early stop; the dict keeps the
+    discovery order. Seeds come from the adjacency cells directly.
+    """
+    from scm_ident.ident import DifferenceOrigin, SeedOrigin
+
+    origins = {0: SeedOrigin("empty")}
+    origins.setdefault((1 << topology.num_latents) - 1, SeedOrigin("universal"))
+    for k, row in enumerate(topology.adjacency.tolist()):
+        origins.setdefault(sum(cell << j for j, cell in enumerate(row)), SeedOrigin("task", k))
+    members = list(origins)
+    for i, x in enumerate(members):  # members grows while it is walked
+        for y in members[:i]:
+            for left, right in ((x, y), (y, x)):
+                if left & ~right not in origins:
+                    origins[left & ~right] = DifferenceOrigin(left, right)
+                    members.append(left & ~right)
+    return origins
+
+
 def replay_chain(topology, chain) -> int:
     """Replay a derivation chain step by step and return its last set.
 

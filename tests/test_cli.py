@@ -13,7 +13,7 @@ from conftest import (
 )
 from scm_ident import FitConfig, cli, fit, load_dataset
 from scm_ident.cli import main
-from scm_ident.recovery import MAX_RESTARTS
+from scm_ident.recovery import MAX_ITERS, MAX_RESTARTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +143,14 @@ class TestClosure:
         assert "at most 2048 members" in capsys.readouterr().err
         assert main(["check", path]) == 0
 
+    def test_listing_at_the_member_limit_is_fast(self, tmp_path, capsys):
+        path = distinct_columns_file(tmp_path, 4, 11)
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["closure", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert payload["family_size"] == len(payload["members"]) == 2048
+
     def test_missing_singletons_reported(self, colliding_topology_file, capsys):
         code, payload = run_json(capsys, ["closure", colliding_topology_file])
         assert code == 1
@@ -249,6 +257,14 @@ class TestMask:
         assert code == 0
         assert payload["soft"][0] == 0.5
         assert set(payload["bernoulli_hard"]) <= {0, 1}
+
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_score_beyond_the_float_range_prints_no_warning(self, tmp_path, capsys):
+        scores = write_json(tmp_path / "scores.json", [1e308, -1e308])
+        code, payload = run_json(capsys, ["mask", "--scores", scores, "--scale", "1e10"])
+        assert code == 0
+        assert payload["soft"] == [np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)]
+        assert capsys.readouterr().err == ""
 
     def test_requires_scores_or_self_test(self):
         assert main(["mask"]) == 2
@@ -428,7 +444,7 @@ class TestDataAndRecovery:
         top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
         csv_path = tmp_path / "data.csv"
         main(["dgp-gen", spec_path, "--samples", "20000", "--seed", "3", "--out", str(csv_path)])
-        config = {"restarts": 2, "max_iters": 10**300}
+        config = {"restarts": 2, "max_iters": MAX_ITERS}
         config_path = write_json(tmp_path / "cfg.json", config)
         start = time.perf_counter()
         assert main(["recover", str(csv_path), top_path, "--config", config_path]) == 0
@@ -486,6 +502,35 @@ class TestDataAndRecovery:
         assert main(["dgp-gen", str(spec_path), "--samples", "10", "--out", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"input error: malformed generator spec: {name} entries must be finite\n"
+        assert not csv_path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column, value", [("x_1", "nan"), ("l_1", "nan"), ("y1_1", "-inf")])
+    def test_recover_rejects_a_non_finite_cell(self, tmp_path, capfd, column, value):
+        spec = identifiable_spec()
+        spec_path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+        top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        main(["dgp-gen", spec_path, "--samples", "200", "--seed", "1", "--out", str(csv_path)])
+        lines = csv_path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[5] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capfd.readouterr()
+        assert main(["recover", str(csv_path), top_path]) == 2
+        message = f"input error: non-finite cell in dataset columns {column[:-1]}*\n"
+        assert capfd.readouterr() == ("", message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_dgp_gen_rejects_products_beyond_the_float_range(self, tmp_path, capfd):
+        doc = identifiable_spec().to_json_dict()
+        doc["F"] = [[1e200, 0.0], [0.0, 1e200]]
+        doc["environments"][0]["variances"][0] = 1e300
+        spec_path = write_json(tmp_path / "spec.json", doc)
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", spec_path, "--samples", "20", "--out", str(csv_path)]) == 2
+        assert capfd.readouterr() == ("", "input error: non-finite cell in dataset columns x_*\n")
         assert not csv_path.exists()
 
     def test_recover_rejects_malformed_row(self, tmp_path, capsys):
@@ -716,6 +761,18 @@ def test_recover_rejects_restarts_above_the_bound(tmp_path, capsys):
     assert main(["recover", str(csv_path), top_path, "--config", config]) == 2
     err = capsys.readouterr().err
     assert err == f"input error: restarts must be at most {MAX_RESTARTS}, got {MAX_RESTARTS + 1}\n"
+
+
+def test_recover_rejects_max_iters_above_the_bound(tmp_path, capsys):
+    top_path = write_json(
+        tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+    )
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("env,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n0,1,0.25,0.5,0.75\n")
+    config = write_json(tmp_path / "cfg.json", {"restarts": 1, "max_iters": MAX_ITERS + 1})
+    assert main(["recover", str(csv_path), top_path, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: max_iters must be at most {MAX_ITERS}, got {MAX_ITERS + 1}\n"
 
 
 class TestDeterminism:

@@ -8,13 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import column_collisions, enumerate_matrices, replay_chain, shuffled_closure
+from helpers import (
+    column_collisions,
+    enumerate_matrices,
+    reference_closure_origins,
+    replay_chain,
+    shuffled_closure,
+)
 from scm_ident import (
     CapacityError,
     ScmTopology,
     _parallel,
     closure_generate,
     closure_identifiable,
+    derivation_chain,
     equivalence_audit,
     min_tasks_for,
     pair_agreement_counts,
@@ -23,7 +30,7 @@ from scm_ident import (
 )
 from scm_ident._kernels import decode_matrix
 from scm_ident.cli import main
-from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin
+from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin, closure_members
 
 
 def random_topology(rng, m, n) -> ScmTopology:
@@ -33,15 +40,15 @@ def random_topology(rng, m, n) -> ScmTopology:
 class TestClosureGenerate:
     def test_identity_seeds_are_singletons(self):
         top = ScmTopology.from_rows([[1, 0], [0, 1]])
-        family = closure_generate(top)
-        assert set(family.members) >= {0b00, 0b11, 0b01, 0b10}
-        assert family.missing_singletons() == ()
+        origins = closure_generate(top)
+        assert set(origins) >= {0b00, 0b11, 0b01, 0b10}
+        assert all(1 << j in origins for j in range(2))
 
     def test_four_pattern_hand_example(self):
         # columns (0,0), (0,1), (1,0), (1,1): subtracting the two parent
         # sets in both directions isolates every latent
         top = ScmTopology.from_rows([[0, 0, 1, 1], [0, 1, 0, 1]])
-        family = closure_generate(top)
+        origins = closure_generate(top)
         parents_1 = 0b1100  # latents 2, 3
         parents_2 = 0b1010  # latents 1, 3
         for expected in (
@@ -53,8 +60,8 @@ class TestClosureGenerate:
             0b0011,  # U - parents_1
             0b0001,  # {0,1} - {1}
         ):
-            assert expected in family.origins
-        assert family.missing_singletons() == ()
+            assert expected in origins
+        assert all(1 << j in origins for j in range(4))
 
     def test_walkthrough_first_isolation_step(self, walkthrough_topology):
         verdict = closure_identifiable(walkthrough_topology)
@@ -84,16 +91,43 @@ class TestClosureGenerate:
     def test_fixpoint_is_order_independent(self, m, n, seed):
         rng = np.random.default_rng(abs(seed) % (2**32))
         top = random_topology(rng, m, n)
-        family = closure_generate(top)
+        origins = closure_generate(top)
         oracle = shuffled_closure(top.parent_indices(), n, rng)
         as_masks = {sum(1 << j for j in s) for s in oracle}
-        assert set(family.members) == as_masks
+        assert set(origins) == as_masks
 
     def test_traces_replay_to_their_sets(self, walkthrough_topology):
-        family = closure_generate(walkthrough_topology)
-        for mask in family.members:
-            chain = family.derivation_chain(mask)
+        origins = closure_generate(walkthrough_topology)
+        for mask in origins:
+            chain = derivation_chain(origins, mask)
             assert replay_chain(walkthrough_topology, chain) == mask
+
+    def test_early_stop_keeps_the_full_pairing_origins(self, walkthrough_topology):
+        # pairing stops at 2^(atoms) members; the first-found derivations
+        # and their order must equal those of pairing to the fixpoint
+        tops = [walkthrough_topology] + [
+            ScmTopology.from_rows(rows)
+            for m in range(1, 4)
+            for n in range(1, 5)
+            for rows in enumerate_matrices(m, n)
+        ]
+        for top in tops:
+            expected = list(reference_closure_origins(top).items())
+            assert list(closure_generate(top).items()) == expected
+
+    def test_members_are_the_unions_of_atoms_up_to_three_by_four(self):
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for rows in enumerate_matrices(m, n):
+                    top = ScmTopology.from_rows(rows)
+                    assert closure_members(top) == tuple(sorted(reference_closure_origins(top)))
+
+    def test_member_listing_keeps_the_bounds(self):
+        rows = [[(pattern >> k) & 1 for pattern in range(12)] for k in range(4)]
+        with pytest.raises(CapacityError, match="at most 2048 members"):
+            closure_members(ScmTopology.from_rows(rows))
+        with pytest.raises(CapacityError, match="at most 64 latents"):
+            closure_members(ScmTopology(1, 65, np.ones((1, 65), dtype=int)))
 
     def test_family_size_is_two_to_the_distinct_columns(self):
         for m in range(1, 4):
@@ -130,8 +164,8 @@ class TestClosureVerdict:
 
     def test_two_latents_one_task_not_identifiable(self):
         top = ScmTopology.from_rows([[1, 1]])
-        family = closure_generate(top)
-        assert set(family.members) == {0b00, 0b11}
+        origins = closure_generate(top)
+        assert set(origins) == {0b00, 0b11}
         assert not closure_identifiable(top).identifiable
 
     def test_verdict_internal_consistency(self):
@@ -160,9 +194,9 @@ class TestAtomCertificate:
                 for rows in enumerate_matrices(m, n):
                     top = ScmTopology.from_rows(rows)
                     verdict = closure_identifiable(top)
-                    family = closure_generate(top)
+                    origins = closure_generate(top)
                     for j, chain in enumerate(verdict.per_latent):
-                        assert (chain is not None) == ((1 << j) in family.origins)
+                        assert (chain is not None) == ((1 << j) in origins)
                     self.assert_certificates(top, verdict)
 
     @given(

@@ -116,6 +116,23 @@ class TestCollisions:
                     distinct = len(set(zip(*rows))) == n
                     assert (top.collision_pairs() == []) == distinct
 
+    def test_atoms_group_equal_columns_by_lowest_latent(self, colliding_topology):
+        assert colliding_topology.atoms() == (0b0001, 0b0010, 0b1100)
+        assert ScmTopology.from_rows([[0, 1, 0, 1]]).atoms() == (0b0101, 0b1010)
+
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6), st.integers())
+    @settings(max_examples=60)
+    def test_atoms_partition_the_latents_by_column(self, m, n, seed):
+        rows = np.random.default_rng(abs(seed) % (2**32)).integers(0, 2, size=(m, n))
+        atoms = ScmTopology.from_rows(rows).atoms()
+        assert sum(atoms) == (1 << n) - 1
+        lowest = [(atom & -atom).bit_length() - 1 for atom in atoms]
+        assert lowest == sorted(lowest)
+        for j in range(n):
+            for jp in range(n):
+                together = any((atom >> j) & 1 and (atom >> jp) & 1 for atom in atoms)
+                assert together == (list(rows[:, j]) == list(rows[:, jp]))
+
 
 class TestJsonSchema:
     def test_round_trip(self, walkthrough_topology):
