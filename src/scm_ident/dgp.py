@@ -394,25 +394,29 @@ def generate_observed(
     its parents.
 
     Observation noise uses its own stream keyed by (noise purpose, seed
-    XOR environment index); with all-zero noise levels the output is a
-    deterministic function of the latents.
+    XOR environment index). When every noise level is zero nothing is
+    drawn from it, and the output is a deterministic function of the
+    latents; a spec with any nonzero level draws noise for every block.
     """
     n = spec.topology.num_latents
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != n:
         raise ShapeError(f"latents must be (samples x {n}), got shape {latents.shape}")
     rng = stream(OBSERVATION_NOISE, env_seed(seed, env_index))
+    noisy = spec.noise_x.any() or any(std.any() for std in spec.noise_y)
     # a product beyond the float range leaves an inf or nan cell, which
     # SyntheticDataset rejects with one typed error instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         x = latents @ spec.source_map.T
         if spec.slope is not None:
             x = _leaky(x, spec.slope)
-        x = x + rng.standard_normal(x.shape) * spec.noise_x
+        if noisy:
+            x = x + rng.standard_normal(x.shape) * spec.noise_x
         y_blocks = []
         for b, parents, y_std in zip(spec.task_maps, spec.topology.parent_indices(), spec.noise_y):
             block = latents[:, list(parents)] @ b.T
-            block = block + rng.standard_normal(block.shape) * y_std
+            if noisy:
+                block = block + rng.standard_normal(block.shape) * y_std
             y_blocks.append(block)
     return x, tuple(y_blocks)
 

@@ -166,21 +166,26 @@ def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray
 def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
     """Each environment's moments of ``[x, *y]``, its rows centred on its own mean.
 
-    The joint rows are centred in place; every temporary is one column long.
+    The columns are gathered in environment order into one column-major
+    buffer and centred in place there; every temporary is one column long.
     """
     order, sizes = _environment_rows(dataset)
-    rows = np.concatenate([dataset.x[order], *(block[order] for block in dataset.y)], axis=1)
+    blocks = [dataset.x, *dataset.y]
+    columns = np.empty((sum(block.shape[1] for block in blocks), order.size))
+    for j, column in enumerate(c for block in blocks for c in block.T):
+        # mode="clip" writes straight into ``out``; the indices are in range
+        np.take(column, order, out=columns[j], mode="clip")
     starts = np.cumsum(sizes) - sizes
-    means = np.add.reduceat(rows, starts, axis=0) / sizes[:, None]
-    width = rows.shape[1]
+    means = np.add.reduceat(columns, starts, axis=1) / sizes
+    width = columns.shape[0]
     for j in range(width):
-        rows[:, j] -= np.repeat(means[:, j], sizes)
+        columns[j] -= np.repeat(means[j], sizes)
     covariances = np.empty((sizes.size, width, width))
     for i in range(width):
         for j in range(i + 1):
-            products = np.add.reduceat(rows[:, i] * rows[:, j], starts) / sizes
+            products = np.add.reduceat(columns[i] * columns[j], starts) / sizes
             covariances[:, i, j] = covariances[:, j, i] = products
-    return _Moments(means, covariances, sizes)
+    return _Moments(np.ascontiguousarray(means.T), covariances, sizes)
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -376,6 +381,15 @@ class _NormalEquations:
     shared_gradient: np.ndarray  # (restarts, p): Jᵀr over θ
     local_gradient: np.ndarray  # (restarts, 2n, envs): Jᵀr over each φ_e
 
+    def take(self, keep: np.ndarray) -> "_NormalEquations":
+        return _NormalEquations(
+            self.shared[keep],
+            self.cross[keep],
+            self.local[keep],
+            self.shared_gradient[keep],
+            self.local_gradient[keep],
+        )
+
     def half_gradient(self) -> np.ndarray:
         """Jᵀr per restart over the free parameters, in ``_Layout.free`` order."""
         return _free_order(self.shared_gradient, self.local_gradient)
@@ -510,9 +524,11 @@ def _levenberg_marquardt(
     projects each moved model (``_project``) and keeps it only if its
     objective strictly decreases; λ starts at ``INITIAL_DAMPING`` and is
     divided by ``DAMPING_DOWN`` after a kept step, multiplied by
-    ``DAMPING_UP`` after a rejected one. Products and solves run slice by
-    slice, so each restart keeps the bits it would reach alone, and the
-    loop runs max(iterations) times.
+    ``DAMPING_UP`` after a rejected one. A rejected step leaves its model
+    where it was, so the normal equations are rebuilt, for the whole
+    batch, only after an iteration in which some restart kept its step.
+    Products and solves run slice by slice, so each restart keeps the
+    bits it would reach alone, and the loop runs max(iterations) times.
     """
     batch = _project(start)
     objective, residuals = _residuals(batch, moments)
@@ -521,9 +537,10 @@ def _levenberg_marquardt(
     results: list[RestartResult] = [None] * ids.shape[0]  # type: ignore[list-item]
     free = batch.layout.free
     iterations = 0
+    normal: _NormalEquations | None = None
 
     def leave(mask: np.ndarray, stop_reason: str) -> np.ndarray:
-        nonlocal batch, objective, residuals, damping, ids
+        nonlocal batch, objective, residuals, normal, damping, ids
         for i in np.flatnonzero(mask):
             results[ids[i]] = RestartResult(
                 float(objective[i]), iterations, batch.model(i), stop_reason
@@ -531,11 +548,14 @@ def _levenberg_marquardt(
         keep = ~mask
         if mask.any():
             batch, residuals = batch.take(keep), residuals.take(keep)
+            if normal is not None:  # it is None after a kept step
+                normal = normal.take(keep)
             objective, damping, ids = objective[keep], damping[keep], ids[keep]
         return keep
 
     for _ in range(config.max_iters):
-        normal = _normal_equations(batch, residuals)
+        if normal is None:
+            normal = _normal_equations(batch, residuals)
         step, solved = normal.step(damping)
         converged = 2.0 * np.abs(normal.half_gradient()).max(axis=1) < config.grad_tol
         keep = leave(converged, "grad_tol")
@@ -554,6 +574,8 @@ def _levenberg_marquardt(
         residuals.means[better] = candidate_residuals.means[better]
         residuals.covariances[better] = candidate_residuals.covariances[better]
         damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
+        if better.any():
+            normal = None
         iterations += 1
     leave(np.ones(ids.shape, dtype=bool), "max_iters")
     return results
@@ -635,28 +657,35 @@ def fit(
     ``config.seed``. The best restart by final objective wins, ties going
     to the earliest. An ``init`` whose shapes do not match the topology
     and the dataset's environments raises ``ShapeError``, and one with a
-    non-finite entry ``DomainError``.
+    non-finite entry ``DomainError``. A best objective that is not finite
+    (data whose squared moments overflow float64) raises ``DataError``.
     """
     _check_dataset(dataset, topology)
     if init is not None:
         _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
     starts = _Batch.of(_starts(topology, moments, config, init), topology)
-    restarts = _levenberg_marquardt(starts, moments, config)
-    best = min(restarts, key=lambda res: res.objective)
+    # an overflow leaves an objective that is not finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        restarts = _levenberg_marquardt(starts, moments, config)
+    best = min(restarts, key=lambda res: (math.isnan(res.objective), res.objective))
+    if not math.isfinite(best.objective):
+        raise DataError(
+            "the fit objective is not finite: the data overflow float64 in the moment residuals"
+        )
     if best.model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("every restart collapsed to a singular mixing map")
     return FitResult(model=best.model, objective=best.objective, restarts=restarts)
 
 
 def recover_latents(model: UnmixModel, x: np.ndarray) -> np.ndarray:
-    """Invert the fitted mixing map on source observations."""
+    """Invert the fitted mixing map on source observations, one product with its inverse."""
     if model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("mixing map is numerically singular")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.mixing.shape[0]:
         raise ShapeError(f"observations must be (samples x {model.mixing.shape[0]})")
-    return np.linalg.solve(model.mixing, x.T).T
+    return x @ np.linalg.inv(model.mixing).T
 
 
 @dataclass(frozen=True)
@@ -676,12 +705,25 @@ class MatchResult:
         return float(np.mean(self.per_latent_abs_corr))
 
 
+def _standardised(latents: np.ndarray) -> np.ndarray:
+    """Each column of ``latents`` centred and scaled to unit norm, as a row of a C-ordered copy."""
+    rows = np.array(latents.T, order="C")
+    rows -= rows.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0):
+        raise DegenerateError("a latent column has zero variance")
+    rows /= norms[:, None]
+    return rows
+
+
 def match_permutation(true_latents: np.ndarray, est_latents: np.ndarray) -> MatchResult:
     """Exhaustive search for the correlation-maximizing permutation.
 
     Ties resolve to the lexicographically smallest permutation. Absolute
     Pearson correlation is invariant to per-column affine rescaling of
-    either side.
+    either side. Each side is standardised as a contiguous (latents x
+    samples) copy, so the result does not depend on the inputs' memory
+    layout.
     """
     true_arr = np.asarray(true_latents, dtype=np.float64)
     est_arr = np.asarray(est_latents, dtype=np.float64)
@@ -692,13 +734,7 @@ def match_permutation(true_latents: np.ndarray, est_latents: np.ndarray) -> Matc
     n = true_arr.shape[1]
     if n > MAX_FIT_LATENTS:
         raise CapacityError(f"permutation search supports at most {MAX_FIT_LATENTS} latents")
-    true_centered = true_arr - true_arr.mean(axis=0)
-    est_centered = est_arr - est_arr.mean(axis=0)
-    true_norm = np.linalg.norm(true_centered, axis=0)
-    est_norm = np.linalg.norm(est_centered, axis=0)
-    if np.any(true_norm == 0) or np.any(est_norm == 0):
-        raise DegenerateError("a latent column has zero variance")
-    corr = np.abs(true_centered.T @ est_centered) / np.outer(true_norm, est_norm)
+    corr = np.abs(_standardised(true_arr) @ _standardised(est_arr).T)
     corr = np.clip(corr, 0.0, 1.0)  # |Pearson| is in [0, 1]; trim round-off
     best_perm: tuple[int, ...] | None = None
     best_mean = -np.inf

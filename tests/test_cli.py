@@ -533,6 +533,22 @@ class TestDataAndRecovery:
         assert capfd.readouterr() == ("", "input error: non-finite cell in dataset columns x_*\n")
         assert not csv_path.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_recover_with_an_objective_beyond_the_float_range_exit_two(self, tmp_path, capfd):
+        doc = identifiable_spec().to_json_dict()
+        doc["environments"][0]["variances"][0] = 1e200  # the squared residuals overflow
+        spec_path = write_json(tmp_path / "spec.json", doc)
+        top_path = write_json(tmp_path / "top.json", identifiable_spec().topology.to_json_dict())
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", spec_path, "--samples", "2000", "--out", str(csv_path)]) == 0
+        capfd.readouterr()
+        assert main(["recover", str(csv_path), top_path, "--format", "json"]) == 2
+        message = (
+            "input error: the fit objective is not finite: "
+            "the data overflow float64 in the moment residuals\n"
+        )
+        assert capfd.readouterr() == ("", message)
+
     def test_recover_rejects_malformed_row(self, tmp_path, capsys):
         top_path = write_json(
             tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}

@@ -12,6 +12,7 @@ from conftest import (
     parentless_task_spec,
 )
 from helpers import reference_export_csv
+from scm_ident import dgp
 from scm_ident import (
     ConfigError,
     DataError,
@@ -30,6 +31,7 @@ from scm_ident import (
     load_dataset,
     sample_latents,
 )
+from scm_ident._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 
 
 @pytest.fixture
@@ -142,6 +144,51 @@ class TestGenerateObserved:
         x3, _ = generate_observed(noisy, latents, seed=2)
         assert np.array_equal(x1, x2)
         assert not np.array_equal(x1, x3)
+
+    @staticmethod
+    def count_draws(monkeypatch) -> dict:
+        """Arrays drawn per stream purpose, through a counting ``dgp.stream``."""
+        draws = {LATENT_DRAWS: 0, OBSERVATION_NOISE: 0}
+
+        class Counted:
+            def __init__(self, purpose, seed):
+                self.purpose, self.rng = purpose, stream(purpose, seed)
+
+            def standard_normal(self, *args):
+                draws[self.purpose] += 1
+                return self.rng.standard_normal(*args)
+
+        monkeypatch.setattr(dgp, "stream", Counted)
+        return draws
+
+    def test_noiseless_spec_draws_no_noise(self, ident_spec, monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        generate_dataset(ident_spec, 50, seed=3)
+        assert draws == {LATENT_DRAWS: 3, OBSERVATION_NOISE: 0}
+        noisy = dataclasses.replace(ident_spec, noise_x=np.array([0.0, 0.1]))
+        generate_dataset(noisy, 50, seed=3)
+        # one draw for x and one per task in each of the 3 environments
+        assert draws == {LATENT_DRAWS: 6, OBSERVATION_NOISE: 3 * (1 + ident_spec.topology.num_tasks)}
+
+    @pytest.mark.parametrize("level", ["x", "y"])
+    def test_one_nonzero_level_draws_noise_for_every_block(self, level):
+        spec = three_task_spec()
+        if level == "x":
+            spec = dataclasses.replace(spec, noise_x=np.array([0.0, 0.0, 0.3]))
+        else:
+            noise_y = tuple(np.zeros(len(p)) for p in spec.topology.parent_indices())
+            spec = dataclasses.replace(spec, noise_y=(noise_y[0], np.array([0.0, 0.2])) + noise_y[2:])
+        latents = sample_latents(spec.prior, 1, 200, seed=4)
+        x, y = generate_observed(spec, latents, seed=4, env_index=1)
+        # each block gets its draws, in order, even where its level is zero
+        rng = stream(OBSERVATION_NOISE, env_seed(4, 1))
+        want_x = latents @ spec.source_map.T + rng.standard_normal(x.shape) * spec.noise_x
+        assert want_x.tobytes() == x.tobytes()
+        for b, parents, std, block in zip(
+            spec.task_maps, spec.topology.parent_indices(), spec.noise_y, y
+        ):
+            want = latents[:, list(parents)] @ b.T + rng.standard_normal(block.shape) * std
+            assert want.tobytes() == block.tobytes()
 
 
 class TestVariety:

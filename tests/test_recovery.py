@@ -154,6 +154,20 @@ class TestMatchPermutation:
         shuffled = match_permutation(latents[:, order], est[:, rng.permutation(3)]).mcc
         assert shuffled == pytest.approx(base, abs=1e-12)
 
+    def test_memory_layout_does_not_change_the_result(self):
+        rng = np.random.default_rng(7)
+        latents = rng.standard_normal((5000, 3)) * [1.0, 10.0, 100.0] + 3.0
+        est = latents @ rng.standard_normal((3, 3)) + 0.1 * rng.standard_normal((5000, 3))
+        want = match_permutation(latents, est)
+        for true_order, est_order in (("F", "F"), ("F", "C"), ("C", "F")):
+            got = match_permutation(
+                np.asarray(latents, order=true_order), np.asarray(est, order=est_order)
+            )
+            assert got == want
+        assert match_permutation(latents[::2], est[::2]) == match_permutation(
+            latents[::2].copy(), est[::2].copy()
+        )
+
 
 class TestRecoverLatents:
     def test_true_model_inverts_exactly(self, ident_spec):
@@ -169,6 +183,16 @@ class TestRecoverLatents:
         np.testing.assert_allclose(recovered, dataset.latents / 2.0, rtol=1e-9, atol=1e-10)
         match = match_permutation(dataset.latents, recovered)
         np.testing.assert_allclose(match.per_latent_abs_corr, [1.0, 1.0], atol=1e-12)
+
+    def test_near_singular_model_inverts(self):
+        rng = np.random.default_rng(11)
+        rotations = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)]
+        mixing = rotations[0] @ np.diag([1.0, 1e-3, 1e-6]) @ rotations[1].T
+        assert singular_ratio(mixing) == pytest.approx(1e-6, rel=1e-6)
+        latents = rng.standard_normal((2000, 3))
+        model = UnmixModel(mixing, np.zeros((1, 3)), np.ones((1, 3)), ())
+        recovered = recover_latents(model, latents @ mixing.T)
+        np.testing.assert_allclose(recovered, latents, rtol=0, atol=1e-8)
 
     def test_singular_model_rejected(self, ident_spec):
         model = truth_model(ident_spec)
@@ -342,6 +366,30 @@ class TestFitGradient:
         # per iteration, not per restart; the last pass finds every remaining restart done
         assert calls["residuals"] == calls["project"] == iterations + 1
         assert calls["normal_equations"] == iterations + 1
+
+    def test_normal_equations_rebuilt_only_after_a_kept_step(self, collide_spec, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        objectives = []
+        counted = recovery._residuals
+
+        def recorded(*args):
+            objective, residuals = counted(*args)
+            objectives.append(float(objective[0]))
+            return objective, residuals
+
+        monkeypatch.setattr(recovery, "_residuals", recorded)
+        dataset = generate_dataset(collide_spec, 2000, seed=4)
+        result = fit(dataset, collide_spec.topology, FitConfig(restarts=1, seed=4))
+        restart = result.restarts[0]
+        assert restart.stop_reason != "max_iters"
+        # the start's objective, then one candidate per iteration, kept when it is lower
+        assert len(objectives) == restart.iterations + 1
+        best, kept = objectives[0], 0
+        for candidate in objectives[1:]:
+            if candidate < best:
+                best, kept = candidate, kept + 1
+        assert kept < restart.iterations  # some steps were rejected
+        assert calls["normal_equations"] == 1 + kept
 
 
 class TestEmpiricalMoments:
