@@ -37,7 +37,6 @@ from .ident import (
     MinTasksResult,
     closure_generate,
     closure_identifiable,
-    derivation_chain,
     equivalence_audit,
     min_tasks_for,
     pair_agreement_counts,
@@ -87,7 +86,6 @@ __all__ = [
     "MinTasksResult",
     "closure_generate",
     "closure_identifiable",
-    "derivation_chain",
     "equivalence_audit",
     "min_tasks_for",
     "pair_agreement_counts",

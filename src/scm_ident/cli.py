@@ -24,14 +24,12 @@ import numpy as np
 from . import __version__
 from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, _numbers, _task_map, export_dataset, generate_dataset, load_dataset
-from .errors import ConfigError, DataError, ScmIdentError, SingularModelError
+from .errors import ConfigError, DataError, ScmIdentError, SingularModelError, check_keys
 from .ident import (
     DifferenceOrigin,
     SeedOrigin,
     closure_generate,
     closure_identifiable,
-    closure_members,
-    derivation_chain,
     equivalence_audit,
     uic_violations,
 )
@@ -79,17 +77,6 @@ def _json_int(literal: str) -> int:
 def _load_json(path):
     with open(path) as handle:
         return json.load(handle, parse_int=_json_int)
-
-
-def _check_keys(document, what: str, allowed, required=()) -> None:
-    if not isinstance(document, dict):
-        raise DataError(f"{what} must be a JSON object")
-    unknown = set(document) - set(allowed)
-    if unknown:
-        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
-    for key in required:
-        if key not in document:
-            raise DataError(f"{what} missing key {key!r}")
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -206,7 +193,7 @@ def cmd_check(args) -> int:
 
 def cmd_closure(args) -> int:
     topology = _load_topology(args.topology)
-    members = closure_members(topology)
+    members = closure_generate(topology)
     verdict = closure_identifiable(topology)
     payload: dict = {
         "family_size": len(members),
@@ -223,13 +210,11 @@ def cmd_closure(args) -> int:
     if payload["missing_singletons"]:
         lines.append("missing singletons: " + ", ".join(payload["missing_singletons"]))
     if args.trace:
-        origins = closure_generate(topology)
         traces = {}
-        for j, certificate in enumerate(verdict.per_latent):
-            if certificate is None:
+        for j, chain in enumerate(verdict.per_latent):
+            if chain is None:
                 continue
             label = topology.latent_label(j)
-            chain = derivation_chain(origins, 1 << j)
             traces[label] = _chain_payload(topology, chain)
             lines.append(f"derivation of {{{label}}}:")
             lines.extend(_chain_lines(topology, chain))
@@ -449,15 +434,15 @@ def cmd_dgp_gen(args) -> int:
 
 def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_override):
     data = {} if data is None else data
-    _check_keys(data, "fit config", {f.name for f in dataclasses.fields(FitConfig)} | {"init"})
+    check_keys(data, "fit config", {f.name for f in dataclasses.fields(FitConfig)} | {"init"})
     data = dict(data)
     init = None
     if "init" in data:
         init_doc = data.pop("init")
         names = ("F", "means", "variances", "B")
-        _check_keys(init_doc, "fit config init", names, names)
+        check_keys(init_doc, "fit config init", names, names)
         tasks = [f"t{k + 1}" for k in range(topology.num_tasks)]
-        _check_keys(init_doc["B"], "fit config init B", tasks, tasks)
+        check_keys(init_doc["B"], "fit config init B", tasks, tasks)
         init = UnmixModel(
             *(_numbers(init_doc[name], f"init {name}") for name in names[:3]),
             tuple(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
-from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError
+from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
 from .topology import MAX_LATENTS, ScmTopology
 
 RANK_TOLERANCE = 1e-8
@@ -204,15 +204,8 @@ class DgpSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DgpSpec":
-        if not isinstance(data, dict):
-            raise DataError("generator spec must be a JSON object")
-        allowed = {"topology", "environments", "F", "B", "noise", "nonlinearity"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise DataError(f"unknown generator spec keys: {sorted(unknown)}")
-        for key in ("topology", "environments", "F", "B"):
-            if key not in data:
-                raise DataError(f"generator spec missing key {key!r}")
+        required = ("topology", "environments", "F", "B")
+        check_keys(data, "generator spec", {*required, "noise", "nonlinearity"}, required)
         topology = ScmTopology.from_json_dict(data["topology"])
         m, n = topology.num_tasks, topology.num_latents
         envs = data["environments"]

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check that
+every JSON document reader applies before it reads a value."""
 
 
 class ScmIdentError(Exception):
@@ -35,3 +36,16 @@ class SingularModelError(ScmIdentError):
 
 class DegenerateError(ScmIdentError):
     """Input data is degenerate, e.g. a zero-variance column."""
+
+
+def check_keys(document, what: str, allowed, required=()) -> None:
+    """Raise :class:`DataError` unless ``document`` is a JSON object whose keys
+    lie in ``allowed`` and include every ``required`` key."""
+    if not isinstance(document, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown = set(document) - set(allowed)
+    if unknown:
+        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in document:
+            raise DataError(f"{what} missing key {key!r}")

@@ -8,17 +8,16 @@ of a topology can be told apart from the data it generates:
   Pa_k and is closed under pairwise set subtraction. That family is the
   Boolean algebra the parent sets generate, so latent ``j``'s singleton
   is a member iff ``j``'s *atom* is ``{j}``. The decider builds the atom
-  by at most ``2m`` subtractions of members: start from U and, per task,
-  subtract Pa_k when ``j`` is not in Pa_k and U - Pa_k otherwise. The
-  chain of those subtractions is the certificate for ``{j}``;
+  by at most ``2m`` subtractions of members: from a seed holding ``j``
+  it subtracts, greedily, Pa_k when ``j`` is not in Pa_k and U - Pa_k
+  otherwise (:func:`_atom_chain`). The chain of those subtractions is
+  the certificate for ``{j}`` that ``closure --trace`` prints;
 * the *column-agreement decider* counts, for each pair of latents, on how
   many tasks their adjacency columns agree (both present or both absent)
   and accepts iff no pair agrees on all ``m`` tasks.
 
 The family's members are the unions of atoms (:meth:`ScmTopology.atoms`),
-which :func:`closure_members` lists for ``closure``. The subtraction
-fixpoint (:func:`closure_generate`) only records the first-found
-derivations that ``closure --trace`` prints.
+which :func:`closure_generate` lists for ``closure``.
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
@@ -39,11 +38,10 @@ from .errors import CapacityError
 from .topology import MAX_LATENTS, ScmTopology
 
 AUDIT_CELL_LIMIT = 20
-# Largest family ``closure`` accepts, with or without ``--trace``, so both
-# accept the same topologies. It guards the trace's fixpoint, which pairs
-# members with members: 2.2-2.8 s for ``closure --trace`` at 2^11 on a
-# two-core host, where listing the unions of atoms takes under 1 ms.
-CLOSURE_MEMBER_LIMIT = 1 << 11
+# Largest family ``closure`` lists. Listing 2^16 unions of atoms is fast;
+# printing them is what it bounds: ``closure --format json`` writes about
+# 28 MB for 16 atoms of 64 latents.
+CLOSURE_MEMBER_LIMIT = 1 << 16
 MIN_TASKS_LATENT_LIMIT = 16
 
 
@@ -68,37 +66,15 @@ class DifferenceOrigin:
 Origin = SeedOrigin | DifferenceOrigin
 
 
-def derivation_chain(origins: dict[int, Origin], mask: int) -> tuple[tuple[int, Origin], ...]:
-    """Steps producing ``mask`` from :func:`closure_generate`'s origins,
-    dependencies first and seeds unrolled, so replaying them in order
-    reproduces the target set exactly."""
-    if mask not in origins:
-        raise KeyError(f"mask {mask:#x} is not a family member")
-    chain: list[tuple[int, Origin]] = []
-    emitted: set[int] = set()
-
-    def visit(target: int) -> None:
-        if target in emitted:
-            return
-        origin = origins[target]
-        if isinstance(origin, DifferenceOrigin):
-            visit(origin.left)
-            visit(origin.right)
-        emitted.add(target)
-        chain.append((target, origin))
-
-    visit(mask)
-    return tuple(chain)
-
-
 @dataclass(frozen=True)
 class IdentVerdict:
     """Outcome of the closure decider for one topology.
 
-    ``per_latent[j]`` holds the derivation chain ending in latent ``j``'s
-    singleton, or ``None`` when the singleton is unreachable. A topology
-    is identifiable iff every chain exists iff no two adjacency columns
-    are identical (:meth:`ScmTopology.collision_pairs` lists those pairs).
+    ``per_latent[j]`` holds latent ``j``'s certificate, a chain of
+    ``(mask, origin)`` steps ending in its singleton, or ``None`` when the
+    singleton is unreachable. A topology is identifiable iff every chain
+    exists iff no two adjacency columns are identical
+    (:meth:`ScmTopology.collision_pairs` lists those pairs).
     """
 
     identifiable: bool
@@ -111,9 +87,12 @@ def _check_width(topology: ScmTopology) -> None:
         raise CapacityError(f"closure supports at most {MAX_LATENTS} latents, got {n}")
 
 
-def _family_atoms(topology: ScmTopology) -> tuple[int, ...]:
-    """The topology's atoms; :class:`CapacityError` unless its family of
-    2^(atoms) members fits :data:`CLOSURE_MEMBER_LIMIT`."""
+def closure_generate(topology: ScmTopology) -> tuple[int, ...]:
+    """Members of the subtraction closure, ascending: every union of atoms.
+
+    Raises :class:`CapacityError` unless the family's 2^(atoms) members fit
+    :data:`CLOSURE_MEMBER_LIMIT`.
+    """
     _check_width(topology)
     atoms = topology.atoms()
     if 1 << len(atoms) > CLOSURE_MEMBER_LIMIT:
@@ -121,91 +100,76 @@ def _family_atoms(topology: ScmTopology) -> tuple[int, ...]:
             f"closure listing supports at most {CLOSURE_MEMBER_LIMIT} members, "
             f"this topology's family has {1 << len(atoms)}"
         )
-    return atoms
-
-
-def closure_members(topology: ScmTopology) -> tuple[int, ...]:
-    """Members of the subtraction closure, ascending: every union of atoms."""
     unions = [0]
-    for atom in _family_atoms(topology):
+    for atom in atoms:
         unions += [union | atom for union in unions]
     return tuple(sorted(unions))
 
 
-def closure_generate(topology: ScmTopology) -> dict[int, Origin]:
-    """Each member of the subtraction closure mapped to its first
-    derivation, in discovery order.
-
-    Every new member is paired against all earlier members, both
-    subtraction directions, until all 2^(atoms) members are found; no
-    recorded derivation can change after that.
-    """
-    size = 1 << len(_family_atoms(topology))
-    universal = (1 << topology.num_latents) - 1
-    members: list[int] = []
-    origins: dict[int, Origin] = {}
-
-    def add(mask: int, origin: Origin) -> None:
-        if mask not in origins:
-            origins[mask] = origin
-            members.append(mask)
-
-    add(0, SeedOrigin("empty"))
-    add(universal, SeedOrigin("universal"))
-    for k, parents in enumerate(topology.row_masks()):
-        add(parents, SeedOrigin("task", k))
-    i = 0
-    while i < len(members) < size:
-        x = members[i]
-        for y in members[:i]:
-            add(x & ~y, DifferenceOrigin(x, y))
-            add(y & ~x, DifferenceOrigin(y, x))
-        i += 1
-    return origins
-
-
 def _atom_chain(topology: ScmTopology, j: int) -> tuple[tuple[int, Origin], ...] | None:
-    """Derivation of latent ``j``'s atom, or ``None`` unless it is ``{j}``.
+    """Certificate for latent ``j``'s singleton, or ``None`` unless ``j``'s
+    atom is ``{j}``.
 
-    The atom starts as U and loses, per task, Pa_k (``j`` not in Pa_k) or
-    U - Pa_k (``j`` in Pa_k); subtractions that remove nothing are
-    skipped. Every mask is emitted once, after its operands, and the
-    chain is cut just after ``{j}``'s first emission.
+    The atom is the intersection of the Pa_k holding ``j`` minus the
+    union of the others. When it is ``{j}``, the chain starts from the
+    seed, U or a Pa_k holding ``j``, with the fewest latents that no
+    ``j``-free Pa_k contains; ties go to the fewest latents, then the
+    lowest task, U last. It then repeatedly takes the subtraction that
+    removes the most latents per step: Pa_k with ``j`` not in Pa_k is one
+    step, U - Pa_k with ``j`` in Pa_k two. Ties go to the cheaper step,
+    then the lower task. Every subtracted set misses ``j``'s atom, and a
+    latent other than ``j`` is left only while some subtraction removes
+    it, so every step removes something and the chain ends at ``{j}``.
+    Every mask is emitted once, after its operands.
     """
     universal = (1 << topology.num_latents) - 1
-    chain: list[tuple[int, Origin]] = []
-    position: dict[int, int] = {}
-
-    def emit(mask: int, origin: Origin) -> None:
-        if mask not in position:
-            position[mask] = len(chain)
-            chain.append((mask, origin))
-
-    emit(universal, SeedOrigin("universal"))
-    atom = universal
-    for k, parents in enumerate(topology.row_masks()):
-        inside = (parents >> j) & 1
-        right = universal & ~parents if inside else parents
-        if not atom & right:
-            continue
-        emit(parents, SeedOrigin("task", k))
-        if inside:
-            emit(right, DifferenceOrigin(universal, parents))
-        emit(atom & ~right, DifferenceOrigin(atom, right))
-        atom &= ~right
-    if atom != 1 << j:
+    bit = 1 << j
+    rows = topology.row_masks()
+    outside = 0
+    inside = universal
+    for parents in rows:
+        if parents & bit:
+            inside &= parents
+        else:
+            outside |= parents
+    if inside & ~outside != bit:  # j's atom
         return None
-    return tuple(chain[: position[atom] + 1])
+    seeds = [(parents, k) for k, parents in enumerate(rows) if parents & bit]
+    seeds.append((universal, None))
+    # min keeps the first of equal keys: the lowest task, U last
+    atom, task = min(seeds, key=lambda seed: ((seed[0] & ~outside).bit_count(), seed[0].bit_count()))
+    # insertion order is emission order; setdefault keeps a mask's first origin
+    chain: dict[int, Origin] = {
+        atom: SeedOrigin("universal") if task is None else SeedOrigin("task", task)
+    }
+    # each task's subtraction as (set removed, weight, task): the weight is 2
+    # for one step and 1 for U - Pa_k's two, so latents removed times weight
+    # is the removal per two steps; one-step subtractions come first, so the
+    # first best score also holds both tie-breaks
+    steps = [(parents, 2, k) for k, parents in enumerate(rows) if not parents & bit]
+    steps += [(universal & ~parents, 1, k) for k, parents in enumerate(rows) if parents & bit]
+    while atom != bit:
+        scores = [(atom & right).bit_count() * weight for right, weight, _ in steps]
+        right, weight, k = steps[scores.index(max(scores))]
+        if weight == 2:
+            chain.setdefault(right, SeedOrigin("task", k))
+        elif right not in chain:
+            chain.setdefault(universal, SeedOrigin("universal"))
+            chain.setdefault(rows[k], SeedOrigin("task", k))
+            chain[right] = DifferenceOrigin(universal, rows[k])
+        chain.setdefault(atom & ~right, DifferenceOrigin(atom, right))
+        atom &= ~right
+    return tuple(chain.items())
 
 
 def closure_identifiable(topology: ScmTopology) -> IdentVerdict:
     """Run the closure decider and package per-latent certificates.
 
     ``per_latent[j]`` is latent ``j``'s atom chain (see the module
-    docstring): a replayable derivation of ``{j}`` in the
-    :func:`derivation_chain` format, at most ``2m``
-    subtractions long, or ``None`` when the atom is larger than ``{j}``.
-    The verdict is pure set algebra; the full fixpoint is never built.
+    docstring and :func:`_atom_chain`): a replayable derivation of
+    ``{j}``, at most ``2m`` subtractions long, or ``None`` when the atom
+    is larger than ``{j}``. The verdict is pure set algebra; no closure
+    family is built.
     """
     _check_width(topology)
     chains = tuple([_atom_chain(topology, j) for j in range(topology.num_latents)])

@@ -708,9 +708,11 @@ class MatchResult:
 def _standardised(latents: np.ndarray) -> np.ndarray:
     """Each column of ``latents`` centred and scaled to unit norm, as a row of a C-ordered copy."""
     rows = np.array(latents.T, order="C")
+    scales = np.abs(rows).max(axis=1, initial=0.0)
     rows -= rows.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0):
+    # a constant column centres to round-off of its scale, not always to zero
+    if np.any(norms <= rows.shape[1] * np.finfo(np.float64).eps * scales):
         raise DegenerateError("a latent column has zero variance")
     rows /= norms[:, None]
     return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, LabelError, ShapeError
+from .errors import DataError, DomainError, LabelError, ShapeError, check_keys
 
 # Largest latent count the closure decider and the generator accept.
 MAX_LATENTS = 64
@@ -161,15 +161,8 @@ class ScmTopology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScmTopology":
-        if not isinstance(data, dict):
-            raise DataError("topology document must be a JSON object")
-        allowed = {"num_tasks", "num_latents", "adjacency", "latent_names", "task_names"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise DataError(f"unknown topology keys: {sorted(unknown)}")
-        for key in ("num_tasks", "num_latents", "adjacency"):
-            if key not in data:
-                raise DataError(f"topology document missing key {key!r}")
+        required = ("num_tasks", "num_latents", "adjacency")
+        check_keys(data, "topology document", {*required, "latent_names", "task_names"}, required)
         for key in ("num_tasks", "num_latents"):
             count = data[key]
             whole = isinstance(count, numbers.Integral) or (

@@ -85,8 +85,8 @@ def column_collisions(adjacency) -> list[tuple[int, int]]:
 def shuffled_closure(parent_sets, n: int, rng) -> set[frozenset]:
     """Subtraction-closure fixpoint over frozensets with a shuffled worklist.
 
-    Independent of the package's bitmask implementation; used to confirm
-    the fixpoint does not depend on processing order.
+    Independent of the package's bitmask implementation; the oracle for
+    the member listing, which it must equal whatever the processing order.
     """
     universe = frozenset(range(n))
     family = {frozenset(), universe} | {frozenset(p) for p in parent_sets}
@@ -107,8 +107,9 @@ def reference_closure_origins(topology) -> dict:
     """Subtraction-closure fixpoint with each member's first derivation.
 
     Pairs every new member with every earlier one, both directions, until
-    no member is left unpaired, with no early stop; the dict keeps the
-    discovery order. Seeds come from the adjacency cells directly.
+    no member is left unpaired; the dict keeps the discovery order. Seeds
+    come from the adjacency cells directly. The certificates are checked
+    against its derivations (:func:`reference_derivation`).
     """
     from scm_ident.ident import DifferenceOrigin, SeedOrigin
 
@@ -124,6 +125,25 @@ def reference_closure_origins(topology) -> dict:
                     origins[left & ~right] = DifferenceOrigin(left, right)
                     members.append(left & ~right)
     return origins
+
+
+def reference_derivation(origins, mask) -> list:
+    """``mask``'s first-found derivation from :func:`reference_closure_origins`,
+    unrolled depth first: operands before results, each mask listed once."""
+    from scm_ident.ident import DifferenceOrigin
+
+    chain = []
+    pending = [(mask, False)]
+    while pending:
+        target, expanded = pending.pop()
+        if any(target == done for done, _ in chain):
+            continue
+        origin = origins[target]
+        if expanded or not isinstance(origin, DifferenceOrigin):
+            chain.append((target, origin))
+        else:
+            pending += [(target, True), (origin.right, False), (origin.left, False)]
+    return chain
 
 
 def replay_chain(topology, chain) -> int:

@@ -136,20 +136,25 @@ class TestClosure:
         assert capsys.readouterr().out == expected
 
     def test_family_above_the_member_limit_exit_two(self, tmp_path, capsys):
-        path = distinct_columns_file(tmp_path, 5, 20)
+        path = distinct_columns_file(tmp_path, 5, 17)
         start = time.perf_counter()
-        assert main(["closure", path]) == 2
+        assert main(["closure", path, "--trace"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "at most 2048 members" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "input error: closure listing supports at most 65536 members, "
+            "this topology's family has 131072\n"
+        )
         assert main(["check", path]) == 0
 
-    def test_listing_at_the_member_limit_is_fast(self, tmp_path, capsys):
-        path = distinct_columns_file(tmp_path, 4, 11)
+    def test_trace_at_the_member_limit_is_fast(self, tmp_path, capsys):
+        path = distinct_columns_file(tmp_path, 4, 16)
         start = time.perf_counter()
-        code, payload = run_json(capsys, ["closure", path])
+        code = main(["closure", path, "--trace"])
         assert time.perf_counter() - start < 1.0
         assert code == 0
-        assert payload["family_size"] == len(payload["members"]) == 2048
+        out = capsys.readouterr().out
+        assert out.startswith("family size: 65536 (bound 2^n = 65536)\n")
+        assert out.count("derivation of") == 16
 
     def test_missing_singletons_reported(self, colliding_topology_file, capsys):
         code, payload = run_json(capsys, ["closure", colliding_topology_file])

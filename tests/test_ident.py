@@ -12,6 +12,7 @@ from helpers import (
     column_collisions,
     enumerate_matrices,
     reference_closure_origins,
+    reference_derivation,
     replay_chain,
     shuffled_closure,
 )
@@ -21,7 +22,6 @@ from scm_ident import (
     _parallel,
     closure_generate,
     closure_identifiable,
-    derivation_chain,
     equivalence_audit,
     min_tasks_for,
     pair_agreement_counts,
@@ -30,7 +30,7 @@ from scm_ident import (
 )
 from scm_ident._kernels import decode_matrix
 from scm_ident.cli import main
-from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin, closure_members
+from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin
 
 
 def random_topology(rng, m, n) -> ScmTopology:
@@ -40,15 +40,15 @@ def random_topology(rng, m, n) -> ScmTopology:
 class TestClosureGenerate:
     def test_identity_seeds_are_singletons(self):
         top = ScmTopology.from_rows([[1, 0], [0, 1]])
-        origins = closure_generate(top)
-        assert set(origins) >= {0b00, 0b11, 0b01, 0b10}
-        assert all(1 << j in origins for j in range(2))
+        members = closure_generate(top)
+        assert set(members) >= {0b00, 0b11, 0b01, 0b10}
+        assert all(1 << j in members for j in range(2))
 
     def test_four_pattern_hand_example(self):
         # columns (0,0), (0,1), (1,0), (1,1): subtracting the two parent
         # sets in both directions isolates every latent
         top = ScmTopology.from_rows([[0, 0, 1, 1], [0, 1, 0, 1]])
-        origins = closure_generate(top)
+        members = closure_generate(top)
         parents_1 = 0b1100  # latents 2, 3
         parents_2 = 0b1010  # latents 1, 3
         for expected in (
@@ -60,19 +60,8 @@ class TestClosureGenerate:
             0b0011,  # U - parents_1
             0b0001,  # {0,1} - {1}
         ):
-            assert expected in origins
-        assert all(1 << j in origins for j in range(4))
-
-    def test_walkthrough_first_isolation_step(self, walkthrough_topology):
-        verdict = closure_identifiable(walkthrough_topology)
-        assert verdict.identifiable
-        mask, origin = verdict.per_latent[0][-1]
-        assert mask == 0b1  # latent 0's singleton
-        # derived by subtracting task 1's parents from task 0's
-        assert origin == DifferenceOrigin(
-            left=walkthrough_topology.row_masks()[0],
-            right=walkthrough_topology.row_masks()[1],
-        )
+            assert expected in members
+        assert all(1 << j in members for j in range(4))
 
     def test_family_bound(self):
         rng = np.random.default_rng(0)
@@ -88,46 +77,25 @@ class TestClosureGenerate:
 
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5), st.integers())
     @settings(max_examples=60, deadline=None)
-    def test_fixpoint_is_order_independent(self, m, n, seed):
+    def test_members_equal_a_shuffled_fixpoint(self, m, n, seed):
         rng = np.random.default_rng(abs(seed) % (2**32))
         top = random_topology(rng, m, n)
-        origins = closure_generate(top)
         oracle = shuffled_closure(top.parent_indices(), n, rng)
-        as_masks = {sum(1 << j for j in s) for s in oracle}
-        assert set(origins) == as_masks
-
-    def test_traces_replay_to_their_sets(self, walkthrough_topology):
-        origins = closure_generate(walkthrough_topology)
-        for mask in origins:
-            chain = derivation_chain(origins, mask)
-            assert replay_chain(walkthrough_topology, chain) == mask
-
-    def test_early_stop_keeps_the_full_pairing_origins(self, walkthrough_topology):
-        # pairing stops at 2^(atoms) members; the first-found derivations
-        # and their order must equal those of pairing to the fixpoint
-        tops = [walkthrough_topology] + [
-            ScmTopology.from_rows(rows)
-            for m in range(1, 4)
-            for n in range(1, 5)
-            for rows in enumerate_matrices(m, n)
-        ]
-        for top in tops:
-            expected = list(reference_closure_origins(top).items())
-            assert list(closure_generate(top).items()) == expected
+        assert closure_generate(top) == tuple(sorted(sum(1 << j for j in s) for s in oracle))
 
     def test_members_are_the_unions_of_atoms_up_to_three_by_four(self):
         for m in range(1, 4):
             for n in range(1, 5):
                 for rows in enumerate_matrices(m, n):
                     top = ScmTopology.from_rows(rows)
-                    assert closure_members(top) == tuple(sorted(reference_closure_origins(top)))
+                    assert closure_generate(top) == tuple(sorted(reference_closure_origins(top)))
 
     def test_member_listing_keeps_the_bounds(self):
-        rows = [[(pattern >> k) & 1 for pattern in range(12)] for k in range(4)]
-        with pytest.raises(CapacityError, match="at most 2048 members"):
-            closure_members(ScmTopology.from_rows(rows))
+        rows = [[(pattern >> k) & 1 for pattern in range(17)] for k in range(5)]
+        with pytest.raises(CapacityError, match="at most 65536 members"):
+            closure_generate(ScmTopology.from_rows(rows))
         with pytest.raises(CapacityError, match="at most 64 latents"):
-            closure_members(ScmTopology(1, 65, np.ones((1, 65), dtype=int)))
+            closure_generate(ScmTopology(1, 65, np.ones((1, 65), dtype=int)))
 
     def test_family_size_is_two_to_the_distinct_columns(self):
         for m in range(1, 4):
@@ -137,8 +105,8 @@ class TestClosureGenerate:
                     assert len(closure_generate(top)) == 1 << len(set(top.column_masks()))
 
     def test_listing_above_the_member_limit_is_refused(self):
-        # 12 distinct columns: a family of 2^12 members, one step past the cap
-        rows = [[(pattern >> k) & 1 for pattern in range(12)] for k in range(4)]
+        # 17 distinct columns: a family of 2^17 members, one step past the cap
+        rows = [[(pattern >> k) & 1 for pattern in range(17)] for k in range(5)]
         top = ScmTopology.from_rows(rows)
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="members"):
@@ -147,8 +115,8 @@ class TestClosureGenerate:
         assert closure_identifiable(top).identifiable
 
     def test_listing_at_the_member_limit_runs(self):
-        rows = [[(pattern >> k) & 1 for pattern in range(9)] for k in range(4)]
-        assert len(closure_generate(ScmTopology.from_rows(rows))) == 1 << 9 <= CLOSURE_MEMBER_LIMIT
+        rows = [[(pattern >> k) & 1 for pattern in range(16)] for k in range(4)]
+        assert len(closure_generate(ScmTopology.from_rows(rows))) == 1 << 16 == CLOSURE_MEMBER_LIMIT
 
 
 class TestClosureVerdict:
@@ -164,8 +132,7 @@ class TestClosureVerdict:
 
     def test_two_latents_one_task_not_identifiable(self):
         top = ScmTopology.from_rows([[1, 1]])
-        origins = closure_generate(top)
-        assert set(origins) == {0b00, 0b11}
+        assert closure_generate(top) == (0b00, 0b11)
         assert not closure_identifiable(top).identifiable
 
     def test_verdict_internal_consistency(self):
@@ -187,21 +154,36 @@ class TestAtomCertificate:
                 assert len({mask for mask, _ in chain}) == len(chain)
                 differences = [o for _, o in chain if isinstance(o, DifferenceOrigin)]
                 assert len(differences) <= 2 * top.num_tasks
+                assert all(o.left & o.right for o in differences), "a step removes nothing"
 
-    def test_verdicts_match_the_fixpoint_up_to_three_by_four(self):
+    def test_certificates_match_the_fixpoint_up_to_three_by_four(self):
+        # no certificate is longer than the fixpoint's first-found derivation
         for m in range(1, 4):
             for n in range(1, 5):
                 for rows in enumerate_matrices(m, n):
                     top = ScmTopology.from_rows(rows)
                     verdict = closure_identifiable(top)
-                    origins = closure_generate(top)
+                    origins = reference_closure_origins(top)
                     for j, chain in enumerate(verdict.per_latent):
                         assert (chain is not None) == ((1 << j) in origins)
+                        if chain is not None:
+                            assert len(chain) <= len(reference_derivation(origins, 1 << j))
                     self.assert_certificates(top, verdict)
+
+    def test_walkthrough_first_isolation_step(self, walkthrough_topology):
+        verdict = closure_identifiable(walkthrough_topology)
+        assert verdict.identifiable
+        mask, origin = verdict.per_latent[0][-1]
+        assert mask == 0b1  # latent 0's singleton
+        # derived by subtracting task 1's parents from task 0's
+        assert origin == DifferenceOrigin(
+            left=walkthrough_topology.row_masks()[0],
+            right=walkthrough_topology.row_masks()[1],
+        )
 
     @given(
         st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=64),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
@@ -237,15 +219,18 @@ class TestAtomCertificate:
         chain = closure_identifiable(top).per_latent[1]
         assert chain[-1] == (0b010, SeedOrigin("task", 1))
 
-    def test_subtraction_that_removes_nothing_is_skipped(self):
-        # task 1's parents {2} lie outside latent 0's atom {0, 1} after
-        # task 0, so Pa(Y2) never enters the chain
+    def test_no_step_removes_nothing(self):
+        # task 1's parents {2} lie outside the seeds of latents 0 and 1, so
+        # Pa(Y2) never enters their chains
         top = ScmTopology.from_rows([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
-        assert closure_identifiable(top).per_latent[0] == (
-            (0b1111, SeedOrigin("universal")),
+        verdict = closure_identifiable(top)
+        for chain in verdict.per_latent[:2]:
+            assert 0b0100 not in dict(chain)
+        self.assert_certificates(top, verdict)
+        assert verdict.per_latent[1] == (
             (0b0011, SeedOrigin("task", 0)),
-            (0b1100, DifferenceOrigin(0b1111, 0b0011)),
             (0b0001, SeedOrigin("task", 2)),
+            (0b0010, DifferenceOrigin(0b0011, 0b0001)),
         )
 
     def test_capacity_error_above_64(self):

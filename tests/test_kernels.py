@@ -37,7 +37,7 @@ def test_identifiable_count_is_falling_factorial(m, n):
 
 
 def test_kernel_closure_matches_traced_closure():
-    """The vectorised closure verdict equals the fixpoint decider, matrix by matrix."""
+    """The vectorised closure verdict equals the atom-chain decider, matrix by matrix."""
     for m in range(1, 4):
         for n in range(1, 4):
             enc = np.arange(1 << (m * n), dtype=np.int32)

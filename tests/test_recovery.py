@@ -127,10 +127,12 @@ class TestMatchPermutation:
             perm, best = brute_force_best_matching(latents, est)
             assert match.mcc == pytest.approx(best, abs=1e-9)
 
-    def test_zero_variance_is_degenerate(self):
-        latents = np.random.default_rng(0).standard_normal((100, 2))
+    @pytest.mark.parametrize("value", [1.0, 0.1, 0.0])
+    def test_zero_variance_is_degenerate(self, value):
+        # 0.1 is not exactly the mean of a thousand 0.1s
+        latents = np.random.default_rng(0).standard_normal((1000, 2))
         bad = latents.copy()
-        bad[:, 1] = 1.0
+        bad[:, 1] = value
         with pytest.raises(DegenerateError):
             match_permutation(latents, bad)
 

@@ -1,6 +1,8 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes, and
-every public name has a caller besides its own tests."""
+every public name and every module-level definition has a caller
+besides its own tests."""
 
+import ast
 import pathlib
 import re
 import shutil
@@ -52,3 +54,33 @@ def test_every_public_name_is_used_outside_the_tests():
         if not used and not any(word.search(text) for text in other_texts):
             unused.append(name)
     assert unused == []
+
+
+def test_every_module_level_definition_is_referenced_outside_the_tests():
+    """Each module-level ``def`` or ``class`` in the package, private ones
+    too, is named in a package line outside its own definition and
+    ``__init__.py``, in ``perfbench/``, or in the README."""
+    package = ROOT / "src" / "scm_ident"
+    modules = {
+        path: path.read_text().splitlines()
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "__init__.py"
+    }
+    other_texts = [path.read_text() for path in (ROOT / "perfbench").rglob("*.py")]
+    other_texts.append((ROOT / "README.md").read_text())
+    unreferenced = []
+    for path, lines in modules.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            referenced = any(
+                word.search(line)
+                for other, other_lines in modules.items()
+                for number, line in enumerate(other_lines, start=1)
+                if other != path or not first <= number <= node.end_lineno
+            ) or any(word.search(text) for text in other_texts)
+            if not referenced:
+                unreferenced.append(f"{path.name}::{node.name}")
+    assert unreferenced == []
