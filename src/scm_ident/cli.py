@@ -96,7 +96,12 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _labels(topology: ScmTopology, mask: int) -> list[str]:
-    return [topology.latent_label(j) for j in range(topology.num_latents) if (mask >> j) & 1]
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(topology.latent_label(low.bit_length() - 1))
+        mask ^= low
+    return labels
 
 
 def _set_label(topology: ScmTopology, mask: int) -> str:
@@ -193,12 +198,15 @@ def cmd_check(args) -> int:
 
 def cmd_closure(args) -> int:
     topology = _load_topology(args.topology)
-    members = closure_generate(topology)
+    members = closure_generate(topology)  # also refuses a family above the listing bound
     verdict = closure_identifiable(topology)
     payload: dict = {
         "family_size": len(members),
         "identifiable": verdict.identifiable,
-        "members": [_labels(topology, mask) for mask in members],
+        # text output never prints the members
+        "members": (
+            [_labels(topology, mask) for mask in members] if args.format == "json" else []
+        ),
         "missing_singletons": [
             topology.latent_label(j) for j, chain in enumerate(verdict.per_latent) if chain is None
         ],

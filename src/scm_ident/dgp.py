@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvrows import render_rows
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
 from .topology import MAX_LATENTS, ScmTopology
@@ -28,8 +29,7 @@ RANK_TOLERANCE = 1e-8
 SUFFICIENT_STAT_DIM = 2  # (l, l**2) per scalar Gaussian latent
 REQUIRED_ENVIRONMENTS = SUFFICIENT_STAT_DIM + 1
 
-_FLOAT_FORMAT = "%.17g"  # lossless float64 round trip
-_EXPORT_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
+_EXPORT_CHUNK_ROWS = 4096  # rows rendered per write; bounds the text and scratch arrays held
 
 
 def singular_ratios(stack: np.ndarray) -> np.ndarray:
@@ -483,29 +483,27 @@ def _header(num_latents: int, task_widths) -> list[str]:
 
 def export_dataset(dataset: SyntheticDataset, path) -> None:
     """Write the CSV form; floats carry 17 significant digits so a
-    load/export round trip is lossless."""
+    load/export round trip is lossless.
+
+    The bytes are those of ``%d`` and ``%.17g``. A float with
+    1e-4 <= |v| < 1e16 gets its 17 correctly rounded digits from exact
+    integer arithmetic on its bits, across whole numpy arrays; every other
+    cell (zero, subnormal, smaller or larger) goes through ``%.17g`` (see
+    :mod:`scm_ident._csvrows`). The format, and :func:`load_dataset`, are
+    those of per-cell ``%.17g`` formatting.
+    """
     task_widths = [block.shape[1] for block in dataset.y]
     values = np.hstack([dataset.latents, dataset.x, *dataset.y])
-    row_format = ",".join(["%d", "%d"] + [_FLOAT_FORMAT] * values.shape[1]) + "\n"
     env_ids = dataset.env_ids
     order, _, sizes = dataset.env_runs()
     within_env = np.empty_like(env_ids)
     # position in the sorted order less the start of the row's run
     within_env[order] = np.arange(env_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(_header(dataset.num_latents, task_widths)) + "\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(_header(dataset.num_latents, task_widths)) + "\n").encode())
         for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):
             chunk = slice(start, start + _EXPORT_CHUNK_ROWS)
-            handle.write(
-                "".join(
-                    row_format % (env, index, *row)
-                    for env, index, row in zip(
-                        env_ids[chunk].tolist(),
-                        within_env[chunk].tolist(),
-                        values[chunk].tolist(),
-                    )
-                )
-            )
+            handle.write(render_rows(env_ids[chunk], within_env[chunk], values[chunk]))
 
 
 def load_dataset(path) -> SyntheticDataset:

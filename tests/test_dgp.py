@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PARENTLESS_TASK_ROWS,
@@ -31,6 +33,7 @@ from scm_ident import (
     load_dataset,
     sample_latents,
 )
+from scm_ident._csvrows import render_rows
 from scm_ident._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 
 
@@ -255,6 +258,61 @@ def assert_same_dataset(loaded: SyntheticDataset, original: SyntheticDataset) ->
         assert got.tobytes() == want.tobytes()
 
 
+def random_dataset(rows: int, seed: int, scale: float = 1.0) -> SyntheticDataset:
+    """Rows spread over 3 environments in random order; 2 latents and one task column."""
+    rng = np.random.default_rng(seed)
+    return SyntheticDataset(
+        3,
+        rng.integers(0, 3, rows),
+        rng.standard_normal((rows, 2)) * scale,
+        rng.standard_normal((rows, 2)) * scale,
+        (rng.standard_normal((rows, 1)) * scale,),
+    )
+
+
+def rendered_cells(values) -> list[str]:
+    """The float cells that the CSV writer gives for ``values``, one row each."""
+    values = np.asarray(values, dtype=np.float64)
+    text = render_rows(np.zeros(values.size, np.int64), np.arange(values.size), values[:, None])
+    return [line.split(",")[2] for line in text.decode().splitlines()]
+
+
+def writer_boundaries() -> list[float]:
+    """Powers of ten and their neighbouring doubles, the ends of the fast range, and extremes."""
+    powers = [float(f"1e{k}") for k in range(-20, 26)]
+    values = [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf)]
+    values += [9.999999999999999e-5, 1e-4, 9.999999999999998e15, 1e16, 1e17]
+    values += [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 2.0**53 - 1, 2.0**53 + 1, 2.0**53 + 2]
+    return values + [-v for v in values]
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
+                st.floats(min_value=-1e16, max_value=-1e-4, exclude_min=True),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_cells_match_percent_g(self, values):
+        assert rendered_cells(values) == ["%.17g" % v for v in values]
+
+    def test_boundary_cells_match_percent_g(self):
+        values = writer_boundaries()
+        assert rendered_cells(values) == ["%.17g" % v for v in values]
+
+    def test_integers_match_percent_d(self):
+        first = np.array([0, 9, 10, 99999999, 100000000, 2**63 - 1])
+        second = np.arange(6) * 10**12
+        text = render_rows(first, second, np.full((6, 1), 0.5)).decode()
+        assert text.splitlines() == [f"{a},{b},0.5" for a, b in zip(first, second)]
+
+
 class TestDatasetRoundTrip:
     def test_export_import_bit_identical(self, ident_spec, tmp_path):
         dataset = generate_dataset(ident_spec, 200, seed=42)
@@ -368,6 +426,23 @@ class TestDatasetRoundTrip:
                 ),
                 id="extreme-values",
             ),
+            *(
+                pytest.param(random_dataset(rows, seed=rows), id=f"{rows}-rows")
+                for rows in dgp._EXPORT_CHUNK_ROWS + np.array([-1, 0, 1])
+            ),
+            pytest.param(
+                SyntheticDataset(
+                    2,
+                    np.array([0, 1, 1, 0]),
+                    np.array([[1e-7, 0.5], [3e20, -2.5], [0.0, 1e-4], [-7.5e-5, 1e16]]),
+                    np.array(
+                        [[0.25, -1e-300], [5e-324, 12.0], [-0.0, 9.999999999999998e15], [1.0, 2.0]]
+                    ),
+                    (np.array([[123.456], [-1e17], [0.001], [-6.02e23]]),),
+                ),
+                id="fast-and-slow-cells-in-a-row",
+            ),
+            pytest.param(random_dataset(500, seed=3, scale=1e-6), id="all-slow-cells"),
         ],
     )
     def test_export_matches_reference_writer(self, tmp_path, dataset):
