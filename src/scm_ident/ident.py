@@ -21,9 +21,9 @@ which :func:`closure_generate` lists for ``closure``.
 
 The two criteria are provably equivalent; :func:`equivalence_audit`
 re-establishes that fact by brute force over every binary matrix up to a
-requested shape, in one process and one shape at a time. The audit
-kernel (:mod:`scm_ident._kernels`, which also holds the matrix encoding
-and its inverse) decides each matrix by its own vectorised closure,
+requested shape, in one process and one kernel pass per latent count. The
+audit kernel (:mod:`scm_ident._kernels`, which also holds the matrix
+encoding and its inverse) decides each matrix by its own vectorised closure,
 agreement and distinctness checks; the tests tie its closure and
 agreement verdicts back to :func:`closure_identifiable` and
 :func:`uic_check`, matrix by matrix.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import audit_shape, decode_matrix
+from ._kernels import audit_latents, decode_matrix
 from .errors import CapacityError
 from .topology import MAX_LATENTS, ScmTopology
 
@@ -247,10 +247,14 @@ class AuditReport:
 def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
     """Run both deciders on every binary matrix up to ``max_m x max_n``.
 
-    The audit runs in this process, one shape after another in shape
-    order. It starts no worker processes: the largest shape holds at
-    least half of the matrices, so a pool could not finish sooner than
-    that shape alone.
+    The audit runs in this process, one kernel pass per latent count n
+    (:func:`~scm_ident._kernels.audit_latents`): the pass decides the
+    ``max_m x n`` encodings, and each m x n shape is read off its first
+    2^(mn) of them, since an m x n matrix is the ``max_m x n`` one whose
+    rows m and above are zero and a zero row changes no verdict. The
+    report still lists the shapes in shape order, m before n. It starts
+    no worker processes: the largest shape holds at least half of the
+    matrices, so a pool could not finish sooner than that shape alone.
     """
     if max_m < 1 or max_n < 1:
         raise CapacityError("audit bounds must be positive")
@@ -259,6 +263,7 @@ def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
             f"audit covers at most {AUDIT_CELL_LIMIT} adjacency cells, "
             f"got {max_m}x{max_n}"
         )
+    passes = [audit_latents(max_m, n) for n in range(1, max_n + 1)]
     shapes = [(m, n) for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
     total = 0
     agreements = 0
@@ -266,7 +271,7 @@ def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
     distinct_mismatches: list[ScmTopology] = []
     shape_reports: list[ShapeAudit] = []
     for m, n in shapes:
-        shape_total, identifiable, closure_vs_agree, agree_vs_distinct = audit_shape(m, n)
+        shape_total, identifiable, closure_vs_agree, agree_vs_distinct = passes[n - 1][m - 1]
         total += shape_total
         agreements += shape_total - len(closure_vs_agree)
         mismatches.extend(decode_matrix(enc, m, n) for enc in closure_vs_agree)

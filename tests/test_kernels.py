@@ -7,7 +7,7 @@ import pytest
 
 from scm_ident import closure_identifiable, uic_check
 from scm_ident import _kernels
-from scm_ident._kernels import BACKEND, audit_shape, backends, decode_matrix
+from scm_ident._kernels import BACKEND, audit_latents, audit_shape, backends, decode_matrix
 
 
 AUDITED_SHAPES = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
@@ -15,6 +15,8 @@ SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 1
 # 13..20 cells: too many matrices to check each, so a fixed sample per
 # shape; n = 1 and n = 2 (13x1, 7x2, ...) leave sorting-network passes empty
 SAMPLED_SHAPES = [(m, n) for m in range(1, 21) for n in range(1, 21) if 13 <= m * n <= 20]
+# m x n shapes whose encodings, with one zero row added, are decided as (m + 1) x n
+ZERO_ROW_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if (m + 1) * n <= 13]
 
 
 def distinct_columns(e: int, m: int, n: int) -> bool:
@@ -68,6 +70,27 @@ def test_kernel_verdicts_on_sampled_matrices(m, n):
     expected = [distinct_columns(int(e), m, n) for e in enc]
     for verdict in _kernels.decide(enc, m, n):
         assert verdict.tolist() == expected
+
+
+@pytest.mark.parametrize("m,n", ZERO_ROW_SHAPES)
+def test_zero_row_changes_no_verdict(m, n):
+    """An m x n encoding decided as (m + 1) x n, i.e. with a zero last row, keeps all three verdicts."""
+    enc = np.arange(1 << (m * n), dtype=np.int32)
+    for padded, plain in zip(_kernels.decide(enc, m + 1, n), _kernels.decide(enc, m, n)):
+        assert padded.tolist() == plain.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_per_latent_count(n):
+    """Each task count read off the 4 x n pass equals that shape's own pass."""
+    assert audit_latents(4, n) == [audit_shape(m, n) for m in range(1, 5)]
+
+
+def test_chunk_sized_in_bytes():
+    """Planes of up to 7 uint8 bits take 16,384 encodings per call (80 KiB at
+    5 bits), 8 bits 8192; from 9 bits the 4096-encoding floor holds."""
+    widths = [1, 5, 7, 8, 9, 16, 17, 30]
+    assert [_kernels._chunk(w) for w in widths] == [16384] * 3 + [8192] + [_kernels.CHUNK] * 4
 
 
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2), (2, -5)])
