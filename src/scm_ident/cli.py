@@ -325,9 +325,33 @@ def _relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float
     return float(np.abs(analytic - numeric).max() / scale)
 
 
+# Largest gradcheck request, in work units of _gradcheck_work. A unit took
+# at most 1.8 ns when measured from 1x1 to 64x64 and from alpha 2 to 2**201
+# (Python 3.11, numpy 2.4, 2 x86-64 cores), so the largest request takes
+# about 18 s there.
+GRADCHECK_WORK_LIMIT = 10**10
+
+
+def _gradcheck_work(trials: int, rows: int, cols: int, alpha: int) -> int:
+    """A bound on gradcheck's time: each trial makes 4 * rows * cols loss
+    evaluations, each about 1.5 matrix products per bit of alpha on
+    rows**2 + cols**2 entries, plus a fixed cost per call (the 24 and the
+    1000)."""
+    return trials * 4 * rows * cols * (24 + alpha.bit_length()) * (1000 + rows**2 + cols**2)
+
+
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be positive, got {args.trials}")
+    for flag, value in (("--trials", args.trials), ("--rows", args.rows), ("--cols", args.cols)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+    if args.alpha.bit_length() > 1023:
+        # the gradient's scale alpha / rows would overflow a float
+        raise ConfigError(f"--alpha must be below 2**1023, got {args.alpha.bit_length()} bits")
+    if _gradcheck_work(args.trials, args.rows, args.cols, args.alpha) > GRADCHECK_WORK_LIMIT:
+        raise ConfigError(
+            f"gradcheck of {args.trials} trials at {args.rows}x{args.cols}, "
+            f"alpha={args.alpha} exceeds the work limit; lower --trials, --rows, --cols or --alpha"
+        )
     if not np.isfinite(args.step) or args.step == 0:
         raise ConfigError(f"--step must be a non-zero finite real, got {args.step}")
     if args.tol is not None and not args.tol >= 0:
@@ -369,6 +393,8 @@ def cmd_mask(args) -> int:
     payload: dict = {}
     lines: list[str] = []
     status = EXIT_OK
+    if args.self_test and args.draws < 1:
+        raise ConfigError(f"--draws must be positive, got {args.draws}")
     if args.scores is not None:
         scores = _numbers(_load_json(args.scores), "mask scores")
         soft = soft_mask(scores, scale=args.scale)

@@ -179,25 +179,30 @@ def closure_identifiable(topology: ScmTopology) -> IdentVerdict:
     )
 
 
+def _agreement_counts(topology: ScmTopology) -> np.ndarray:
+    """The n x n matrix of per-pair agreement counts over tasks."""
+    adj = topology.adjacency.astype(np.int64)
+    comp = 1 - adj
+    return adj.T @ adj + comp.T @ comp
+
+
 def pair_agreement_counts(topology: ScmTopology) -> dict[tuple[int, int], int]:
     """Exact per-pair agreement counts over tasks, in integer arithmetic.
 
     For latents ``j`` and ``j'`` the count is the number of tasks ``k``
     with ``a[k,j] * a[k,j'] + (1 - a[k,j]) * (1 - a[k,j']) == 1``.
     """
-    adj = topology.adjacency.astype(np.int64)
-    comp = 1 - adj
-    agree = adj.T @ adj + comp.T @ comp
+    agree = _agreement_counts(topology).tolist()
     n = topology.num_latents
-    return {
-        (j, jp): int(agree[j, jp]) for j in range(n) for jp in range(j + 1, n)
-    }
+    return {(j, jp): agree[j][jp] for j in range(n) for jp in range(j + 1, n)}
 
 
 def uic_violations(topology: ScmTopology) -> list[tuple[int, int]]:
-    """Latent pairs whose agreement count reaches the task count."""
-    m = topology.num_tasks
-    return sorted(pair for pair, count in pair_agreement_counts(topology).items() if count == m)
+    """Latent pairs whose agreement count reaches the task count, ascending."""
+    # every latent agrees with itself on all tasks; nonzero lists the
+    # cells in row-major order, so the pairs above the diagonal ascend
+    rows, cols = np.nonzero(_agreement_counts(topology) == topology.num_tasks)
+    return [(j, jp) for j, jp in zip(rows.tolist(), cols.tolist()) if j < jp]
 
 
 def uic_check(topology: ScmTopology) -> bool:

@@ -38,14 +38,13 @@ def as_soft_adjacency(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, so both are finite iff every entry is
+    low, high = arr.min(), arr.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise DomainError("matrix entries must be finite")
-    if arr.min() < -ENTRY_TOLERANCE or arr.max() > 1.0 + ENTRY_TOLERANCE:
-        raise DomainError(
-            f"matrix entries must lie in [0, 1], found range "
-            f"[{arr.min()}, {arr.max()}]"
-        )
-    return np.clip(arr, 0.0, 1.0)
+    if low < -ENTRY_TOLERANCE or high > 1.0 + ENTRY_TOLERANCE:
+        raise DomainError(f"matrix entries must lie in [0, 1], found range [{low}, {high}]")
+    return arr.clip(0.0, 1.0)
 
 
 def _check_alpha(alpha: int) -> int:
@@ -63,33 +62,31 @@ def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
 
     Bases are normalized agreement ratios in [-1, 1], so no intermediate
     can overflow and large exponents underflow gracefully toward the
-    indicator limit.
+    indicator limit. The first factor is taken as it is (1 * x is x
+    exactly), so an exponent of 1 returns ``base`` itself.
     """
-    result = np.ones_like(base)
-    square = base.copy()
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * square
-        e >>= 1
-        if e:
-            square = square * square
-    return result
+    result = None
+    square = base
+    while True:
+        if exponent & 1:
+            result = square if result is None else result * square
+        exponent >>= 1
+        if not exponent:
+            return result
+        square = square * square
 
 
-def _agreement(matrix, alpha: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The validated matrix, the checked alpha and the column-agreement ratios.
+def _ratios(m_soft: np.ndarray) -> np.ndarray:
+    """Column-agreement ratios of a validated matrix.
 
-    Entry ``(i, j)`` of the ratios is the agreement sum of latent columns
-    ``i`` and ``j`` over the task count, less 1 on the diagonal.
+    Entry ``(i, j)`` is the agreement sum of latent columns ``i`` and
+    ``j`` over the task count, less 1 on the diagonal.
     """
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(alpha)
     m = m_soft.shape[0]
     comp = 1.0 - m_soft
     agree = m_soft.T @ m_soft + comp.T @ comp
     np.fill_diagonal(agree, agree.diagonal() - m)
-    return m_soft, alpha, agree / m
+    return agree / m
 
 
 def _split_diagonal(ratios: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +97,27 @@ def _split_diagonal(ratios: np.ndarray, alpha: int) -> tuple[np.ndarray, np.ndar
     return diag, powers
 
 
+def _uic_value(m_soft: np.ndarray, alpha: int) -> float:
+    return float(_int_power(_ratios(m_soft), alpha).sum())
+
+
+def _uic_grad(m_soft: np.ndarray, alpha: int) -> np.ndarray:
+    diag, off = _split_diagonal(_ratios(m_soft), alpha)
+    pair_term = 2.0 * ((2.0 * m_soft - 1.0) @ off)
+    diag_term = (4.0 * m_soft - 2.0) * diag[None, :]
+    return (alpha / m_soft.shape[0]) * (pair_term + diag_term)
+
+
+def _dis_grad(m_soft: np.ndarray, alpha: int) -> np.ndarray:
+    m_soft_t = m_soft.T
+    diag, off = _split_diagonal(_ratios(m_soft_t), alpha)
+    # its own pair term: the transpose of uic's (2M^T - 1) @ off can
+    # differ from off @ (2M - 1) in the last bits
+    pair_term = 2.0 * (off @ (2.0 * m_soft - 1.0))
+    diag_term = (4.0 * m_soft - 2.0) * diag[:, None]
+    return (alpha / m_soft_t.shape[0]) * (pair_term + diag_term)
+
+
 def uic_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
     """Column-agreement penalty.
 
@@ -107,17 +125,14 @@ def uic_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
     - m*delta_ij)**a`` over all ordered latent pairs; zero exactly when
     the relaxation sees no identical-column structure.
     """
-    _, alpha, ratios = _agreement(matrix, alpha)
-    return float(_int_power(ratios, alpha).sum())
+    m_soft = as_soft_adjacency(matrix)
+    return _uic_value(m_soft, _check_alpha(alpha))
 
 
 def uic_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`uic_loss` per matrix entry."""
-    m_soft, alpha, ratios = _agreement(matrix, alpha)
-    diag, off = _split_diagonal(ratios, alpha)
-    pair_term = 2.0 * ((2.0 * m_soft - 1.0) @ off)
-    diag_term = (4.0 * m_soft - 2.0) * diag[None, :]
-    return (alpha / m_soft.shape[0]) * (pair_term + diag_term)
+    m_soft = as_soft_adjacency(matrix)
+    return _uic_grad(m_soft, _check_alpha(alpha))
 
 
 def dis_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
@@ -132,14 +147,8 @@ def dis_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
 
 def dis_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`dis_loss` per matrix entry."""
-    m_soft_t, alpha, ratios = _agreement(np.asarray(matrix, dtype=np.float64).T, alpha)
-    m_soft = m_soft_t.T
-    diag, off = _split_diagonal(ratios, alpha)
-    # its own pair term: the transpose of uic's (2M^T - 1) @ off can
-    # differ from off @ (2M - 1) in the last bits
-    pair_term = 2.0 * (off @ (2.0 * m_soft - 1.0))
-    diag_term = (4.0 * m_soft - 2.0) * diag[:, None]
-    return (alpha / m_soft_t.shape[0]) * (pair_term + diag_term)
+    m_soft_t = as_soft_adjacency(np.asarray(matrix, dtype=np.float64).T)
+    return _dis_grad(m_soft_t.T, _check_alpha(alpha))
 
 
 @dataclass(frozen=True)
@@ -159,14 +168,22 @@ class LossConfig:
 
 
 def constraint_loss(matrix, config: LossConfig = LossConfig()) -> float:
-    """Weighted sum of the column and row agreement penalties."""
-    return config.lambda_uic * uic_loss(matrix, config.alpha) + config.lambda_dis * dis_loss(
-        matrix, config.alpha
+    """Weighted sum of the column and row agreement penalties.
+
+    The matrix is validated once; the row penalty is the column penalty
+    of its transpose, as in :func:`dis_loss`.
+    """
+    m_soft = as_soft_adjacency(matrix)
+    alpha = _check_alpha(config.alpha)
+    return config.lambda_uic * _uic_value(m_soft, alpha) + config.lambda_dis * _uic_value(
+        m_soft.T, alpha
     )
 
 
 def constraint_loss_grad(matrix, config: LossConfig = LossConfig()) -> np.ndarray:
     """Gradient of :func:`constraint_loss` per matrix entry."""
-    return config.lambda_uic * uic_loss_grad(matrix, config.alpha) + config.lambda_dis * (
-        dis_loss_grad(matrix, config.alpha)
+    m_soft = as_soft_adjacency(matrix)
+    alpha = _check_alpha(config.alpha)
+    return config.lambda_uic * _uic_grad(m_soft, alpha) + config.lambda_dis * (
+        _dis_grad(m_soft, alpha)
     )

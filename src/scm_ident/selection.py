@@ -8,14 +8,16 @@ differentiable surrogate). Stacking one soft mask per task yields the
 continuous task-latent matrix consumed by the structure losses.
 
 All draws flow through fixed Philox streams (see :mod:`scm_ident._rng`),
-so results are reproducible bit for bit for a given seed.
+so results are reproducible bit for bit for a given seed. Each call
+re-keys its thread's Philox rather than building a generator, which gives
+the same bits as a fresh stream.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import MASK_BERNOULLI, MASK_GUMBEL, stream
+from ._rng import MASK_BERNOULLI, MASK_GUMBEL, uniforms
 from .errors import DomainError, ShapeError
 from .losses import as_soft_adjacency
 
@@ -31,19 +33,17 @@ _OPEN_HIGH = np.nextafter(1.0, 0.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic without overflow: both branches use ``exp(-|x|)`` <= 1."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def _as_scores(scores) -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ShapeError(f"scores must be a non-empty vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("scores must be finite")
     return arr
 
@@ -52,7 +52,8 @@ def _as_probabilities(soft) -> np.ndarray:
     arr = np.asarray(soft, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ShapeError(f"probabilities must be a non-empty vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
+    # min and max propagate NaN, and an infinity is outside [0, 1]
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("probabilities must lie in [0, 1]")
     return arr
 
@@ -70,7 +71,8 @@ def soft_mask(scores, scale: float = DEFAULT_SCALE) -> np.ndarray:
     # a product beyond the float range is +-inf, whose logistic is exactly 1 or 0
     with np.errstate(over="ignore"):
         scaled = scale * arr
-    return np.clip(_sigmoid(scaled), _OPEN_LOW, _OPEN_HIGH)
+    probs = _sigmoid(scaled)
+    return probs.clip(_OPEN_LOW, _OPEN_HIGH, out=probs)
 
 
 def sample_hard_mask(soft, seed: int = 0) -> np.ndarray:
@@ -81,8 +83,7 @@ def sample_hard_mask(soft, seed: int = 0) -> np.ndarray:
     seed.
     """
     probs = _as_probabilities(soft)
-    rng = stream(MASK_BERNOULLI, seed)
-    return (rng.random(probs.shape[0]) < probs).astype(np.int64)
+    return (uniforms(MASK_BERNOULLI, seed, probs.shape[0]) < probs).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,12 @@ def gumbel_softmax_mask(soft, temperature: float = 1.0, seed: int = 0) -> Gumbel
     probs = _as_probabilities(soft)
     if not temperature > 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
-    probs = np.clip(probs, _OPEN_LOW, _OPEN_HIGH)
-    rng = stream(MASK_GUMBEL, seed)
-    uniforms = np.clip(rng.random((2, probs.shape[0])), _OPEN_LOW, _OPEN_HIGH)
-    gumbel_sel, gumbel_not = -np.log(-np.log(uniforms))
+    probs = probs.clip(_OPEN_LOW, _OPEN_HIGH)
+    draws = uniforms(MASK_GUMBEL, seed, (2, probs.shape[0])).clip(_OPEN_LOW, _OPEN_HIGH)
+    gumbel_sel, gumbel_not = -np.log(-np.log(draws))
     logits = (np.log(probs) + gumbel_sel) - (np.log1p(-probs) + gumbel_not)
-    relaxed = np.clip(_sigmoid(logits / temperature), _OPEN_LOW, _OPEN_HIGH)
+    relaxed = _sigmoid(logits / temperature)
+    relaxed.clip(_OPEN_LOW, _OPEN_HIGH, out=relaxed)
     hard = (logits > 0).astype(np.int64)
     return GumbelMaskSample(relaxed=relaxed, hard=hard)
 

@@ -34,6 +34,18 @@ def _normalize_names(names, expected: int, what: str) -> tuple[str, ...] | None:
     return names
 
 
+def _bit_masks(bits: np.ndarray) -> tuple[int, ...]:
+    """Per row of a 0/1 matrix, the int with bit ``j`` set iff entry ``j`` is 1."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    # a tuple of known length: one built from a generator is resized as it
+    # grows, and those fragments pile up across many topology shapes
+    return tuple(
+        [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    )
+
+
 @dataclass(frozen=True)
 class ScmTopology:
     """Binary task-by-latent adjacency with optional display names.
@@ -66,7 +78,7 @@ class ScmTopology:
             # np.asarray(..., float64) would parse strings such as "1"
             raise DomainError(f"adjacency entries must be numbers, got dtype {raw.dtype}")
         values = np.asarray(raw, dtype=np.float64)
-        if not np.all((values == 0.0) | (values == 1.0)):
+        if not ((values == 0.0) | (values == 1.0)).all():
             bad = values[(values != 0.0) & (values != 1.0)].flat[0]
             raise DomainError(f"adjacency entries must be exactly 0 or 1, found {bad!r}")
         adjacency = values.astype(np.int8)
@@ -78,17 +90,8 @@ class ScmTopology:
         object.__setattr__(
             self, "task_names", _normalize_names(self.task_names, self.num_tasks, "task")
         )
-        # tuples of known length: one built from a generator is resized as
-        # it grows, and those fragments pile up across many topology shapes
-        cells = adjacency.tolist()
-        cols = tuple(
-            [sum(cells[k][j] << k for k in range(self.num_tasks)) for j in range(self.num_latents)]
-        )
-        rows = tuple(
-            [sum(cells[k][j] << j for j in range(self.num_latents)) for k in range(self.num_tasks)]
-        )
-        object.__setattr__(self, "_column_masks", cols)
-        object.__setattr__(self, "_row_masks", rows)
+        object.__setattr__(self, "_column_masks", _bit_masks(adjacency.T))
+        object.__setattr__(self, "_row_masks", _bit_masks(adjacency))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScmTopology):

@@ -264,3 +264,50 @@ def reference_data_driven_start(dataset, topology):
         else:
             task_maps.append(np.zeros((0, 0)))
     return mixing, means, variances, task_maps
+
+
+# The mask samplers and topology masks as first written: one masked numpy
+# branch per sign, a freshly built Philox generator per draw, and one shift
+# per adjacency cell. The package must match them bit for bit.
+
+OPEN_LOW = np.nextafter(0.0, 1.0)
+OPEN_HIGH = np.nextafter(1.0, 0.0)
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def fresh_uniforms(purpose: int, seed: int, shape) -> np.ndarray:
+    key = np.array([purpose, seed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(shape)
+
+
+def fresh_stream_bernoulli(probs, seed: int) -> np.ndarray:
+    """Bernoulli hard mask of valid probabilities (purpose 1)."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return (fresh_uniforms(1, seed, probs.shape[0]) < probs).astype(np.int64)
+
+
+def fresh_stream_gumbel(probs, temperature: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relaxed and hard two-class Gumbel-softmax mask (purpose 2)."""
+    probs = np.clip(np.asarray(probs, dtype=np.float64), OPEN_LOW, OPEN_HIGH)
+    uniforms = np.clip(fresh_uniforms(2, seed, (2, probs.shape[0])), OPEN_LOW, OPEN_HIGH)
+    gumbel_sel, gumbel_not = -np.log(-np.log(uniforms))
+    logits = (np.log(probs) + gumbel_sel) - (np.log1p(-probs) + gumbel_not)
+    relaxed = np.clip(two_branch_sigmoid(logits / temperature), OPEN_LOW, OPEN_HIGH)
+    return relaxed, (logits > 0).astype(np.int64)
+
+
+def shifted_masks(adjacency) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Column masks (bit k = task k) and row masks (bit j = latent j)."""
+    cells = np.asarray(adjacency).tolist()
+    m, n = len(cells), len(cells[0])
+    cols = tuple(sum(cells[k][j] << k for k in range(m)) for j in range(n))
+    rows = tuple(sum(cells[k][j] << j for j in range(n)) for k in range(m))
+    return cols, rows

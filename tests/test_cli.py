@@ -254,6 +254,35 @@ class TestLossAndGradcheck:
         assert captured.out == ""
         assert "input error" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "1000000000"], "exceeds the work limit"),
+            (["--rows", "64", "--cols", "64", "--trials", "3"], "exceeds the work limit"),
+            (["--trials", "1", "--alpha", str(2**1200)], "--alpha must be below 2**1023"),
+            (["--rows", "0"], "--rows must be positive, got 0"),
+            (["--cols=-100000"], "--cols must be positive, got -100000"),
+        ],
+    )
+    def test_gradcheck_refuses_work_before_doing_any(self, capsys, monkeypatch, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused gradcheck drew or evaluated something")
+
+        for name in ("stream", "uic_loss", "dis_loss", "uic_loss_grad", "dis_loss_grad"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert main(["gradcheck", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_gradcheck_one_trial_beyond_the_limit_is_refused(self, capsys, monkeypatch):
+        allowed = cli.GRADCHECK_WORK_LIMIT // cli._gradcheck_work(1, 3, 4, 4)
+        assert allowed > 100  # the default
+        monkeypatch.setattr(cli, "stream", lambda *args: pytest.fail("refused work ran"))
+        assert main(["gradcheck", "--trials", str(allowed + 1)]) == 2
+        assert "exceeds the work limit" in capsys.readouterr().err
+
 
 class TestMask:
     def test_scores_evaluation(self, tmp_path, capsys):
@@ -273,6 +302,13 @@ class TestMask:
 
     def test_requires_scores_or_self_test(self):
         assert main(["mask"]) == 2
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_self_test_draws_below_one_exit_two(self, capsys, draws):
+        assert main(["mask", "--self-test", f"--draws={draws}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --draws must be positive, got {draws}\n"
 
     def test_self_test_small(self, capsys):
         code, payload = run_json(

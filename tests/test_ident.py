@@ -259,6 +259,22 @@ class TestAgreementDecider:
             top = random_topology(rng, rng.integers(1, 4), rng.integers(1, 6))
             assert uic_violations(top) == top.collision_pairs()
 
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=4),
+        st.integers(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_violations_are_the_fully_agreeing_counted_pairs(self, m, n, patterns, seed):
+        # few distinct patterns, so most draws repeat columns
+        rng = np.random.default_rng(abs(seed) % (2**32))
+        columns = rng.integers(0, 2, size=(m, patterns))[:, rng.integers(0, patterns, size=n)]
+        top = ScmTopology.from_rows(columns)
+        counts = pair_agreement_counts(top)
+        assert uic_violations(top) == sorted(pair for pair, count in counts.items() if count == m)
+        assert all(type(count) is int for count in counts.values())
+
     def test_three_identical_columns_all_pairs(self):
         top = ScmTopology.from_rows([[1, 1, 1], [0, 0, 0]])
         assert uic_violations(top) == [(0, 1), (0, 2), (1, 2)]

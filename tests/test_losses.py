@@ -255,6 +255,30 @@ class TestCombinators:
             expected = 0.3 * uic_loss(matrix, 4) + 0.9 * dis_loss(matrix, 4)
             assert constraint_loss(matrix, config) == pytest.approx(expected, rel=1e-12)
 
+    @given(
+        soft_matrices,
+        st.sampled_from([2, 4, 50]),
+        st.floats(0.0, 10.0),
+        st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_weighted_sum_is_exact(self, matrix, alpha, lambda_uic, lambda_dis):
+        # one validation and the transpose must change no bit of either term
+        config = LossConfig(alpha=alpha, lambda_uic=lambda_uic, lambda_dis=lambda_dis)
+        value = lambda_uic * uic_loss(matrix, alpha) + lambda_dis * dis_loss(matrix, alpha)
+        grad = lambda_uic * uic_loss_grad(matrix, alpha) + lambda_dis * dis_loss_grad(matrix, alpha)
+        assert constraint_loss(matrix, config) == value
+        assert constraint_loss_grad(matrix, config).tobytes() == grad.tobytes()
+
+    def test_constraint_errors_are_the_component_errors(self):
+        for bad in ([[1.5, 0.0]], [[np.nan]], [0.5, 0.5], [[[0.5]]]):
+            with pytest.raises(Exception) as combined:
+                constraint_loss(bad)
+            with pytest.raises(Exception) as component:
+                uic_loss(bad)
+            assert type(combined.value) is type(component.value)
+            assert str(combined.value) == str(component.value)
+
     def test_constraint_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         config = LossConfig(alpha=4, lambda_uic=0.7, lambda_dis=0.2)

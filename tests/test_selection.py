@@ -1,10 +1,21 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import (
+    OPEN_HIGH,
+    OPEN_LOW,
+    fresh_stream_bernoulli,
+    fresh_stream_gumbel,
+    fresh_uniforms,
+    two_branch_sigmoid,
+)
 from scm_ident import (
     DomainError,
     ScmTopology,
@@ -15,7 +26,33 @@ from scm_ident import (
     soft_mask,
     uic_check,
 )
-from scm_ident.selection import mask_statistics_self_test
+from scm_ident._rng import MASK_BERNOULLI, uniforms
+from scm_ident.selection import _sigmoid, mask_statistics_self_test
+
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+# +-0, subnormals, the overflow edges of exp and the extremes of the range
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]
+
+
+def float_vectors(infinities: bool):
+    return arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=40),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=infinities), st.sampled_from(EDGES)
+        ),
+    )
+
+
+PROBABILITIES = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=40),
+    elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, OPEN_HIGH])),
+)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSoftMask:
@@ -131,3 +168,94 @@ class TestStacking:
     def test_ragged_masks_rejected(self):
         with pytest.raises(ShapeError):
             build_task_latent_matrix([[0.1], [0.2, 0.3]])
+
+
+class TestSameBitsAsTheReferences:
+    """The one-expression logistic and the re-keyed per-thread Philox give
+    exactly what the two-branch logistic and a fresh generator give."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(float_vectors(infinities=True))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid(self, x):
+        assert same_bits(_sigmoid(x), two_branch_sigmoid(x))
+
+    @pytest.mark.filterwarnings("error")
+    @given(float_vectors(infinities=False), st.sampled_from([1.0, 100.0, 1e10]))
+    @settings(max_examples=150, deadline=None)
+    def test_soft_mask(self, scores, scale):
+        with np.errstate(over="ignore"):
+            expected = np.clip(two_branch_sigmoid(scale * scores), OPEN_LOW, OPEN_HIGH)
+        assert same_bits(soft_mask(scores, scale), expected)
+
+    @given(PROBABILITIES, SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_bernoulli(self, probs, seed):
+        assert same_bits(sample_hard_mask(probs, seed), fresh_stream_bernoulli(probs, seed))
+
+    @given(PROBABILITIES, st.sampled_from([0.01, 0.5, 1.0, 3.0]), SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_gumbel(self, probs, temperature, seed):
+        sample = gumbel_softmax_mask(probs, temperature, seed)
+        relaxed, hard = fresh_stream_gumbel(probs, temperature, seed)
+        assert same_bits(sample.relaxed, relaxed) and same_bits(sample.hard, hard)
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(1, 300), SEEDS),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_calls_in_one_thread(self, calls):
+        for bernoulli, size, seed in calls:
+            probs = np.linspace(0.0, 1.0, size)
+            if bernoulli:
+                assert same_bits(sample_hard_mask(probs, seed), fresh_stream_bernoulli(probs, seed))
+            else:
+                sample = gumbel_softmax_mask(probs, 0.5, seed)
+                relaxed, hard = fresh_stream_gumbel(probs, 0.5, seed)
+                assert same_bits(sample.relaxed, relaxed) and same_bits(sample.hard, hard)
+
+    def test_rekey_after_a_draw_left_the_buffer_and_counter_mid_block(self):
+        # Philox makes four words per counter step, so these sizes leave
+        # the buffer part used and the counter advanced; the next call
+        # must start the stream afresh regardless
+        for size in (1, 3, 5, 100_001):
+            uniforms(MASK_BERNOULLI, 7, size)
+            assert same_bits(uniforms(MASK_BERNOULLI, 7, size), fresh_uniforms(1, 7, size))
+        assert same_bits(uniforms(MASK_BERNOULLI, 2**64 - 1, 4), fresh_uniforms(1, 2**64 - 1, 4))
+
+    def test_threads_drawing_at_once_get_the_serial_draws(self):
+        jobs = [(np.linspace(0.0, 1.0, 3 + seed % 50), seed) for seed in range(400)]
+        serial = [
+            (fresh_stream_bernoulli(p, seed), fresh_stream_gumbel(p, 0.5, seed)) for p, seed in jobs
+        ]
+        results: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def draw(worker: int) -> None:
+            start.wait(timeout=60)
+            results[worker] = [
+                (sample_hard_mask(p, seed), gumbel_softmax_mask(p, 0.5, seed)) for p, seed in jobs
+            ]
+
+        threads = [threading.Thread(target=draw, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between nearly every bytecode
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker in range(4):
+            for (hard, sample), (ref_hard, (ref_relaxed, ref_gumbel_hard)) in zip(
+                results[worker], serial
+            ):
+                assert same_bits(hard, ref_hard)
+                assert same_bits(sample.relaxed, ref_relaxed)
+                assert same_bits(sample.hard, ref_gumbel_hard)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import column_collisions, enumerate_matrices
+from helpers import column_collisions, enumerate_matrices, shifted_masks
 from scm_ident import (
     DataError,
     LabelError,
@@ -87,6 +87,26 @@ class TestParentsAndChildren:
         rows = [[(pattern >> k) & 1 for pattern in range(64)] for k in range(7)]
         expected = tuple(tuple(j for j in range(64) if (j >> k) & 1) for k in range(7))
         assert ScmTopology.from_rows(rows).parent_indices() == expected
+
+
+    @given(
+        st.integers(min_value=1, max_value=130),
+        st.integers(min_value=1, max_value=70),
+        st.floats(0.0, 1.0),
+        st.integers(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_packed_masks_equal_per_cell_shifts(self, m, n, density, seed):
+        rows = (np.random.default_rng(abs(seed) % (2**32)).random((m, n)) < density).astype(int)
+        top = ScmTopology.from_rows(rows)
+        assert (top.column_masks(), top.row_masks()) == shifted_masks(rows)
+
+    @pytest.mark.parametrize("m, n", [(65, 3), (200, 64), (1000, 64)])
+    def test_packed_masks_of_many_tasks(self, m, n):
+        rows = np.random.default_rng(m * n).integers(0, 2, size=(m, n))
+        rows[-1] = 1  # the highest task bit set in every column
+        top = ScmTopology.from_rows(rows)
+        assert (top.column_masks(), top.row_masks()) == shifted_masks(rows)
 
 
 class TestCollisions:
