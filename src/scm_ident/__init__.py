@@ -39,7 +39,6 @@ from .ident import (
     closure_identifiable,
     equivalence_audit,
     min_tasks_for,
-    pair_agreement_counts,
     uic_check,
     uic_violations,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "closure_identifiable",
     "equivalence_audit",
     "min_tasks_for",
-    "pair_agreement_counts",
     "uic_check",
     "uic_violations",
     # losses

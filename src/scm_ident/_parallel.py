@@ -27,5 +27,5 @@ def parallel_map(fn, items) -> list:
     try:
         with ProcessPoolExecutor(n_workers) as pool:
             return list(pool.map(fn, items))
-    except (OSError, PermissionError):
+    except OSError:
         return [fn(item) for item in items]

@@ -19,7 +19,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_int
 
 MASK_BERNOULLI = 1
 MASK_GUMBEL = 2
@@ -33,11 +33,10 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
 def check_seed(seed: int) -> int:
     """Validate and normalize a 64-bit unsigned seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {type(seed).__name__}")
+    seed = read_int(seed, ConfigError, "seed")
     if seed < 0 or seed > _UINT64_MASK:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 def stream(purpose: int, seed: int) -> np.random.Generator:
@@ -82,4 +81,4 @@ def uniforms(purpose: int, seed: int, shape) -> np.ndarray:
 
 def env_seed(seed: int, env_index: int) -> int:
     """Per-environment splitting rule: user seed XOR environment index."""
-    return (check_seed(seed) ^ int(env_index)) & _UINT64_MASK
+    return (check_seed(seed) ^ read_int(env_index, ConfigError, "environment index")) & _UINT64_MASK

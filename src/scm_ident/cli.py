@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import GRADCHECK, stream
-from .dgp import DgpSpec, _numbers, _task_map, export_dataset, generate_dataset, load_dataset
+from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, ScmIdentError, SingularModelError, check_keys
 from .ident import (
     DifferenceOrigin,
@@ -35,6 +35,7 @@ from .ident import (
 )
 from .losses import (
     LossConfig,
+    constraint_loss,
     dis_loss,
     dis_loss_grad,
     uic_loss,
@@ -68,7 +69,6 @@ def _json_int(literal: str) -> int:
     try:
         float(value)
     except OverflowError:
-        # left in, it would crash a later float conversion with an OverflowError
         digits = len(literal.lstrip("-"))
         raise DataError(f"JSON integer with {digits} digits is beyond the float range") from None
     return value
@@ -286,11 +286,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    matrix = _numbers(_load_json(args.matrix), "loss matrix")
+    matrix = _load_json(args.matrix)
     config = LossConfig(alpha=args.alpha, lambda_uic=args.lambda_uic, lambda_dis=args.lambda_dis)
     uic_value = uic_loss(matrix, config.alpha)
     dis_value = dis_loss(matrix, config.alpha)
-    combined = config.lambda_uic * uic_value + config.lambda_dis * dis_value
+    combined = constraint_loss(matrix, config)
     payload = {
         "alpha": config.alpha,
         "lambda_uic": config.lambda_uic,
@@ -344,9 +344,7 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--trials", args.trials), ("--rows", args.rows), ("--cols", args.cols)):
         if value < 1:
             raise ConfigError(f"{flag} must be positive, got {value}")
-    if args.alpha.bit_length() > 1023:
-        # the gradient's scale alpha / rows would overflow a float
-        raise ConfigError(f"--alpha must be below 2**1023, got {args.alpha.bit_length()} bits")
+    LossConfig(alpha=args.alpha)  # refuses an alpha the losses refuse, before any work
     if _gradcheck_work(args.trials, args.rows, args.cols, args.alpha) > GRADCHECK_WORK_LIMIT:
         raise ConfigError(
             f"gradcheck of {args.trials} trials at {args.rows}x{args.cols}, "
@@ -388,16 +386,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_mask(args) -> int:
     if not args.self_test and args.scores is None:
-        sys.stderr.write("mask: provide --scores or --self-test\n")
-        return EXIT_INPUT
+        raise ConfigError("mask: provide --scores or --self-test")
     payload: dict = {}
     lines: list[str] = []
     status = EXIT_OK
-    if args.self_test and args.draws < 1:
-        raise ConfigError(f"--draws must be positive, got {args.draws}")
     if args.scores is not None:
-        scores = _numbers(_load_json(args.scores), "mask scores")
-        soft = soft_mask(scores, scale=args.scale)
+        soft = soft_mask(_load_json(args.scores), scale=args.scale)
         hard = sample_hard_mask(soft, seed=args.seed)
         gumbel = gumbel_softmax_mask(soft, temperature=args.temperature, seed=args.seed)
         payload.update(
@@ -477,13 +471,8 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
         check_keys(init_doc, "fit config init", names, names)
         tasks = [f"t{k + 1}" for k in range(topology.num_tasks)]
         check_keys(init_doc["B"], "fit config init B", tasks, tasks)
-        init = UnmixModel(
-            *(_numbers(init_doc[name], f"init {name}") for name in names[:3]),
-            tuple(
-                _task_map(init_doc["B"][task], len(p), f"init B {task}")
-                for task, p in zip(tasks, topology.parent_indices())
-            ),
-        )
+        blocks = [init_doc[name] for name in names[:3]]
+        init = UnmixModel(*blocks, tuple(init_doc["B"][task] for task in tasks))
     if seed_override is not None:
         data["seed"] = seed_override
     config = FitConfig(**data)

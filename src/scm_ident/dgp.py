@@ -15,7 +15,6 @@ bit-for-bit reproducible and environments independently generable.
 """
 
 import csv
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from ._csvrows import render_rows
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
+from .errors import read_array, read_int, read_real
 from .topology import MAX_LATENTS, ScmTopology
 
 RANK_TOLERANCE = 1e-8
@@ -46,11 +46,23 @@ def singular_ratio(matrix: np.ndarray) -> float:
     return float(singular_ratios(np.asarray(matrix)[None])[0])
 
 
-def _frozen(value) -> np.ndarray:
-    """A read-only C-ordered float64 copy."""
-    array = np.array(value, dtype=np.float64, order="C")
+def _frozen(value, name: str) -> np.ndarray:
+    """A read-only C-ordered float64 copy of a generator spec's array."""
+    array = np.array(read_array(value, DataError, f"malformed generator spec: {name}"), order="C")
     array.setflags(write=False)
     return array
+
+
+def _task_map(b: np.ndarray, num_parents: int) -> np.ndarray:
+    """A task's read map; JSON writes the 0x0 map of a task without parents as ``[]``."""
+    return b.reshape(0, 0) if num_parents == 0 and b.shape == (0,) else b
+
+
+def _frozen_blocks(blocks, name: str) -> tuple[np.ndarray, ...]:
+    """Task ``t``'s array of a list or tuple as :func:`_frozen` reads it, named ``{name} t<t>``."""
+    if not isinstance(blocks, (list, tuple)):
+        raise DataError(f"malformed generator spec: {name} must be a list of arrays")
+    return tuple(_frozen(block, f"{name} t{t + 1}") for t, block in enumerate(blocks))
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,8 @@ class ExpFamilyPrior:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.atleast_2d(_frozen(self.means))
-        variances = np.atleast_2d(_frozen(self.variances))
+        means = np.atleast_2d(_frozen(self.means, "means"))
+        variances = np.atleast_2d(_frozen(self.variances, "variances"))
         if means.shape != variances.shape or means.ndim != 2 or means.size == 0:
             raise ShapeError(
                 f"means and variances must be matching (environments x latents) "
@@ -129,18 +141,21 @@ class DgpSpec:
     def __post_init__(self) -> None:
         n = self.topology.num_latents
         parents = self.topology.parent_indices()
-        noise_x = _frozen(np.zeros(n) if self.noise_x is None else self.noise_x)
+        noise_x = _frozen(np.zeros(n) if self.noise_x is None else self.noise_x, "noise")
         if noise_x.ndim != 1:
             raise ShapeError("source noise levels must be a vector")
         zero_y = [np.zeros(len(p)) for p in parents]
-        noise_y = tuple(map(_frozen, zero_y if self.noise_y is None else self.noise_y))
+        noise_y = _frozen_blocks(zero_y if self.noise_y is None else self.noise_y, "noise")
         if any(s.ndim != 1 for s in noise_y):
             raise ShapeError("task noise levels must be vectors")
         all_values = np.concatenate([noise_x, *noise_y])
         if not np.all(np.isfinite(all_values)) or np.any(all_values < 0):
             raise DomainError("noise standard deviations must be finite and non-negative")
-        source_map = _frozen(self.source_map)
-        task_maps = tuple(_frozen(b) for b in self.task_maps)
+        source_map = _frozen(self.source_map, "F")
+        task_maps = _frozen_blocks(self.task_maps, "B")
+        if len(task_maps) != len(parents):
+            raise ShapeError("need exactly one task map per task")
+        task_maps = tuple(_task_map(b, len(p)) for b, p in zip(task_maps, parents))
         named = [("F", source_map), *((f"B t{t + 1}", b) for t, b in enumerate(task_maps))]
         for name, block in named:
             if not np.all(np.isfinite(block)):
@@ -149,8 +164,10 @@ class DgpSpec:
             raise ShapeError(f"source map must be square, got shape {source_map.shape}")
         if singular_ratio(source_map) <= RANK_TOLERANCE:
             raise DomainError("source map is numerically singular")
-        if self.slope is not None and not 0.0 < self.slope < 1.0:
-            raise DomainError(f"leaky slope must lie in (0, 1), got {self.slope}")
+        if self.slope is not None:
+            slope = read_real(self.slope, DataError, "malformed generator spec: slope")
+            if not 0.0 < slope < 1.0:
+                raise DomainError(f"leaky slope must lie in (0, 1), got {slope}")
         if n > MAX_LATENTS:
             raise CapacityError(f"generator supports at most {MAX_LATENTS} latents, got {n}")
         if self.prior.num_latents != n:
@@ -159,8 +176,6 @@ class DgpSpec:
             )
         if source_map.shape[0] != n:
             raise ShapeError(f"mixing covers {source_map.shape[0]} latents, topology has {n}")
-        if len(task_maps) != len(parents):
-            raise ShapeError("need exactly one task map per task")
         for t, (b, task_parents) in enumerate(zip(task_maps, parents)):
             expected = len(task_parents)
             if b.ndim != 2 or b.shape != (expected, expected):
@@ -217,7 +232,7 @@ class DgpSpec:
                 raise DataError(f"environment {e} must have exactly 'means' and 'variances'")
             means.append(env["means"])
             variances.append(env["variances"])
-        prior = ExpFamilyPrior(_spec_array(means, "means"), _spec_array(variances, "variances"))
+        prior = ExpFamilyPrior(means, variances)
         nonlinearity = data.get("nonlinearity", {"type": "none"})
         if not isinstance(nonlinearity, dict) or "type" not in nonlinearity:
             raise DataError("nonlinearity must be an object with a 'type'")
@@ -229,12 +244,6 @@ class DgpSpec:
             if set(nonlinearity) != {"type", "slope"}:
                 raise DataError("nonlinearity 'leaky' takes exactly a 'slope'")
             slope = nonlinearity["slope"]
-            if isinstance(slope, bool) or not isinstance(slope, numbers.Real):
-                raise DataError(f"malformed generator spec: slope must be a number, got {slope!r}")
-            try:
-                slope = float(slope)
-            except OverflowError as exc:  # a JSON integer beyond the float range
-                raise DataError(f"malformed generator spec: slope: {exc}") from exc
         else:
             raise DataError(f"unknown nonlinearity type {nonlinearity['type']!r}")
         b_maps = data["B"]
@@ -243,46 +252,10 @@ class DgpSpec:
         expected_keys = {f"t{k + 1}" for k in range(m)}
         if set(b_maps) != expected_keys:
             raise DataError(f"B must have exactly the keys {sorted(expected_keys)}")
-        parents = topology.parent_indices()
-        task_maps = []
-        for k, task_parents in enumerate(parents):
-            label = f"t{k + 1}"
-            task_maps.append(
-                _task_map(b_maps[label], len(task_parents), f"malformed generator spec: B {label}")
-            )
-        noise_x, noise_y = _noise_from_json(data.get("noise"), n, [len(p) for p in parents])
-        try:
-            source_map = _spec_array(data["F"], "F")
-            return cls(topology, prior, source_map, tuple(task_maps), slope, noise_x, noise_y)
-        except (ShapeError, DomainError):
-            raise
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed generator spec: {exc}") from exc
-
-
-def _numbers(value, what: str) -> np.ndarray:
-    """A float64 array from JSON numbers; a ragged or non-numeric list is a DataError."""
-    try:
-        raw = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{what}: {exc}") from exc
-    if raw.dtype.kind not in "biuf":
-        # np.asarray(..., float64) would parse strings such as "1.0"
-        raise DataError(f"{what}: entries must be numbers, got dtype {raw.dtype}")
-    return np.asarray(raw, dtype=np.float64)
-
-
-def _task_map(value, num_parents: int, what: str) -> np.ndarray:
-    """A task's map from JSON numbers; ``[]`` is read as 0x0 for a task without parents.
-
-    JSON writes a 0x0 map as ``[]``, which reads back with shape (0,).
-    """
-    b = _numbers(value, what)
-    return b.reshape(0, 0) if num_parents == 0 and b.shape == (0,) else b
-
-
-def _spec_array(value, name: str) -> np.ndarray:
-    return _numbers(value, f"malformed generator spec: {name}")
+        task_maps = [b_maps[f"t{k + 1}"] for k in range(m)]
+        parent_counts = [len(p) for p in topology.parent_indices()]
+        noise_x, noise_y = _noise_from_json(data.get("noise"), n, parent_counts)
+        return cls(topology, prior, data["F"], task_maps, slope, noise_x, noise_y)
 
 
 def _noise_from_json(noise, num_latents: int, parent_counts):
@@ -293,7 +266,7 @@ def _noise_from_json(noise, num_latents: int, parent_counts):
         raise DataError("noise must be an object with optional 'x' and 'y'")
 
     def broadcast(value, width: int):
-        arr = _spec_array(value, "noise")
+        arr = read_array(value, DataError, "malformed generator spec: noise")
         return np.full(width, float(arr)) if arr.ndim == 0 else arr
 
     x_std = broadcast(noise.get("x", 0.0), num_latents)
@@ -362,13 +335,19 @@ def sample_latents(prior: ExpFamilyPrior, env_index: int, count: int, seed: int)
     Stream key: (latent-draw purpose, seed XOR environment index), so
     environments can be generated independently and in any order.
     """
+    env_index = read_int(env_index, ConfigError, "environment index")
+    count = read_int(count, ConfigError, "sample count")
     if not 0 <= env_index < prior.num_environments:
         raise ConfigError(f"environment {env_index} is not configured")
     if count < 1:
         raise ConfigError(f"sample count must be positive, got {count}")
     rng = stream(LATENT_DRAWS, env_seed(seed, env_index))
     std = np.sqrt(prior.variances[env_index])
-    return prior.means[env_index] + rng.standard_normal((count, prior.num_latents)) * std
+    try:
+        draws = rng.standard_normal((count, prior.num_latents))
+    except ValueError as exc:  # numpy cannot size the array
+        raise CapacityError(f"sample count {count} is too large: {exc}") from exc
+    return prior.means[env_index] + draws * std
 
 
 def _leaky(values: np.ndarray, slope: float) -> np.ndarray:
@@ -392,7 +371,7 @@ def generate_observed(
     latents; a spec with any nonzero level draws noise for every block.
     """
     n = spec.topology.num_latents
-    latents = np.asarray(latents, dtype=np.float64)
+    latents = read_array(latents, DataError, "latents")
     if latents.ndim != 2 or latents.shape[1] != n:
         raise ShapeError(f"latents must be (samples x {n}), got shape {latents.shape}")
     rng = stream(OBSERVATION_NOISE, env_seed(seed, env_index))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import audit_latents, decode_matrix
-from .errors import CapacityError
+from .errors import CapacityError, read_int
 from .topology import MAX_LATENTS, ScmTopology
 
 AUDIT_CELL_LIMIT = 20
@@ -186,17 +186,6 @@ def _agreement_counts(topology: ScmTopology) -> np.ndarray:
     return adj.T @ adj + comp.T @ comp
 
 
-def pair_agreement_counts(topology: ScmTopology) -> dict[tuple[int, int], int]:
-    """Exact per-pair agreement counts over tasks, in integer arithmetic.
-
-    For latents ``j`` and ``j'`` the count is the number of tasks ``k``
-    with ``a[k,j] * a[k,j'] + (1 - a[k,j]) * (1 - a[k,j']) == 1``.
-    """
-    agree = _agreement_counts(topology).tolist()
-    n = topology.num_latents
-    return {(j, jp): agree[j][jp] for j in range(n) for jp in range(j + 1, n)}
-
-
 def uic_violations(topology: ScmTopology) -> list[tuple[int, int]]:
     """Latent pairs whose agreement count reaches the task count, ascending."""
     # every latent agrees with itself on all tasks; nonzero lists the
@@ -261,6 +250,7 @@ def equivalence_audit(max_m: int, max_n: int) -> AuditReport:
     no worker processes: the largest shape holds at least half of the
     matrices, so a pool could not finish sooner than that shape alone.
     """
+    max_m, max_n = read_int(max_m, CapacityError, "max_m"), read_int(max_n, CapacityError, "max_n")
     if max_m < 1 or max_n < 1:
         raise CapacityError("audit bounds must be positive")
     if max_m * max_n > AUDIT_CELL_LIMIT:
@@ -308,6 +298,7 @@ def min_tasks_for(n_latents: int) -> MinTasksResult:
     (the all-zero column included) and is verified against the agreement
     decider.
     """
+    n_latents = read_int(n_latents, CapacityError, "latent count")
     if n_latents < 1:
         raise CapacityError("latent count must be positive")
     if n_latents > MIN_TASKS_LATENT_LIMIT:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, read_array, read_int, read_real
 
 ENTRY_TOLERANCE = 1e-12
 DEFAULT_ALPHA = 50
@@ -35,7 +35,7 @@ def as_soft_adjacency(values) -> np.ndarray:
     back); anything further is a domain violation. Binary adjacency
     matrices are valid inputs.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = read_array(values, DomainError, "matrix")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
     # min and max propagate NaN, so both are finite iff every entry is
@@ -48,13 +48,24 @@ def as_soft_adjacency(values) -> np.ndarray:
 
 
 def _check_alpha(alpha: int) -> int:
-    if not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool):
-        raise DomainError(f"alpha must be an integer, got {alpha!r}")
+    alpha = read_int(alpha, DomainError, "alpha")
+    if alpha.bit_length() > 1023:
+        # the gradient's scale alpha / m would not be a float
+        raise DomainError(f"alpha must be below 2**1023, got {alpha.bit_length()} bits")
     if alpha < 2 or alpha % 2 != 0:
         # Odd powers would make the loss sign-indefinite: the diagonal
         # agreement term is negative for fractional entries.
         raise DomainError(f"alpha must be an even integer >= 2, got {alpha}")
-    return int(alpha)
+    return alpha
+
+
+def _finite(compute, what: str):
+    """``compute()``, raising :class:`DomainError` if it overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} overflows the float range")
+    return value
 
 
 def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
@@ -131,8 +142,8 @@ def uic_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
 
 def uic_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`uic_loss` per matrix entry."""
-    m_soft = as_soft_adjacency(matrix)
-    return _uic_grad(m_soft, _check_alpha(alpha))
+    m_soft, alpha = as_soft_adjacency(matrix), _check_alpha(alpha)
+    return _finite(lambda: _uic_grad(m_soft, alpha), "the uic gradient")
 
 
 def dis_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
@@ -142,13 +153,14 @@ def dis_loss(matrix, alpha: int = DEFAULT_ALPHA) -> float:
     - n*delta_kk')**a`` over all ordered task pairs; penalizes tasks that
     select identical latent subsets.
     """
-    return uic_loss(np.asarray(matrix, dtype=np.float64).T, alpha)
+    return uic_loss(read_array(matrix, DomainError, "matrix").T, alpha)
 
 
 def dis_loss_grad(matrix, alpha: int = DEFAULT_ALPHA) -> np.ndarray:
     """Exact partial derivatives of :func:`dis_loss` per matrix entry."""
-    m_soft_t = as_soft_adjacency(np.asarray(matrix, dtype=np.float64).T)
-    return _dis_grad(m_soft_t.T, _check_alpha(alpha))
+    m_soft_t = as_soft_adjacency(read_array(matrix, DomainError, "matrix").T)
+    alpha = _check_alpha(alpha)
+    return _finite(lambda: _dis_grad(m_soft_t.T, alpha), "the dis gradient")
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,8 @@ class LossConfig:
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         for name in ("lambda_uic", "lambda_dis"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
+            value = read_real(getattr(self, name), DomainError, name)
+            if value < 0:
                 raise DomainError(f"{name} must be a finite non-negative real, got {value}")
 
 
@@ -171,19 +183,22 @@ def constraint_loss(matrix, config: LossConfig = LossConfig()) -> float:
     """Weighted sum of the column and row agreement penalties.
 
     The matrix is validated once; the row penalty is the column penalty
-    of its transpose, as in :func:`dis_loss`.
+    of its transpose, as in :func:`dis_loss`. A sum beyond the float range
+    raises :class:`DomainError`.
     """
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(config.alpha)
-    return config.lambda_uic * _uic_value(m_soft, alpha) + config.lambda_dis * _uic_value(
-        m_soft.T, alpha
+    m_soft, alpha = as_soft_adjacency(matrix), _check_alpha(config.alpha)
+    lam_uic, lam_dis = config.lambda_uic, config.lambda_dis
+    return _finite(
+        lambda: lam_uic * _uic_value(m_soft, alpha) + lam_dis * _uic_value(m_soft.T, alpha),
+        "the weighted penalty",
     )
 
 
 def constraint_loss_grad(matrix, config: LossConfig = LossConfig()) -> np.ndarray:
     """Gradient of :func:`constraint_loss` per matrix entry."""
-    m_soft = as_soft_adjacency(matrix)
-    alpha = _check_alpha(config.alpha)
-    return config.lambda_uic * _uic_grad(m_soft, alpha) + config.lambda_dis * (
-        _dis_grad(m_soft, alpha)
+    m_soft, alpha = as_soft_adjacency(matrix), _check_alpha(config.alpha)
+    lam_uic, lam_dis = config.lambda_uic, config.lambda_dis
+    return _finite(
+        lambda: lam_uic * _uic_grad(m_soft, alpha) + lam_dis * _dis_grad(m_soft, alpha),
+        "the weighted gradient",
     )

@@ -18,7 +18,6 @@ as depressed correlations and seed-to-seed alignment instability.
 
 import itertools
 import math
-import numbers
 import statistics
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -28,6 +27,7 @@ import numpy as np
 from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
 from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
+from .dgp import _task_map
 from .errors import (
     CapacityError,
     ConfigError,
@@ -37,6 +37,7 @@ from .errors import (
     ShapeError,
     SingularModelError,
 )
+from .errors import read_array, read_int, read_real
 from .ident import uic_check, uic_violations
 from .topology import ScmTopology
 
@@ -75,14 +76,9 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         for name in ("restarts", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            read_int(getattr(self, name), ConfigError, name)
         for name in ("min_step", "grad_tol"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+            read_real(getattr(self, name), ConfigError, name)
         if self.restarts < 1 or self.max_iters < 1:
             raise ConfigError("restarts and max_iters must be positive")
         if self.restarts > MAX_RESTARTS:
@@ -210,30 +206,28 @@ def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
             )
 
 
-def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) -> None:
-    n = topology.num_latents
-    parents = topology.parent_indices()
-    if np.shape(init.mixing) != (n, n):
-        raise ShapeError(f"init F must be {n}x{n}, got shape {np.shape(init.mixing)}")
-    for name, block in (("means", init.env_means), ("variances", init.env_variances)):
-        if np.shape(block) != (num_environments, n):
-            raise ShapeError(
-                f"init {name} must be {num_environments}x{n} (environments x latents), "
-                f"got shape {np.shape(block)}"
-            )
+def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) -> UnmixModel:
+    """``init`` with every block read as a float64 array of its shape and finite."""
+    n, parents = topology.num_latents, topology.parent_indices()
+    if not isinstance(init.task_maps, (list, tuple)):
+        raise DataError("init B must be a list of matrices, one per task")
     if len(init.task_maps) != len(parents):
         raise ShapeError(f"init needs one B per task, got {len(init.task_maps)}")
-    for k, (b, p) in enumerate(zip(init.task_maps, parents)):
-        if np.shape(b) != (len(p), len(p)):
-            raise ShapeError(
-                f"init B for task {k} must be {len(p)}x{len(p)}, got shape {np.shape(b)}"
-            )
-    blocks = {"F": init.mixing, "means": init.env_means, "variances": init.env_variances}
-    blocks.update((f"B for task {k}", b) for k, b in enumerate(init.task_maps))
-    for name, block in blocks.items():
+    names = ["F", "means", "variances", *(f"B for task {k}" for k in range(len(parents)))]
+    values = [init.mixing, init.env_means, init.env_variances, *init.task_maps]
+    shapes = [(n, n), *[(num_environments, n)] * 2, *((len(p), len(p)) for p in parents)]
+    blocks = []
+    for name, block, shape in zip(names, values, shapes):
+        # only a parentless task's map has 0 rows; its [] is the 0x0 map
+        block = _task_map(read_array(block, DataError, f"init {name}"), shape[0])
+        if block.shape != shape:
+            raise ShapeError(f"init {name} must be {shape[0]}x{shape[1]}, got shape {block.shape}")
         # a NaN objective would win the choice between restarts
         if not np.isfinite(block).all():
             raise DomainError(f"init {name} entries must be finite")
+        blocks.append(block)
+    mixing, means, variances, *task_maps = blocks
+    return UnmixModel(mixing, means, variances, tuple(task_maps))
 
 
 @dataclass(frozen=True)
@@ -662,7 +656,7 @@ def fit(
     """
     _check_dataset(dataset, topology)
     if init is not None:
-        _check_init(init, topology, dataset.num_environments)
+        init = _check_init(init, topology, dataset.num_environments)
     moments = _empirical_moments(dataset)
     starts = _Batch.of(_starts(topology, moments, config, init), topology)
     # an overflow leaves an objective that is not finite, checked below
@@ -682,7 +676,7 @@ def recover_latents(model: UnmixModel, x: np.ndarray) -> np.ndarray:
     """Invert the fitted mixing map on source observations, one product with its inverse."""
     if model.singular_ratio() <= SINGULAR_RATIO:
         raise SingularModelError("mixing map is numerically singular")
-    x = np.asarray(x, dtype=np.float64)
+    x = read_array(x, DataError, "observations")
     if x.ndim != 2 or x.shape[1] != model.mixing.shape[0]:
         raise ShapeError(f"observations must be (samples x {model.mixing.shape[0]})")
     return x @ np.linalg.inv(model.mixing).T
@@ -727,8 +721,8 @@ def match_permutation(true_latents: np.ndarray, est_latents: np.ndarray) -> Matc
     samples) copy, so the result does not depend on the inputs' memory
     layout.
     """
-    true_arr = np.asarray(true_latents, dtype=np.float64)
-    est_arr = np.asarray(est_latents, dtype=np.float64)
+    true_arr = read_array(true_latents, DataError, "true latents")
+    est_arr = read_array(est_latents, DataError, "estimated latents")
     if true_arr.shape != est_arr.shape or true_arr.ndim != 2:
         raise ShapeError(
             f"latent arrays must share a 2-d shape, got {true_arr.shape} and {est_arr.shape}"
@@ -815,18 +809,18 @@ def identifiability_experiment(
     run in worker processes, one per CPU and at most one per job, and
     are merged back in seed order.
     """
-    if seeds < 1:
+    if read_int(seeds, ConfigError, "seeds") < 1:
         raise ConfigError("need at least one seed")
+    base = check_seed(config.seed)
+    check_seed(base + seeds - 1)  # the last data seed, checked before any job is built
     if not uic_check(spec_ident.topology):
         raise ConfigError("the identifiable spec fails the column-distinctness check")
     violations = uic_violations(spec_collide.topology)
     if not violations:
         raise ConfigError("the colliding spec has no colliding latent pair")
     pair = violations[0]
-    jobs = []
-    for spec in (spec_ident, spec_collide):
-        for s in range(seeds):
-            jobs.append((spec, config, samples_per_env, check_seed(config.seed) + s))
+    arms = (spec_ident, spec_collide)
+    jobs = [(spec, config, samples_per_env, base + s) for spec in arms for s in range(seeds)]
     outcomes = parallel_map(_run_experiment_seed, jobs)
     ident_arm = ExperimentArm(tuple(outcomes[:seeds]))
     collide_arm = ExperimentArm(tuple(outcomes[seeds:]))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import MASK_BERNOULLI, MASK_GUMBEL, uniforms
-from .errors import DomainError, ShapeError
+from ._rng import MASK_BERNOULLI, MASK_GUMBEL, check_seed, uniforms
+from .errors import CapacityError, ConfigError, DomainError, ShapeError
+from .errors import read_array, read_int, read_real
 from .losses import as_soft_adjacency
 
 DEFAULT_SCALE = 100.0
@@ -39,19 +40,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
-def _as_scores(scores) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
+def _vector(values, what: str) -> np.ndarray:
+    arr = read_array(values, DomainError, what)
     if arr.ndim != 1 or arr.size < 1:
-        raise ShapeError(f"scores must be a non-empty vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError("scores must be finite")
+        raise ShapeError(f"{what} must be a non-empty vector, got shape {arr.shape}")
     return arr
 
 
 def _as_probabilities(soft) -> np.ndarray:
-    arr = np.asarray(soft, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ShapeError(f"probabilities must be a non-empty vector, got shape {arr.shape}")
+    arr = _vector(soft, "probabilities")
     # min and max propagate NaN, and an infinity is outside [0, 1]
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("probabilities must lie in [0, 1]")
@@ -65,8 +62,11 @@ def soft_mask(scores, scale: float = DEFAULT_SCALE) -> np.ndarray:
     inside (0, 1), so downstream samplers never see a saturated 0 or 1
     from a finite score.
     """
-    arr = _as_scores(scores)
-    if not np.isfinite(scale) or scale <= 0:
+    arr = _vector(scores, "scores")
+    if not np.isfinite(arr).all():
+        raise DomainError("scores must be finite")
+    scale = read_real(scale, DomainError, "scale")
+    if scale <= 0:
         raise DomainError(f"scale must be a positive real, got {scale}")
     # a product beyond the float range is +-inf, whose logistic is exactly 1 or 0
     with np.errstate(over="ignore"):
@@ -110,6 +110,7 @@ def gumbel_softmax_mask(soft, temperature: float = 1.0, seed: int = 0) -> Gumbel
     temperature goes to 0.
     """
     probs = _as_probabilities(soft)
+    temperature = read_real(temperature, DomainError, "temperature")
     if not temperature > 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
     probs = probs.clip(_OPEN_LOW, _OPEN_HIGH)
@@ -130,12 +131,18 @@ def mask_statistics_self_test(seed: int = 0, draws: int = 100_000) -> dict:
     Gumbel-softmax hard frequencies must agree with the Bernoulli
     frequencies within an absolute tolerance. Deterministic per seed.
     """
+    seed, draws = check_seed(seed), read_int(draws, ConfigError, "draws")
+    if draws < 1:
+        raise ConfigError(f"draws must be positive, got {draws}")
     probs = np.asarray(SELF_TEST_PROBABILITIES, dtype=np.float64)
     # One length-`draws` vector per probability, each on its own stream.
     bernoulli_freq = []
     gumbel_freq = []
     for offset, p in enumerate(probs):
-        vector = np.full(draws, p)
+        try:
+            vector = np.full(draws, p)
+        except ValueError as exc:  # numpy cannot size the array
+            raise CapacityError(f"{draws} draws are too many: {exc}") from exc
         bern = sample_hard_mask(vector, seed=seed + offset)
         cold = gumbel_softmax_mask(vector, temperature=SELF_TEST_TEMPERATURE, seed=seed + offset)
         bernoulli_freq.append(float(bern.mean()))
@@ -165,12 +172,7 @@ def mask_statistics_self_test(seed: int = 0, draws: int = 100_000) -> dict:
 
 def build_task_latent_matrix(soft_masks) -> np.ndarray:
     """Stack one soft mask per task into the m x n task-latent matrix."""
-    masks = [np.asarray(m, dtype=np.float64) for m in soft_masks]
-    if not masks:
-        raise ShapeError("need at least one mask to stack")
-    if any(m.ndim != 1 for m in masks):
-        raise ShapeError("each mask must be a vector")
-    lengths = {m.shape[0] for m in masks}
-    if len(lengths) != 1:
-        raise ShapeError(f"masks must share one length, got {sorted(lengths)}")
-    return as_soft_adjacency(np.vstack(masks))
+    matrix = read_array(soft_masks, ShapeError, "masks")
+    if matrix.ndim != 2:
+        raise ShapeError(f"masks must be equal-length vectors, got shape {matrix.shape}")
+    return as_soft_adjacency(matrix)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, LabelError, ShapeError, check_keys
+from .errors import read_array, read_int, read_names
 
 # Largest latent count the closure decider and the generator accept.
 MAX_LATENTS = 64
@@ -26,7 +27,7 @@ MAX_LATENTS = 64
 def _normalize_names(names, expected: int, what: str) -> tuple[str, ...] | None:
     if names is None:
         return None
-    names = tuple(str(s) for s in names)
+    names = read_names(names, DataError, f"{what}_names")
     if len(names) != expected:
         raise LabelError(f"expected {expected} {what} names, got {len(names)}")
     if len(set(names)) != len(names):
@@ -63,21 +64,15 @@ class ScmTopology:
     _row_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_tasks < 1 or self.num_latents < 1:
-            raise ShapeError(
-                f"need at least one task and one latent, got m={self.num_tasks}, n={self.num_latents}"
-            )
-        raw = np.asarray(self.adjacency)
-        if raw.ndim != 2:
-            raise ShapeError(f"adjacency must be 2-dimensional, got ndim={raw.ndim}")
-        if raw.shape != (self.num_tasks, self.num_latents):
-            raise ShapeError(
-                f"adjacency shape {raw.shape} does not match (m, n)=({self.num_tasks}, {self.num_latents})"
-            )
-        if raw.dtype.kind not in "biuf":
-            # np.asarray(..., float64) would parse strings such as "1"
-            raise DomainError(f"adjacency entries must be numbers, got dtype {raw.dtype}")
-        values = np.asarray(raw, dtype=np.float64)
+        m = read_int(self.num_tasks, ShapeError, "num_tasks")
+        n = read_int(self.num_latents, ShapeError, "num_latents")
+        if m < 1 or n < 1:
+            raise ShapeError(f"need at least one task and one latent, got m={m}, n={n}")
+        values = read_array(self.adjacency, DomainError, "adjacency")
+        if values.ndim != 2:
+            raise ShapeError(f"adjacency must be 2-dimensional, got ndim={values.ndim}")
+        if values.shape != (m, n):
+            raise ShapeError(f"adjacency shape {values.shape} does not match (m, n)=({m}, {n})")
         if not ((values == 0.0) | (values == 1.0)).all():
             bad = values[(values != 0.0) & (values != 1.0)].flat[0]
             raise DomainError(f"adjacency entries must be exactly 0 or 1, found {bad!r}")
@@ -109,7 +104,7 @@ class ScmTopology:
 
     @classmethod
     def from_rows(cls, rows, latent_names=None, task_names=None) -> "ScmTopology":
-        arr = np.asarray(rows)
+        arr = read_array(rows, DomainError, "adjacency rows")
         if arr.ndim != 2:
             raise ShapeError("adjacency rows must form a 2-dimensional array")
         return cls(arr.shape[0], arr.shape[1], arr, latent_names, task_names)
@@ -173,22 +168,5 @@ class ScmTopology:
             )
             if isinstance(count, bool) or not whole:
                 raise DataError(f"{key} must be a whole number, got {count!r}")
-        for key in ("latent_names", "task_names"):
-            # the constructor takes any sequence, so "xy" would name two latents
-            names = data.get(key)
-            if names is not None and not (
-                isinstance(names, list) and all(isinstance(name, str) for name in names)
-            ):
-                raise DataError(f"{key} must be an array of strings")
-        try:
-            return cls(
-                int(data["num_tasks"]),
-                int(data["num_latents"]),
-                np.asarray(data["adjacency"]),
-                data.get("latent_names"),
-                data.get("task_names"),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, (ShapeError, DomainError, LabelError)):
-                raise
-            raise DataError(f"malformed topology document: {exc}") from exc
+        counts = [int(data[key]) for key in ("num_tasks", "num_latents")]
+        return cls(*counts, data["adjacency"], data.get("latent_names"), data.get("task_names"))

@@ -219,6 +219,14 @@ class TestLossAndGradcheck:
         matrix = write_json(tmp_path / "m.json", [[1.5]])
         assert main(["loss", matrix]) == 2
 
+    def test_loss_beyond_the_float_range_exit_two(self, tmp_path, capsys):
+        matrix = write_json(tmp_path / "ones.json", [[1] * 64])
+        argv = ["loss", matrix, "--lambda-uic", "1e307", "--format", "json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: the weighted penalty overflows the float range\n"
+
     def test_gradcheck_passes(self, capsys):
         code, payload = run_json(
             capsys, ["gradcheck", "--alpha", "4", "--trials", "20", "--seed", "1"]
@@ -259,7 +267,10 @@ class TestLossAndGradcheck:
         [
             (["--trials", "1000000000"], "exceeds the work limit"),
             (["--rows", "64", "--cols", "64", "--trials", "3"], "exceeds the work limit"),
-            (["--trials", "1", "--alpha", str(2**1200)], "--alpha must be below 2**1023"),
+            (
+                ["--trials", "1", "--alpha", str(2**1200)],
+                "alpha must be below 2**1023, got 1201 bits",
+            ),
             (["--rows", "0"], "--rows must be positive, got 0"),
             (["--cols=-100000"], "--cols must be positive, got -100000"),
         ],
@@ -300,15 +311,18 @@ class TestMask:
         assert payload["soft"] == [np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)]
         assert capsys.readouterr().err == ""
 
-    def test_requires_scores_or_self_test(self):
+    def test_requires_scores_or_self_test(self, capsys):
         assert main(["mask"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: mask: provide --scores or --self-test\n"
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
     def test_self_test_draws_below_one_exit_two(self, capsys, draws):
         assert main(["mask", "--self-test", f"--draws={draws}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"input error: --draws must be positive, got {draws}\n"
+        assert captured.err == f"input error: draws must be positive, got {draws}\n"
 
     def test_self_test_small(self, capsys):
         code, payload = run_json(

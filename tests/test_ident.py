@@ -24,13 +24,17 @@ from scm_ident import (
     closure_identifiable,
     equivalence_audit,
     min_tasks_for,
-    pair_agreement_counts,
     uic_check,
     uic_violations,
 )
 from scm_ident._kernels import decode_matrix
 from scm_ident.cli import main
-from scm_ident.ident import CLOSURE_MEMBER_LIMIT, DifferenceOrigin, SeedOrigin
+from scm_ident.ident import (
+    CLOSURE_MEMBER_LIMIT,
+    DifferenceOrigin,
+    SeedOrigin,
+    _agreement_counts,
+)
 
 
 def random_topology(rng, m, n) -> ScmTopology:
@@ -246,12 +250,12 @@ class TestAgreementDecider:
     def test_identical_columns_rejected(self):
         top = ScmTopology.from_rows([[1, 1], [0, 0]])
         assert not uic_check(top)
-        assert pair_agreement_counts(top)[(0, 1)] == 2
+        assert _agreement_counts(top)[0, 1] == 2
 
     def test_distinct_columns_counts_below_m(self):
         top = ScmTopology.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         assert uic_check(top)
-        assert all(count < 3 for count in pair_agreement_counts(top).values())
+        assert (_agreement_counts(top)[np.triu_indices(3, 1)] < 3).all()
 
     def test_violations_match_collision_pairs(self):
         rng = np.random.default_rng(3)
@@ -271,9 +275,12 @@ class TestAgreementDecider:
         rng = np.random.default_rng(abs(seed) % (2**32))
         columns = rng.integers(0, 2, size=(m, patterns))[:, rng.integers(0, patterns, size=n)]
         top = ScmTopology.from_rows(columns)
-        counts = pair_agreement_counts(top)
-        assert uic_violations(top) == sorted(pair for pair, count in counts.items() if count == m)
-        assert all(type(count) is int for count in counts.values())
+        counts = _agreement_counts(top)
+        pairs = [(j, jp) for j in range(n) for jp in range(j + 1, n)]
+        # each count is the number of tasks on which the two columns agree
+        for j, jp in pairs:
+            assert counts[j, jp] == int((columns[:, j] == columns[:, jp]).sum())
+        assert uic_violations(top) == [(j, jp) for j, jp in pairs if counts[j, jp] == m]
 
     def test_three_identical_columns_all_pairs(self):
         top = ScmTopology.from_rows([[1, 1, 1], [0, 0, 0]])

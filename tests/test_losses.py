@@ -291,3 +291,39 @@ class TestCombinators:
             LossConfig(alpha=5)
         with pytest.raises(DomainError):
             LossConfig(alpha=4, lambda_uic=-0.1)
+
+
+class TestFloatRange:
+    """Alpha stays below 2**1023, so ``alpha / m`` is a float, and a gradient
+    or weighted penalty beyond the float range is a DomainError, not an inf
+    with a RuntimeWarning."""
+
+    @pytest.mark.parametrize("alpha", [2**1023, 2**1100, -(2**1100)])
+    def test_alpha_at_or_above_2_to_the_1023_is_refused(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be below 2\\*\\*1023"):
+            LossConfig(alpha=alpha)
+        for penalty in (uic_loss, uic_loss_grad, dis_loss, dis_loss_grad):
+            with pytest.raises(DomainError, match="alpha must be below 2\\*\\*1023"):
+                penalty([[0.5, 0.2]], alpha)
+
+    def test_the_largest_alpha_is_accepted(self):
+        alpha = 2**1023 - 2
+        assert uic_loss([[0.5, 0.2]], alpha) == 0.0
+        assert LossConfig(alpha=alpha).alpha == alpha
+
+    @pytest.mark.parametrize("penalty", [uic_loss_grad, dis_loss_grad])
+    def test_a_gradient_beyond_the_float_range_is_refused(self, penalty):
+        with pytest.raises(DomainError, match="gradient overflows the float range"):
+            penalty(np.ones((1, 64)) if penalty is uic_loss_grad else np.ones((64, 1)), 2**1020)
+
+    def test_a_weighted_penalty_beyond_the_float_range_is_refused(self):
+        config = LossConfig(alpha=4, lambda_uic=1e307, lambda_dis=1e307)
+        with pytest.raises(DomainError, match="the weighted penalty overflows the float range"):
+            constraint_loss(np.ones((1, 64)), config)
+        with pytest.raises(DomainError, match="the weighted gradient overflows the float range"):
+            constraint_loss_grad(np.ones((1, 64)), LossConfig(alpha=2**1020))
+
+    def test_weights_are_finite_reals(self):
+        for weight in ("1", True, None, np.inf, 2**1100):
+            with pytest.raises(DomainError, match="lambda_uic"):
+                LossConfig(lambda_uic=weight)
