@@ -25,6 +25,7 @@ from . import __version__
 from ._rng import GRADCHECK, stream
 from .dgp import DgpSpec, export_dataset, generate_dataset, load_dataset
 from .errors import ConfigError, DataError, ScmIdentError, SingularModelError, check_keys
+from .errors import read_task_keyed
 from .ident import (
     DifferenceOrigin,
     SeedOrigin,
@@ -469,10 +470,8 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
         init_doc = data.pop("init")
         names = ("F", "means", "variances", "B")
         check_keys(init_doc, "fit config init", names, names)
-        tasks = [f"t{k + 1}" for k in range(topology.num_tasks)]
-        check_keys(init_doc["B"], "fit config init B", tasks, tasks)
-        blocks = [init_doc[name] for name in names[:3]]
-        init = UnmixModel(*blocks, tuple(init_doc["B"][task] for task in tasks))
+        task_maps = read_task_keyed(init_doc["B"], topology.num_tasks, "fit config init B")
+        init = UnmixModel(*(init_doc[name] for name in names[:3]), tuple(task_maps))
     if seed_override is not None:
         data["seed"] = seed_override
     config = FitConfig(**data)

@@ -22,7 +22,8 @@ import numpy as np
 from ._csvrows import render_rows
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
-from .errors import read_array, read_int, read_real
+from .errors import read_array, read_block, read_int, read_path, read_real, read_task_blocks
+from .errors import read_task_keyed
 from .topology import MAX_LATENTS, ScmTopology
 
 RANK_TOLERANCE = 1e-8
@@ -51,18 +52,6 @@ def _frozen(value, name: str) -> np.ndarray:
     array = np.array(read_array(value, DataError, f"malformed generator spec: {name}"), order="C")
     array.setflags(write=False)
     return array
-
-
-def _task_map(b: np.ndarray, num_parents: int) -> np.ndarray:
-    """A task's read map; JSON writes the 0x0 map of a task without parents as ``[]``."""
-    return b.reshape(0, 0) if num_parents == 0 and b.shape == (0,) else b
-
-
-def _frozen_blocks(blocks, name: str) -> tuple[np.ndarray, ...]:
-    """Task ``t``'s array of a list or tuple as :func:`_frozen` reads it, named ``{name} t<t>``."""
-    if not isinstance(blocks, (list, tuple)):
-        raise DataError(f"malformed generator spec: {name} must be a list of arrays")
-    return tuple(_frozen(block, f"{name} t{t + 1}") for t, block in enumerate(blocks))
 
 
 @dataclass(frozen=True)
@@ -140,56 +129,31 @@ class DgpSpec:
 
     def __post_init__(self) -> None:
         n = self.topology.num_latents
-        parents = self.topology.parent_indices()
-        noise_x = _frozen(np.zeros(n) if self.noise_x is None else self.noise_x, "noise")
-        if noise_x.ndim != 1:
-            raise ShapeError("source noise levels must be a vector")
-        zero_y = [np.zeros(len(p)) for p in parents]
-        noise_y = _frozen_blocks(zero_y if self.noise_y is None else self.noise_y, "noise")
-        if any(s.ndim != 1 for s in noise_y):
-            raise ShapeError("task noise levels must be vectors")
-        all_values = np.concatenate([noise_x, *noise_y])
-        if not np.all(np.isfinite(all_values)) or np.any(all_values < 0):
-            raise DomainError("noise standard deviations must be finite and non-negative")
-        source_map = _frozen(self.source_map, "F")
-        task_maps = _frozen_blocks(self.task_maps, "B")
-        if len(task_maps) != len(parents):
-            raise ShapeError("need exactly one task map per task")
-        task_maps = tuple(_task_map(b, len(p)) for b, p in zip(task_maps, parents))
-        named = [("F", source_map), *((f"B t{t + 1}", b) for t, b in enumerate(task_maps))]
-        for name, block in named:
-            if not np.all(np.isfinite(block)):
-                raise DataError(f"malformed generator spec: {name} entries must be finite")
-        if source_map.ndim != 2 or source_map.shape[0] != source_map.shape[1]:
-            raise ShapeError(f"source map must be square, got shape {source_map.shape}")
-        if singular_ratio(source_map) <= RANK_TOLERANCE:
-            raise DomainError("source map is numerically singular")
-        if self.slope is not None:
-            slope = read_real(self.slope, DataError, "malformed generator spec: slope")
-            if not 0.0 < slope < 1.0:
-                raise DomainError(f"leaky slope must lie in (0, 1), got {slope}")
         if n > MAX_LATENTS:
             raise CapacityError(f"generator supports at most {MAX_LATENTS} latents, got {n}")
         if self.prior.num_latents != n:
-            raise ShapeError(
-                f"prior covers {self.prior.num_latents} latents, topology has {n}"
-            )
-        if source_map.shape[0] != n:
-            raise ShapeError(f"mixing covers {source_map.shape[0]} latents, topology has {n}")
-        for t, (b, task_parents) in enumerate(zip(task_maps, parents)):
-            expected = len(task_parents)
-            if b.ndim != 2 or b.shape != (expected, expected):
-                raise ShapeError(
-                    f"task map {t} must be {expected}x{expected} for parents "
-                    f"{task_parents}, got shape {b.shape}"
-                )
-            if expected and singular_ratio(b) <= RANK_TOLERANCE:
+            raise ShapeError(f"prior covers {self.prior.num_latents} latents, topology has {n}")
+        widths = [len(p) for p in self.topology.parent_indices()]
+        what = "malformed generator spec: "
+        source_map = read_block(self.source_map, (n, n), DataError, what + "F")
+        task_maps = read_task_blocks(
+            self.task_maps, [(p, p) for p in widths], DataError, what + "B"
+        )
+        noise_x = np.zeros(n) if self.noise_x is None else self.noise_x
+        noise_x = read_block(noise_x, (n,), DataError, what + "noise x")
+        noise_y = [np.zeros(p) for p in widths] if self.noise_y is None else self.noise_y
+        noise_y = read_task_blocks(noise_y, [(p,) for p in widths], DataError, what + "noise y")
+        if any((std < 0).any() for std in (noise_x, *noise_y)):
+            raise DomainError("noise standard deviations must be non-negative")
+        if singular_ratio(source_map) <= RANK_TOLERANCE:
+            raise DomainError("source map is numerically singular")
+        for t, b in enumerate(task_maps):
+            if b.size and singular_ratio(b) <= RANK_TOLERANCE:
                 raise DomainError(f"task map {t} is numerically singular")
-        if noise_x.shape[0] != n or len(noise_y) != len(parents):
-            raise ShapeError("noise levels do not match the topology dimensions")
-        for k, std in enumerate(noise_y):
-            if std.shape[0] != len(parents[k]):
-                raise ShapeError(f"noise level for task {k} has the wrong width")
+        if self.slope is not None:
+            slope = read_real(self.slope, DataError, what + "slope")
+            if not 0.0 < slope < 1.0:
+                raise DomainError(f"leaky slope must lie in (0, 1), got {slope}")
         object.__setattr__(self, "source_map", source_map)
         object.__setattr__(self, "task_maps", task_maps)
         object.__setattr__(self, "noise_x", noise_x)
@@ -226,33 +190,15 @@ class DgpSpec:
         envs = data["environments"]
         if not isinstance(envs, list) or not envs:
             raise DataError("environments must be a non-empty list")
-        means, variances = [], []
         for e, env in enumerate(envs):
-            if not isinstance(env, dict) or set(env) != {"means", "variances"}:
-                raise DataError(f"environment {e} must have exactly 'means' and 'variances'")
-            means.append(env["means"])
-            variances.append(env["variances"])
-        prior = ExpFamilyPrior(means, variances)
+            check_keys(env, f"environment {e}", ("means", "variances"), ("means", "variances"))
+        prior = ExpFamilyPrior([env["means"] for env in envs], [env["variances"] for env in envs])
         nonlinearity = data.get("nonlinearity", {"type": "none"})
-        if not isinstance(nonlinearity, dict) or "type" not in nonlinearity:
-            raise DataError("nonlinearity must be an object with a 'type'")
-        if nonlinearity["type"] == "none":
-            slope = None
-            if set(nonlinearity) - {"type"}:
-                raise DataError("nonlinearity 'none' takes no extra keys")
-        elif nonlinearity["type"] == "leaky":
-            if set(nonlinearity) != {"type", "slope"}:
-                raise DataError("nonlinearity 'leaky' takes exactly a 'slope'")
-            slope = nonlinearity["slope"]
-        else:
-            raise DataError(f"unknown nonlinearity type {nonlinearity['type']!r}")
-        b_maps = data["B"]
-        if not isinstance(b_maps, dict):
-            raise DataError("B must map task labels to matrices")
-        expected_keys = {f"t{k + 1}" for k in range(m)}
-        if set(b_maps) != expected_keys:
-            raise DataError(f"B must have exactly the keys {sorted(expected_keys)}")
-        task_maps = [b_maps[f"t{k + 1}"] for k in range(m)]
+        check_keys(nonlinearity, "nonlinearity", ("type", "slope"), ("type",))
+        kind, slope = nonlinearity["type"], nonlinearity.get("slope")
+        if kind not in ("none", "leaky") or (kind == "leaky") != (slope is not None):
+            raise DataError("nonlinearity must be type 'none', or type 'leaky' with a 'slope'")
+        task_maps = read_task_keyed(data["B"], m, "generator spec B")
         parent_counts = [len(p) for p in topology.parent_indices()]
         noise_x, noise_y = _noise_from_json(data.get("noise"), n, parent_counts)
         return cls(topology, prior, data["F"], task_maps, slope, noise_x, noise_y)
@@ -262,23 +208,19 @@ def _noise_from_json(noise, num_latents: int, parent_counts):
     """Source and per-task noise levels; scalars broadcast, absent entries are 0."""
     if noise is None:
         return None, None
-    if not isinstance(noise, dict) or set(noise) - {"x", "y"}:
-        raise DataError("noise must be an object with optional 'x' and 'y'")
+    check_keys(noise, "generator spec noise", {"x", "y"})
 
     def broadcast(value, width: int):
         arr = read_array(value, DataError, "malformed generator spec: noise")
         return np.full(width, float(arr)) if arr.ndim == 0 else arr
 
     x_std = broadcast(noise.get("x", 0.0), num_latents)
-    y_value = noise.get("y", 0.0)
-    if isinstance(y_value, dict):
-        y_std = tuple(
-            broadcast(y_value.get(f"t{k + 1}", 0.0), parent_counts[k])
-            for k in range(len(parent_counts))
-        )
+    y_std = noise.get("y", 0.0)
+    if isinstance(y_std, dict):
+        y_std = read_task_keyed(y_std, len(parent_counts), "generator spec noise y", 0.0)
     else:
-        y_std = tuple(broadcast(y_value, p) for p in parent_counts)
-    return x_std, y_std
+        y_std = [y_std] * len(parent_counts)
+    return x_std, tuple(broadcast(value, p) for value, p in zip(y_std, parent_counts))
 
 
 @dataclass(frozen=True)
@@ -478,7 +420,7 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     within_env = np.empty_like(env_ids)
     # position in the sorted order less the start of the row's run
     within_env[order] = np.arange(env_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    with open(path, "wb") as handle:
+    with open(read_path(path, DataError, "dataset"), "wb") as handle:
         handle.write((",".join(_header(dataset.num_latents, task_widths)) + "\n").encode())
         for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):
             chunk = slice(start, start + _EXPORT_CHUNK_ROWS)
@@ -490,10 +432,11 @@ def load_dataset(path) -> SyntheticDataset:
 
     The env and sample cells must be integers and every other cell a
     float that numpy parses; blank lines, rows whose width differs from
-    the header, and task indices above the header's column count are
-    rejected with :class:`DataError`.
+    the header, task indices above the header's column count, and a
+    ``path`` that is not a str or os.PathLike are rejected with
+    :class:`DataError`.
     """
-    with open(path) as handle:
+    with open(read_path(path, DataError, "dataset")) as handle:
         header_line = handle.readline()
         body = handle.read()
     if not header_line:

@@ -1,10 +1,11 @@
 """Exception types shared across the package, the key check that every
 JSON document reader applies, and the one reader per kind of outside value
-(array, integer, finite real, name list) through which every public
-function reads its input; each raises the caller's error class."""
+(array, model block, integer, finite real, name list, path) through which
+every public function reads its input; each raises the caller's error class."""
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -75,13 +76,54 @@ def read_array(value, error, what: str) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def read_block(value, shape: tuple, error, what: str) -> np.ndarray:
+    """``value`` as a read-only C-ordered float64 copy of ``shape``, ``[]``
+    reading as the 0x0 block where ``shape`` is (0, 0); a wrong shape raises
+    :class:`ShapeError`, a malformed or non-finite entry ``error``."""
+    block = np.array(read_array(value, error, what), order="C")
+    if block.shape == (0,) and shape == (0, 0):  # JSON writes a 0x0 matrix as []
+        block = block.reshape(0, 0)
+    if block.shape != shape:
+        raise ShapeError(f"{what} must have shape {shape}, got {block.shape}")
+    if not np.isfinite(block).all():
+        raise error(f"{what} entries must be finite")
+    block.setflags(write=False)
+    return block
+
+
+def read_task_blocks(values, shapes, error, what: str) -> tuple[np.ndarray, ...]:
+    """One :func:`read_block` per task from a list or tuple, task ``k``'s
+    named ``<what> t<k+1>``; anything else raises ``error``, a wrong count
+    :class:`ShapeError`."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list of blocks, one per task")
+    if len(values) != len(shapes):
+        raise ShapeError(f"{what} must have {len(shapes)} blocks, one per task, got {len(values)}")
+    return tuple(
+        read_block(value, shape, error, f"{what} t{k + 1}")
+        for k, (value, shape) in enumerate(zip(values, shapes))
+    )
+
+
+def read_task_keyed(document, num_tasks: int, what: str, default=None) -> list:
+    """The values of a JSON object keyed ``t1``..``t<num_tasks>``, in task
+    order; an unknown key raises :class:`DataError`, and so does a missing
+    one unless it takes ``default``."""
+    keys = [f"t{k + 1}" for k in range(num_tasks)]
+    check_keys(document, what, keys, keys if default is None else ())
+    return [document.get(key, default) for key in keys]
+
+
 def read_int(value, error, what: str) -> int:
-    """``value`` as an int; a bool or a non-integral value raises ``error``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """``value`` as an int; a bool, a non-integral value or an int of more
+    than 4096 bits (far beyond any count, seed or alpha) raises ``error``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if value.bit_length() > 4096:  # the message never prints the digits
+        raise error(f"{what} is an integer of {value.bit_length()} bits, beyond 4096")
+    return value
 
 
 def read_real(value, error, what: str) -> float:
@@ -102,3 +144,10 @@ def read_names(value, error, what: str) -> tuple[str, ...]:
     if not isinstance(value, (list, tuple)) or not all(isinstance(name, str) for name in value):
         raise error(f"{what} must be an array of strings")
     return tuple(value)
+
+
+def read_path(value, error, what: str):
+    """``value`` unchanged; anything but a str or os.PathLike raises ``error``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise error(f"{what} must be a path, got {type(value).__name__}")
+    return value

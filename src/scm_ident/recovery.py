@@ -27,7 +27,6 @@ import numpy as np
 from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
 from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
-from .dgp import _task_map
 from .errors import (
     CapacityError,
     ConfigError,
@@ -37,7 +36,7 @@ from .errors import (
     ShapeError,
     SingularModelError,
 )
-from .errors import read_array, read_int, read_real
+from .errors import read_array, read_block, read_int, read_real, read_task_blocks
 from .ident import uic_check, uic_violations
 from .topology import ScmTopology
 
@@ -208,26 +207,14 @@ def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
 
 def _check_init(init: UnmixModel, topology: ScmTopology, num_environments: int) -> UnmixModel:
     """``init`` with every block read as a float64 array of its shape and finite."""
-    n, parents = topology.num_latents, topology.parent_indices()
-    if not isinstance(init.task_maps, (list, tuple)):
-        raise DataError("init B must be a list of matrices, one per task")
-    if len(init.task_maps) != len(parents):
-        raise ShapeError(f"init needs one B per task, got {len(init.task_maps)}")
-    names = ["F", "means", "variances", *(f"B for task {k}" for k in range(len(parents)))]
-    values = [init.mixing, init.env_means, init.env_variances, *init.task_maps]
-    shapes = [(n, n), *[(num_environments, n)] * 2, *((len(p), len(p)) for p in parents)]
-    blocks = []
-    for name, block, shape in zip(names, values, shapes):
-        # only a parentless task's map has 0 rows; its [] is the 0x0 map
-        block = _task_map(read_array(block, DataError, f"init {name}"), shape[0])
-        if block.shape != shape:
-            raise ShapeError(f"init {name} must be {shape[0]}x{shape[1]}, got shape {block.shape}")
-        # a NaN objective would win the choice between restarts
-        if not np.isfinite(block).all():
-            raise DomainError(f"init {name} entries must be finite")
-        blocks.append(block)
-    mixing, means, variances, *task_maps = blocks
-    return UnmixModel(mixing, means, variances, tuple(task_maps))
+    # a NaN objective would win the choice between restarts
+    n, widths = topology.num_latents, [len(p) for p in topology.parent_indices()]
+    return UnmixModel(
+        read_block(init.mixing, (n, n), DomainError, "init F"),
+        read_block(init.env_means, (num_environments, n), DomainError, "init means"),
+        read_block(init.env_variances, (num_environments, n), DomainError, "init variances"),
+        read_task_blocks(init.task_maps, [(p, p) for p in widths], DomainError, "init B"),
+    )
 
 
 @dataclass(frozen=True)
@@ -651,8 +638,9 @@ def fit(
     ``config.seed``. The best restart by final objective wins, ties going
     to the earliest. An ``init`` whose shapes do not match the topology
     and the dataset's environments raises ``ShapeError``, and one with a
-    non-finite entry ``DomainError``. A best objective that is not finite
-    (data whose squared moments overflow float64) raises ``DataError``.
+    malformed or non-finite entry ``DomainError``. A best objective that
+    is not finite (data whose squared moments overflow float64) raises
+    ``DataError``.
     """
     _check_dataset(dataset, topology)
     if init is not None:

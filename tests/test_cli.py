@@ -559,6 +559,16 @@ class TestDataAndRecovery:
         assert err == f"input error: malformed generator spec: {name} entries must be finite\n"
         assert not csv_path.exists()
 
+    def test_dgp_gen_rejects_unknown_noise_y_keys(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "dgp_gen_leaky_noisy.spec.json").read_text())
+        doc["noise"] = {"x": 0.0, "y": {"t9": 0.5, "bogus": "x"}}
+        spec_path = write_json(tmp_path / "spec.json", doc)
+        csv_path = tmp_path / "data.csv"
+        assert main(["dgp-gen", spec_path, "--samples", "10", "--out", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: unknown generator spec noise y keys: ['bogus', 't9']\n"
+        assert not csv_path.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("column, value", [("x_1", "nan"), ("l_1", "nan"), ("y1_1", "-inf")])
     def test_recover_rejects_a_non_finite_cell(self, tmp_path, capfd, column, value):
@@ -813,7 +823,7 @@ def test_recover_rejects_malformed_fit_config(tmp_path, capsys, recover_files, c
         ),
         "init-nan": (
             {"init": dict(init, B={"t1": [[float("nan")]], "t2": init["B"]["t2"]})},
-            "init B for task 0 entries must be finite",
+            "init B t1 entries must be finite",
         ),
     }[case]
     config_path = tmp_path / "cfg.json"

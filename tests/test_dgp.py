@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -560,8 +561,59 @@ class TestSpecJson:
         noise_x[0] = source_map[0, 0] = 9.0
         assert spec.noise_x[0] == 0.1 and spec.source_map[0, 0] == 1.0
 
-    def test_bad_nonlinearity_rejected(self):
+    @pytest.mark.parametrize(
+        "nonlinearity",
+        [
+            {"type": "cubic"},
+            {"type": "leaky"},
+            {"type": "leaky", "slope": None},
+            {"type": "none", "slope": 0.5},
+        ],
+    )
+    def test_bad_nonlinearity_rejected(self, nonlinearity):
         doc = identifiable_spec().to_json_dict()
-        doc["nonlinearity"] = {"type": "cubic"}
-        with pytest.raises(DataError):
+        doc["nonlinearity"] = nonlinearity
+        with pytest.raises(DataError, match="^nonlinearity must be type 'none', or type 'leaky'"):
             DgpSpec.from_json_dict(doc)
+
+    def test_noise_y_refuses_unknown_task_keys(self):
+        doc = json.loads(LEAKY_NOISY_SPEC.read_text())
+        doc["noise"] = {"x": 0.0, "y": {"t9": 0.5, "bogus": "x"}}
+        with pytest.raises(DataError) as raised:
+            DgpSpec.from_json_dict(doc)
+        assert str(raised.value) == "unknown generator spec noise y keys: ['bogus', 't9']"
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("F", [[1.0]], ShapeError, "spec: F must have shape (2, 2), got (1, 1)"),
+            ("B", [[1.3]], DataError, "generator spec B must be a JSON object"),
+            ("B", {"t1": [[1.3]]}, DataError, "generator spec B missing key 't2'"),
+            ("B", {"t1": 1, "t2": 1, "t3": 1}, DataError, "unknown generator spec B keys: ['t3']"),
+            ("environments", [{"means": [0]}], DataError, "environment 0 missing key 'variances'"),
+            ("noise", {"z": 0.1}, DataError, "unknown generator spec noise keys: ['z']"),
+            ("noise", {"x": [0.1]}, ShapeError, "spec: noise x must have shape (2,), got (1,)"),
+            ("noise", {"y": {"t1": math.nan}}, DataError, "noise y t1 entries must be finite"),
+            ("noise", {"x": float("inf")}, DataError, "spec: noise x entries must be finite"),
+            ("noise", {"y": -0.1}, DomainError, "noise standard deviations must be non-negative"),
+        ],
+    )
+    def test_refusals_name_the_field(self, field, value, error, message):
+        doc = identifiable_spec().to_json_dict()
+        doc[field] = value
+        with pytest.raises(error) as raised:
+            DgpSpec.from_json_dict(doc)
+        assert str(raised.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "task_maps, error, message",
+        [
+            ([[[1.3]]], ShapeError, "spec: B must have 2 blocks, one per task, got 1"),
+            ({"t1": [[1.3]]}, DataError, "spec: B must be a list of blocks, one per task"),
+        ],
+    )
+    def test_task_maps_are_one_list_entry_per_task(self, task_maps, error, message):
+        spec = identifiable_spec()
+        with pytest.raises(error) as raised:
+            DgpSpec(spec.topology, spec.prior, spec.source_map, task_maps)
+        assert str(raised.value).endswith(message)

@@ -5,21 +5,29 @@ point, one at a time with the others valid, a value of the wrong kind or at
 an extreme. The answer must be a value or a :class:`ScmIdentError`
 subclass: never a bare ``ValueError``, ``TypeError``, ``AttributeError`` or
 ``OverflowError``, and never a warning. Parameters that take a package
-object (a topology, a prior, a spec, a config, a dataset) and file paths
-are outside its scope.
+object (a topology, a prior, a spec, a config, a dataset) are outside its
+scope; a file path gets every hostile value but the strings, which are
+paths.
 """
 
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import colliding_spec, identifiable_spec
+import scm_ident
 from scm_ident import (
+    CapacityError,
+    ConfigError,
     DataError,
     DgpSpec,
     DomainError,
@@ -44,6 +52,7 @@ from scm_ident import (
     generate_observed,
     gumbel_softmax_mask,
     identifiability_experiment,
+    load_dataset,
     match_permutation,
     min_tasks_for,
     recover_latents,
@@ -53,8 +62,10 @@ from scm_ident import (
     uic_loss,
     uic_loss_grad,
 )
+from scm_ident._rng import check_seed
 from scm_ident.cli import main
-from scm_ident.errors import read_array, read_int, read_names, read_real
+from scm_ident.errors import read_array, read_block, read_int, read_names, read_real
+from scm_ident.errors import read_task_blocks, read_task_keyed
 from scm_ident.selection import mask_statistics_self_test
 
 HOSTILE = {
@@ -191,6 +202,104 @@ def test_hostile_value_gets_a_value_or_a_typed_error(entry, param, value):
             pass
 
 
+PATH_ENTRIES = {
+    "export_dataset": lambda path: export_dataset(DATASET, path),
+    "load_dataset": load_dataset,
+}
+# open() reads a bool or an int as a file descriptor, so those cases run in
+# their own process: a regression there cannot close this process's stdout
+PATH_SCRIPT = """
+import sys
+import numpy as np
+from scm_ident import DataError, SyntheticDataset, export_dataset, load_dataset
+dataset = SyntheticDataset(1, [0], np.zeros((1, 1)), np.zeros((1, 1)), ())
+call = {"export_dataset": lambda path: export_dataset(dataset, path), "load_dataset": load_dataset}
+try:
+    call[sys.argv[1]](%s)
+except DataError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "entry, value_id",
+    [
+        pytest.param(entry, value_id, id=f"{entry}-path-{value_id}")
+        for entry in PATH_ENTRIES
+        for value_id, value in HOSTILE.items()
+        if not isinstance(value, str)
+    ],
+)
+def test_a_hostile_path_gets_a_data_error(entry, value_id):
+    value = HOSTILE[value_id]
+    if not isinstance(value, int):
+        with pytest.raises(DataError, match=r"^dataset must be a path, got "):
+            PATH_ENTRIES[entry](copy.deepcopy(value))
+        return
+    package_root = str(Path(scm_ident.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run(
+        [sys.executable, "-c", PATH_SCRIPT % repr(value), entry],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"dataset must be a path, got {type(value).__name__}\n"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: sample_latents(SPEC.prior, 0, -(10**5000), 0), ConfigError, id="count"),
+        pytest.param(lambda: FitConfig(restarts=10**5000), ConfigError, id="restarts"),
+        pytest.param(lambda: check_seed(10**5000), ConfigError, id="seed"),
+        pytest.param(lambda: equivalence_audit(10**5000, 1), CapacityError, id="audit-bound"),
+        pytest.param(lambda: ScmTopology(-(10**5000), 1, [[1]]), ShapeError, id="num-tasks"),
+        pytest.param(lambda: min_tasks_for(10**5000), CapacityError, id="latent-count"),
+    ],
+)
+def test_an_int_beyond_4096_bits_is_refused_by_its_bit_length(call, error):
+    with pytest.raises(error, match=r" is an integer of 16610 bits, beyond 4096$"):
+        call()
+
+
+BAD_B_T1 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda: DgpSpec(SPEC.topology, SPEC.prior, SPEC.source_map, [BAD_B_T1, [[-0.8]]]),
+            id="spec",
+        ),
+        pytest.param(lambda: _spec_doc(B={"t1": BAD_B_T1, "t2": [[-0.8]]}), id="spec-json"),
+        pytest.param(lambda: _fit_from(**{**TRUTH, "task_maps": [BAD_B_T1, [[-0.8]]]}), id="init"),
+    ],
+)
+def test_the_spec_and_the_init_name_a_bad_block_alike(build):
+    with pytest.raises(ShapeError) as raised:
+        build()
+    assert str(raised.value).endswith("B t1 must have shape (1, 1), got (2, 2)")
+
+
+@pytest.mark.parametrize(
+    "blocks, error, message",
+    [
+        (dict(mixing=[["1", 0], [0, "1"]]), DomainError, "init F entries must be numbers"),
+        (dict(env_means=[[math.nan] * 2] * 3), DomainError, "init means entries must be finite"),
+        (dict(task_maps={"t1": [[1.3]]}), DomainError, "init B must be a list of blocks"),
+        (dict(task_maps=[[[1.3]]]), ShapeError, "init B must have 2 blocks, one per task, got 1"),
+    ],
+)
+def test_init_refusals(blocks, error, message):
+    with pytest.raises(error) as raised:
+        _fit_from(**{**TRUTH, **blocks})
+    assert str(raised.value).startswith(message)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -271,6 +380,77 @@ class TestReaders:
 
     def test_names_read_as_tuple(self):
         assert read_names(["a", "b"], LabelError, "names") == ("a", "b")
+
+    def test_int_bound_is_4096_bits(self):
+        assert read_int(-(2**4096 - 1), DataError, "seed") == -(2**4096 - 1)
+        with pytest.raises(DataError, match=r"^seed is an integer of 4097 bits, beyond 4096$"):
+            read_int(2**4096, DataError, "seed")
+
+    def test_block_shape_mismatch_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^F must have shape \(2, 1\), got \(1, 2\)$"):
+            read_block([[1.0, 2.0]], (2, 1), LabelError, "F")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([["1"]], "F entries must be numbers, got dtype <U1"),
+            ([[1.0], [1.0, 2.0]], "F: setting an array element with a sequence"),
+            ([[math.nan]], "F entries must be finite"),
+            ([[-math.inf]], "F entries must be finite"),
+        ],
+    )
+    def test_block_entry_refusals_raise_the_callers_class(self, value, message):
+        with pytest.raises(LabelError) as raised:
+            read_block(value, (1, 1), LabelError, "F")
+        assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "value, shape, read",
+        [([], (0, 0), (0, 0)), ([], (0,), (0,)), ([], (0, 1), None), ([[]], (0, 0), None)],
+    )
+    def test_an_empty_list_is_0x0_only_where_the_shape_is(self, value, shape, read):
+        if read is None:
+            with pytest.raises(ShapeError):
+                read_block(value, shape, DataError, "B")
+        else:
+            assert read_block(value, shape, DataError, "B").shape == read
+
+    def test_a_block_is_a_read_only_c_ordered_copy(self):
+        source = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        block = read_block(source, (2, 3), DataError, "F")
+        source[0, 0] = 9.0
+        assert block[0, 0] == 0.0 and block.flags.c_contiguous and not block.flags.writeable
+        assert block.dtype == np.float64
+
+    @pytest.mark.parametrize("values", [{"t1": [[1.0]]}, np.ones((1, 1, 1)), "[[1]]", None])
+    def test_task_blocks_must_be_a_list_or_tuple(self, values):
+        with pytest.raises(LabelError, match=r"^B must be a list of blocks, one per task$"):
+            read_task_blocks(values, [(1, 1)], LabelError, "B")
+
+    def test_task_blocks_need_one_block_per_task(self):
+        with pytest.raises(ShapeError, match=r"^B must have 2 blocks, one per task, got 1$"):
+            read_task_blocks([[[1.0]]], [(1, 1), (1, 1)], DataError, "B")
+
+    def test_task_blocks_are_named_by_task(self):
+        with pytest.raises(ShapeError, match=r"^B t2 must have shape \(1,\), got \(2,\)$"):
+            read_task_blocks(([1.0], [1.0, 2.0]), [(1,), (1,)], DataError, "B")
+        blocks = read_task_blocks(([1.0], []), [(1,), (0, 0)], DataError, "B")
+        assert [block.shape for block in blocks] == [(1,), (0, 0)]
+
+    def test_task_keys_are_all_required_without_a_default(self):
+        assert read_task_keyed({"t2": 2, "t1": 1}, 2, "B") == [1, 2]
+        with pytest.raises(DataError, match=r"^B missing key 't2'$"):
+            read_task_keyed({"t1": 1}, 2, "B")
+
+    def test_a_default_makes_task_keys_optional(self):
+        assert read_task_keyed({"t2": 2}, 3, "noise y", 0.0) == [0.0, 2, 0.0]
+
+    @pytest.mark.parametrize("default", [None, 0.0])
+    def test_unknown_task_keys_are_refused(self, default):
+        with pytest.raises(DataError, match=r"^unknown B keys: \['t3', 'x'\]$"):
+            read_task_keyed({"t1": 1, "t3": 3, "x": 0}, 2, "B", default)
+        with pytest.raises(DataError, match=r"^B must be a JSON object$"):
+            read_task_keyed([1, 2], 2, "B", default)
 
 
 def _recover_argv(tmp_path, init_f) -> list[str]:

@@ -1,6 +1,7 @@
-"""Repository hygiene: git tracks nothing that .gitignore excludes, and
-every public name and every module-level definition has a caller
-besides its own tests."""
+"""Repository hygiene: git tracks nothing that .gitignore excludes, no
+package module imports a private name from another, and every public
+name and every module-level definition has a caller besides its own
+tests."""
 
 import ast
 import pathlib
@@ -84,3 +85,20 @@ def test_every_module_level_definition_is_referenced_outside_the_tests():
             if not referenced:
                 unreferenced.append(f"{path.name}::{node.name}")
     assert unreferenced == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """No package module reaches into another for an underscore name
+    (``from .x import _name``); a dunder such as ``__version__`` is public.
+    A name two modules share belongs in the one that owns it, public."""
+    package = ROOT / "src" / "scm_ident"
+    private = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+        and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert private == []
