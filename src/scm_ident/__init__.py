@@ -59,6 +59,7 @@ from .recovery import (
     MatchResult,
     UnmixModel,
     fit,
+    fit_many,
     identifiability_experiment,
     match_permutation,
     recover_latents,
@@ -121,6 +122,7 @@ __all__ = [
     "MatchResult",
     "UnmixModel",
     "fit",
+    "fit_many",
     "identifiability_experiment",
     "match_permutation",
     "recover_latents",

@@ -2,7 +2,10 @@
 
 The pool takes one worker per CPU and never more workers than items.
 Results are always merged in submission order, so parallel and serial
-runs produce identical output for the same inputs.
+runs produce identical output for the same inputs. A pool lives for
+one call; a pool kept between calls leaves workers that hold the
+multiprocessing resource tracker's pipe, so stopping the tracker at exit
+would wait on them.
 """
 
 import os

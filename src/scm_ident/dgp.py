@@ -218,6 +218,10 @@ def _noise_from_json(noise, num_latents: int, parent_counts):
     y_std = noise.get("y", 0.0)
     if isinstance(y_std, dict):
         y_std = read_task_keyed(y_std, len(parent_counts), "generator spec noise y", 0.0)
+    elif isinstance(y_std, list):  # tasks differ in width, so one list cannot fit them all
+        raise DataError(
+            'malformed generator spec: noise y must be one level or a "t1".."tm" object, got a list'
+        )
     else:
         y_std = [y_std] * len(parent_counts)
     return x_std, tuple(broadcast(value, p) for value, p in zip(y_std, parent_counts))

@@ -116,10 +116,11 @@ def read_task_keyed(document, num_tasks: int, what: str, default=None) -> list:
 
 def read_int(value, error, what: str) -> int:
     """``value`` as an int; a bool, a non-integral value or an int of more
-    than 4096 bits (far beyond any count, seed or alpha) raises ``error``."""
+    than 4096 bits (far beyond any count, seed or alpha) raises ``error``.
+    Neither message prints the value, whose text may be unbounded."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise error(f"{what} must be an integer, got {value!r}")
+            raise error(f"{what} must be an integer, got {type(value).__name__}")
         value = int(value)
     if value.bit_length() > 4096:  # the message never prints the digits
         raise error(f"{what} is an integer of {value.bit_length()} bits, beyond 4096")

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_map, worker_count
 from ._rng import FIT_INIT, check_seed, stream
 from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
 from .errors import (
@@ -51,6 +51,11 @@ VARIANCE_FLOOR = 1e-8
 INITIAL_DAMPING = 1e-3
 DAMPING_DOWN = 3.0
 DAMPING_UP = 4.0
+# bytes of latents and x one experiment job keeps until its batch is fitted
+# (10 seeds of 3 x 20,000 two-latent rows take 19.2 MB). A worker's peak RSS
+# grows by 1.31 bytes per kept byte, so the budget lets a job at most double
+# the 38.5 MB peak of a worker fitting one such seed
+ARM_JOB_BYTES = 29 * 10**6
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,27 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-environment empirical moments of the joint observable vector."""
+    """Per-environment empirical moments of the joint observable vector.
 
-    means: np.ndarray  # (envs, q)
-    covariances: np.ndarray  # (envs, q, q), each divided by its environment's rows
-    sizes: np.ndarray  # (envs,): each environment's row count
+    One row per dataset, or, for a batch, one per restart: the moments of
+    the dataset that restart fits.
+    """
+
+    means: np.ndarray  # (rows, envs, q)
+    covariances: np.ndarray  # (rows, envs, q, q), each divided by its environment's rows
+    sizes: np.ndarray  # (rows, envs): each environment's row count
+
+    @classmethod
+    def repeated(cls, moments: list["_Moments"], repeats: int) -> "_Moments":
+        """Every row of ``moments`` ``repeats`` times over, in order."""
+
+        def rows(field: str) -> np.ndarray:
+            return np.repeat(np.concatenate([getattr(m, field) for m in moments]), repeats, axis=0)
+
+        return cls(rows("means"), rows("covariances"), rows("sizes"))
+
+    def take(self, keep: np.ndarray) -> "_Moments":
+        return _Moments(self.means[keep], self.covariances[keep], self.sizes[keep])
 
 
 def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +180,7 @@ def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray
 
 
 def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
-    """Each environment's moments of ``[x, *y]``, its rows centred on its own mean.
+    """Each environment's moments of ``[x, *y]``, its rows centred on its own mean, as one row.
 
     The columns are gathered in environment order into one column-major
     buffer and centred in place there; every temporary is one column long.
@@ -180,7 +201,7 @@ def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
         for j in range(i + 1):
             products = np.add.reduceat(columns[i] * columns[j], starts) / sizes
             covariances[:, i, j] = covariances[:, j, i] = products
-    return _Moments(np.ascontiguousarray(means.T), covariances, sizes)
+    return _Moments(np.ascontiguousarray(means.T)[None], covariances[None], sizes[None])
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -251,6 +272,22 @@ class _Layout:
         for index in self.blocks:
             fixed[index] = False
         return fixed
+
+    @cached_property
+    def sides(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The square blocks of each nonzero side as one stacked row and column index.
+
+        Indexing a batch's joint maps with a side's pair gives its blocks
+        as (restarts, blocks, side, side), in ``blocks`` order.
+        """
+        groups: dict[int, list] = {}
+        for rows, cols in self.blocks:
+            if rows.size:
+                groups.setdefault(rows.size, []).append((rows, cols))
+        return tuple(
+            (np.stack([rows for rows, _ in group]), np.stack([cols for _, cols in group]))
+            for group in groups.values()
+        )
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -357,18 +394,30 @@ class _NormalEquations:
     """
 
     shared: np.ndarray  # (restarts, p, p)
-    cross: np.ndarray  # (restarts, 2n, envs, p): X_eᵀ side by side
     local: np.ndarray  # (restarts, 2n, 2n)
+    # per environment [X_eᵀ | g_e]: the cross block and Jᵀr over φ_e, side by side
+    rhs: np.ndarray  # (restarts, 2n, envs, p + 1)
     shared_gradient: np.ndarray  # (restarts, p): Jᵀr over θ
-    local_gradient: np.ndarray  # (restarts, 2n, envs): Jᵀr over each φ_e
+
+    @property
+    def cross(self) -> np.ndarray:
+        """X_eᵀ side by side, (restarts, 2n, envs, p)."""
+        return self.rhs[..., :-1]
+
+    @property
+    def local_gradient(self) -> np.ndarray:
+        """Jᵀr over each φ_e, (restarts, 2n, envs)."""
+        return self.rhs[..., -1]
+
+    @cached_property
+    def crossed(self) -> np.ndarray:
+        """[X_1 … X_envs] per restart, (restarts, p, 2n·envs)."""
+        restarts, width, envs, p = self.cross.shape
+        return self.cross.reshape(restarts, width * envs, p).swapaxes(1, 2)
 
     def take(self, keep: np.ndarray) -> "_NormalEquations":
         return _NormalEquations(
-            self.shared[keep],
-            self.cross[keep],
-            self.local[keep],
-            self.shared_gradient[keep],
-            self.local_gradient[keep],
+            self.shared[keep], self.local[keep], self.rhs[keep], self.shared_gradient[keep]
         )
 
     def half_gradient(self) -> np.ndarray:
@@ -389,10 +438,9 @@ class _NormalEquations:
         local[:, range(width), range(width)] *= scale
         shared[:, range(p), range(p)] *= scale
         # V⁻¹·[X_eᵀ | g_e] for every environment at once
-        rhs = np.concatenate([self.cross, self.local_gradient[..., None]], axis=3)
-        eliminated, local_solved = _solve(local, rhs.reshape(restarts, width, -1))
-        eliminated = eliminated.reshape(rhs.shape)
-        cross = self.cross.reshape(restarts, width * envs, p).swapaxes(1, 2)
+        eliminated, local_solved = _solve(local, self.rhs.reshape(restarts, width, -1))
+        eliminated = eliminated.reshape(self.rhs.shape)
+        cross = self.crossed
         reduced = shared - np.matmul(cross, eliminated[..., :p].reshape(restarts, width * envs, p))
         folded = np.matmul(cross, eliminated[..., p].reshape(restarts, width * envs, 1))[..., 0]
         shared_step, solved = _solve(reduced, (folded - self.shared_gradient)[..., None])
@@ -436,9 +484,9 @@ def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
     # φ_e with θ: μ_e,b·W[a, i] for the means, 2·W[a, i]·(S_eᵀ·W)[b, i] for the variances
     rows = w[:, a].swapaxes(1, 2)[:, :, None]  # W[a, i], (restarts, n, 1, p)
     overlap = np.matmul(w[:, None].swapaxes(-1, -2), scaled)[..., b].swapaxes(1, 2)
-    cross = np.empty((restarts, 2 * n, envs, a.size))
-    np.multiply(rows, means[:, None, :, b], out=cross[:, :n])
-    np.multiply(rows, 2.0 * overlap, out=cross[:, n:])  # overlap: (S_eᵀ·W)[b, i] at [i, e]
+    rhs = np.empty((restarts, 2 * n, envs, a.size + 1))  # [X_eᵀ | g_e]
+    np.multiply(rows, means[:, None, :, b], out=rhs[:, :n, :, :-1])
+    np.multiply(rows, 2.0 * overlap, out=rhs[:, n:, :, :-1])  # overlap: (S_eᵀ·W)[b, i] at [i, e]
     # φ_e with φ_e: WᵀW for the means, its elementwise square for the variances
     gram = np.matmul(w.swapaxes(1, 2), w)
     local = np.zeros((restarts, 2 * n, 2 * n))
@@ -450,14 +498,9 @@ def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
     shared_gradient = np.matmul(mean_resid.swapaxes(1, 2), means) + np.matmul(
         symmetric.reshape(restarts, q, envs * q), stacked_scaled
     )
-    local_gradient = np.concatenate(
-        [
-            np.matmul(w.swapaxes(1, 2), mean_resid.swapaxes(1, 2)),
-            (np.matmul(cov_resid, w[:, None]) * w[:, None]).sum(axis=2).swapaxes(1, 2),
-        ],
-        axis=1,
-    )
-    return _NormalEquations(shared, cross, local, shared_gradient[:, a, b], local_gradient)
+    rhs[:, :n, :, -1] = np.matmul(w.swapaxes(1, 2), mean_resid.swapaxes(1, 2))
+    rhs[:, n:, :, -1] = (np.matmul(cov_resid, w[:, None]) * w[:, None]).sum(axis=2).swapaxes(1, 2)
+    return _NormalEquations(shared, local, rhs, shared_gradient[:, a, b])
 
 
 def _reproject(matrix: np.ndarray) -> np.ndarray:
@@ -470,11 +513,10 @@ def _reproject(matrix: np.ndarray) -> np.ndarray:
 def _project(batch: _Batch) -> _Batch:
     """Floor the variances and reproject near-singular maps, in place."""
     np.maximum(batch.variances, VARIANCE_FLOOR, out=batch.variances)
-    for rows, cols in batch.layout.blocks:
-        if rows.size:
-            maps = batch.stacked[:, rows, cols]  # (restarts, side, side)
-            for r in np.flatnonzero(singular_ratios(maps) <= SINGULAR_RATIO):
-                batch.stacked[r, rows, cols] = _reproject(maps[r])
+    for rows, cols in batch.layout.sides:
+        maps = batch.stacked[:, rows, cols]  # (restarts, blocks, side, side)
+        for r, k in np.argwhere(singular_ratios(maps) <= SINGULAR_RATIO):
+            batch.stacked[r, rows[k], cols[k]] = _reproject(maps[r, k])
     return batch
 
 
@@ -500,14 +542,16 @@ def _levenberg_marquardt(
 ) -> list[RestartResult]:
     """Levenberg-Marquardt on the moment residuals of every restart in one batch.
 
-    An iteration solves (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr over the free
-    parameters of every restart still running (``_NormalEquations.step``),
-    projects each moved model (``_project``) and keeps it only if its
-    objective strictly decreases; λ starts at ``INITIAL_DAMPING`` and is
-    divided by ``DAMPING_DOWN`` after a kept step, multiplied by
-    ``DAMPING_UP`` after a rejected one. A rejected step leaves its model
-    where it was, so the normal equations are rebuilt, for the whole
-    batch, only after an iteration in which some restart kept its step.
+    Row r of ``moments`` holds the moments restart r fits, so one batch
+    can fit several datasets of one layout. An iteration solves
+    (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr over the free parameters of every restart
+    still running (``_NormalEquations.step``), projects each moved model
+    (``_project``) and keeps it only if its objective strictly decreases;
+    λ starts at ``INITIAL_DAMPING`` and is divided by ``DAMPING_DOWN``
+    after a kept step, multiplied by ``DAMPING_UP`` after a rejected one.
+    A rejected step leaves its model where it was, so the normal
+    equations, and with them the gradient test, are rebuilt for the whole
+    batch only after an iteration in which some restart kept its step.
     Products and solves run slice by slice, so each restart keeps the
     bits it would reach alone, and the loop runs max(iterations) times.
     """
@@ -520,40 +564,46 @@ def _levenberg_marquardt(
     iterations = 0
     normal: _NormalEquations | None = None
 
-    def leave(mask: np.ndarray, stop_reason: str) -> np.ndarray:
-        nonlocal batch, objective, residuals, normal, damping, ids
+    def leave(mask: np.ndarray, stop_reason: str) -> bool:
+        """Record and drop the restarts in ``mask``; whether there were any."""
+        nonlocal batch, moments, objective, residuals, normal, damping, ids
+        if not mask.any():
+            return False
         for i in np.flatnonzero(mask):
             results[ids[i]] = RestartResult(
                 float(objective[i]), iterations, batch.model(i), stop_reason
             )
         keep = ~mask
-        if mask.any():
-            batch, residuals = batch.take(keep), residuals.take(keep)
-            if normal is not None:  # it is None after a kept step
-                normal = normal.take(keep)
-            objective, damping, ids = objective[keep], damping[keep], ids[keep]
-        return keep
+        batch, moments, residuals = batch.take(keep), moments.take(keep), residuals.take(keep)
+        if normal is not None:  # it is None after a kept step
+            normal = normal.take(keep)
+        objective, damping, ids = objective[keep], damping[keep], ids[keep]
+        return True
 
     for _ in range(config.max_iters):
         if normal is None:
             normal = _normal_equations(batch, residuals)
+            # the gradient changes only with the model, so only here
+            leave(2.0 * np.abs(normal.half_gradient()).max(axis=1) < config.grad_tol, "grad_tol")
+            if not ids.shape[0]:
+                break
         step, solved = normal.step(damping)
-        converged = 2.0 * np.abs(normal.half_gradient()).max(axis=1) < config.grad_tol
-        keep = leave(converged, "grad_tol")
-        step, solved = step[keep], solved[keep]
         # a step that is not a number is no step either
-        keep = leave(solved & ~(np.abs(step).max(axis=1) >= config.min_step), "min_step")
-        step = step[keep]
-        if not ids.shape[0]:
-            break
+        stopped = solved & ~(np.abs(step).max(axis=1) >= config.min_step)
+        if leave(stopped, "min_step"):
+            step = step[~stopped]
+            if not ids.shape[0]:
+                break
         candidates = _Batch(batch.layout, batch.params.copy())
         candidates.params[:, free] += step
         candidate_objective, candidate_residuals = _residuals(_project(candidates), moments)
         better = candidate_objective < objective
-        batch.params[better] = candidates.params[better]
-        objective[better] = candidate_objective[better]
-        residuals.means[better] = candidate_residuals.means[better]
-        residuals.covariances[better] = candidate_residuals.covariances[better]
+        np.copyto(batch.params, candidates.params, where=better[:, None])
+        np.copyto(objective, candidate_objective, where=better)
+        np.copyto(residuals.means, candidate_residuals.means, where=better[:, None, None])
+        np.copyto(
+            residuals.covariances, candidate_residuals.covariances, where=better[:, None, None, None]
+        )
         damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
         if better.any():
             normal = None
@@ -573,16 +623,17 @@ def _data_driven_init(topology: ScmTopology, moments: _Moments) -> UnmixModel:
     rank-deficient design still gets the minimum-norm map.
     """
     n = topology.num_latents
-    avg_cov = moments.covariances[:, :n, :n].mean(axis=0)
+    (means,), (covariances,), (sizes,) = moments.means, moments.covariances, moments.sizes
+    avg_cov = covariances[:, :n, :n].mean(axis=0)
     jitter = 1e-10 * max(float(np.trace(avg_cov)) / n, 1.0)
     mixing = np.linalg.cholesky(avg_cov + jitter * np.eye(n))
-    whiten = np.eye(moments.means.shape[1])
+    whiten = np.eye(means.shape[1])
     whiten[:n, :n] = np.linalg.inv(mixing)
-    means = moments.means @ whiten.T
-    covariances = whiten @ moments.covariances @ whiten.T
+    means = means @ whiten.T
+    covariances = whiten @ covariances @ whiten.T
     variances = np.maximum(np.diagonal(covariances[:, :n, :n], axis1=1, axis2=2), VARIANCE_FLOOR)
     uncentered = covariances + means[:, :, None] * means[:, None, :]
-    second = np.tensordot(moments.sizes, uncentered, axes=1)
+    second = np.tensordot(sizes, uncentered, axes=1)
     task_maps, row = [], n
     for parents in topology.parent_indices():
         p = list(parents)
@@ -616,10 +667,10 @@ def _random_init(
 def _starts(
     topology: ScmTopology, moments: _Moments, config: FitConfig, init: UnmixModel | None
 ) -> list[UnmixModel]:
-    """Starting model of each restart, in restart order."""
+    """Starting model of each restart of one dataset's one-row ``moments``, in restart order."""
     first = init if init is not None else _data_driven_init(topology, moments)
     rng = stream(FIT_INIT, config.seed)
-    envs = moments.means.shape[0]
+    envs = moments.means.shape[1]
     return [first] + [_random_init(rng, topology, envs) for _ in range(config.restarts - 1)]
 
 
@@ -640,16 +691,65 @@ def fit(
     and the dataset's environments raises ``ShapeError``, and one with a
     malformed or non-finite entry ``DomainError``. A best objective that
     is not finite (data whose squared moments overflow float64) raises
-    ``DataError``.
+    ``DataError``. This is ``fit_many`` on one dataset.
     """
-    _check_dataset(dataset, topology)
-    if init is not None:
-        init = _check_init(init, topology, dataset.num_environments)
-    moments = _empirical_moments(dataset)
-    starts = _Batch.of(_starts(topology, moments, config, init), topology)
+    (result,) = fit_many([dataset], topology, config, [config.seed], init)
+    return result
+
+
+def fit_many(
+    datasets,
+    topology: ScmTopology,
+    config: FitConfig,
+    seeds,
+    init: UnmixModel | None = None,
+) -> list[FitResult]:
+    """``fit`` of each dataset, with every restart of every dataset in one batch.
+
+    Dataset d is fitted as ``fit`` would fit it with ``config.seed`` set
+    to ``seeds[d]`` (a list, tuple or range), and gets the same bits.
+    The datasets must share one environment count.
+    ``datasets`` is read once, in order, and each dataset is reduced to its
+    moments as it is read, so a generator lets the caller hold one at a
+    time. Refusals are ``fit``'s, for the first dataset that has one.
+    """
+    moments: list[_Moments] = []
+    for dataset in datasets:
+        _check_dataset(dataset, topology)
+        if not moments:
+            envs = dataset.num_environments
+            if init is not None:
+                init = _check_init(init, topology, envs)
+        elif dataset.num_environments != envs:
+            raise DataError(
+                f"datasets must share one environment count, got {envs}"
+                f" and {dataset.num_environments}"
+            )
+        moments.append(_empirical_moments(dataset))
+    if isinstance(seeds, (list, tuple, range)):
+        seeds = [check_seed(seed) for seed in seeds]
+    else:
+        raise ConfigError(f"seeds must be a list of seeds, got {type(seeds).__name__}")
+    if len(seeds) != len(moments):
+        raise ConfigError(f"need one seed per dataset, got {len(seeds)} for {len(moments)}")
+    if not moments:
+        return []
+    starts = [
+        model
+        for rows, seed in zip(moments, seeds)
+        for model in _starts(topology, rows, replace(config, seed=seed), init)
+    ]
     # an overflow leaves an objective that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        restarts = _levenberg_marquardt(starts, moments, config)
+        restarts = _levenberg_marquardt(
+            _Batch.of(starts, topology), _Moments.repeated(moments, config.restarts), config
+        )
+    per_dataset = config.restarts
+    return [_best(restarts[d : d + per_dataset]) for d in range(0, len(restarts), per_dataset)]
+
+
+def _best(restarts: list[RestartResult]) -> FitResult:
+    """One dataset's result: its best restart by final objective, ties to the earliest."""
     best = min(restarts, key=lambda res: (math.isnan(res.objective), res.objective))
     if not math.isfinite(best.objective):
         raise DataError(
@@ -770,18 +870,43 @@ class ExperimentReport:
         return self.identifiable.median_mcc - self.colliding.median_mcc
 
 
-def _run_experiment_seed(args) -> SeedOutcome:
-    spec, config, samples_per_env, seed = args
-    dataset = generate_dataset(spec, samples_per_env, seed)
-    result = fit(dataset, spec.topology, replace(config, seed=seed))
-    estimated = recover_latents(result.model, dataset.x)
-    match = match_permutation(dataset.latents, estimated)
-    return SeedOutcome(
-        seed=seed,
-        mcc=match.mcc,
-        per_latent_abs_corr=match.per_latent_abs_corr,
-        objective=result.objective,
-    )
+def _arm_jobs(spec: DgpSpec, config: FitConfig, samples_per_env: int, seeds: range) -> list:
+    """One arm's seeds as contiguous runs, one job each.
+
+    An arm is one job, split only to give every CPU a job (two arms share
+    the CPUs) or to keep a job's retained latents and x within
+    ``ARM_JOB_BYTES``; never into more jobs than seeds.
+    """
+    per_seed = 16 * samples_per_env * spec.prior.num_environments * spec.topology.num_latents
+    count = max(-(-worker_count() // 2), -(-len(seeds) * per_seed // ARM_JOB_BYTES))
+    count = min(count, len(seeds))
+    bounds = [len(seeds) * j // count for j in range(count + 1)]
+    return [
+        (spec, config, samples_per_env, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _run_arm_job(args) -> list[SeedOutcome]:
+    """Generate, fit in one ``fit_many`` batch, recover and match a run of one arm's seeds.
+
+    Each seed's data is reduced to its moments as the batch reads it;
+    only its latents and x, which matching reads, are kept.
+    """
+    spec, config, samples_per_env, seeds = args
+    kept = []
+
+    def datasets():
+        for seed in seeds:
+            dataset = generate_dataset(spec, samples_per_env, seed)
+            kept.append((dataset.latents, dataset.x))
+            yield dataset
+
+    results = fit_many(datasets(), spec.topology, config, seeds)
+    outcomes = []
+    for seed, result, (latents, x) in zip(seeds, results, kept):
+        match = match_permutation(latents, recover_latents(result.model, x))
+        outcomes.append(SeedOutcome(seed, match.mcc, match.per_latent_abs_corr, result.objective))
+    return outcomes
 
 
 def identifiability_experiment(
@@ -793,14 +918,18 @@ def identifiability_experiment(
 ) -> ExperimentReport:
     """Run the recovery pipeline on both specs over fresh seeds.
 
-    Per-seed data seeds are ``config.seed + s``. The ``2 * seeds`` jobs
-    run in worker processes, one per CPU and at most one per job, and
-    are merged back in seed order.
+    Per-seed data and fit seeds are ``config.seed + s``. Each arm's seeds
+    are fitted in one ``fit_many`` batch per job (see ``_arm_jobs``: one
+    job per arm unless more CPUs or the memory budget call for more). The
+    jobs run in worker processes, one per CPU and at most one per job, and
+    are merged back in seed order; every outcome has the bits of a lone
+    ``fit`` of its seed.
     """
     if read_int(seeds, ConfigError, "seeds") < 1:
         raise ConfigError("need at least one seed")
     base = check_seed(config.seed)
     check_seed(base + seeds - 1)  # the last data seed, checked before any job is built
+    samples_per_env = read_int(samples_per_env, ConfigError, "sample count")  # sizes the jobs
     if not uic_check(spec_ident.topology):
         raise ConfigError("the identifiable spec fails the column-distinctness check")
     violations = uic_violations(spec_collide.topology)
@@ -808,8 +937,9 @@ def identifiability_experiment(
         raise ConfigError("the colliding spec has no colliding latent pair")
     pair = violations[0]
     arms = (spec_ident, spec_collide)
-    jobs = [(spec, config, samples_per_env, base + s) for spec in arms for s in range(seeds)]
-    outcomes = parallel_map(_run_experiment_seed, jobs)
+    data_seeds = range(base, base + seeds)
+    jobs = [job for spec in arms for job in _arm_jobs(spec, config, samples_per_env, data_seeds)]
+    outcomes = [outcome for part in parallel_map(_run_arm_job, jobs) for outcome in part]
     ident_arm = ExperimentArm(tuple(outcomes[:seeds]))
     collide_arm = ExperimentArm(tuple(outcomes[seeds:]))
     pair_corr = tuple(

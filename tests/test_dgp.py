@@ -583,6 +583,16 @@ class TestSpecJson:
             DgpSpec.from_json_dict(doc)
         assert str(raised.value) == "unknown generator spec noise y keys: ['bogus', 't9']"
 
+    @pytest.mark.parametrize("levels", [[0.1], [0.1, 0.2], []])
+    def test_noise_y_refuses_a_list(self, levels):
+        # one level per task would not fit tasks of different widths
+        doc = identifiable_spec().to_json_dict()
+        doc["noise"] = {"y": levels}
+        with pytest.raises(DataError) as raised:
+            DgpSpec.from_json_dict(doc)
+        want = 'noise y must be one level or a "t1".."tm" object, got a list'
+        assert str(raised.value) == f"malformed generator spec: {want}"
+
     @pytest.mark.parametrize(
         "field, value, error, message",
         [

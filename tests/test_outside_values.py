@@ -48,6 +48,7 @@ from scm_ident import (
     equivalence_audit,
     export_dataset,
     fit,
+    fit_many,
     generate_dataset,
     generate_observed,
     gumbel_softmax_mask,
@@ -165,6 +166,10 @@ ENTRIES = {
         dict(restarts=2, max_iters=10, min_step=1e-10, grad_tol=1e-9, seed=3),
     ),
     "fit init": (_fit_from, TRUTH),
+    "fit_many": (
+        lambda seeds: fit_many([DATASET], SPEC.topology, FitConfig(restarts=1, max_iters=1), seeds),
+        dict(seeds=[3]),
+    ),
     "recover_latents": (
         lambda x: recover_latents(UnmixModel(**TRUTH), x),
         dict(x=DATASET.x[:4].tolist()),
@@ -351,10 +356,26 @@ class TestReaders:
             read_array(value, ShapeError, "values")
         assert str(raised.value).startswith(message)
 
-    @pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, "2", None, Fraction(2)])
-    def test_int_refusals(self, value):
-        with pytest.raises(LabelError, match=r"^count must be an integer, got "):
+    @pytest.mark.parametrize(
+        "value, kind",
+        [
+            (True, "bool"),
+            (np.bool_(True), "bool"),
+            (2.0, "float"),
+            ("2", "str"),
+            (None, "NoneType"),
+            (Fraction(2), "Fraction"),
+            (Fraction(10**5000, 3), "Fraction"),
+        ],
+    )
+    def test_int_refusals(self, value, kind):
+        with pytest.raises(LabelError) as raised:
             read_int(value, LabelError, "count")
+        assert str(raised.value) == f"count must be an integer, got {kind}"
+
+    def test_a_fraction_beyond_4300_digits_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^restarts must be an integer, got Fraction$"):
+            FitConfig(restarts=Fraction(10**5000, 3))
 
     def test_numpy_ints_read_as_int(self):
         assert type(read_int(np.uint64(2**64 - 1), DataError, "seed")) is int

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PARENTLESS_TASK_ROWS, colliding_spec, identifiable_spec, parentless_task_spec
 from helpers import (
@@ -20,6 +22,8 @@ from scm_ident import (
     ConfigError,
     DataError,
     DegenerateError,
+    DgpSpec,
+    ExpFamilyPrior,
     FitConfig,
     ScmTopology,
     ShapeError,
@@ -27,6 +31,7 @@ from scm_ident import (
     SyntheticDataset,
     UnmixModel,
     fit,
+    fit_many,
     generate_dataset,
     identifiability_experiment,
     match_permutation,
@@ -35,13 +40,14 @@ from scm_ident import (
 from scm_ident import _parallel, recovery
 from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import (
+    SeedOutcome,
     _Batch,
     _data_driven_init,
     _empirical_moments,
     _normal_equations,
     _project,
     _residuals,
-    _run_experiment_seed,
+    _run_arm_job,
     _solve,
     _starts,
 )
@@ -405,10 +411,10 @@ class TestEmpiricalMoments:
         if interleaved:
             env_ids = np.random.default_rng(2).permutation(env_ids)
         dataset = replace(dataset, num_environments=environments, env_ids=env_ids)
-        moments = _empirical_moments(dataset)
+        moments = _empirical_moments(dataset)  # one row: this dataset's
         want_means, want_covariances = reference_moments(dataset)
-        np.testing.assert_allclose(moments.means, want_means, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(moments.covariances, want_covariances, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.means[0], want_means, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.covariances[0], want_covariances, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -707,6 +713,84 @@ class TestBatchedDescent:
         assert steps[[0, 2]].tobytes() == together.tobytes()
 
 
+def random_spec(rows, seed: int) -> DgpSpec:
+    """A generator spec on ``rows`` with three environments and well-conditioned maps."""
+    rng = np.random.default_rng(seed)
+    topology = ScmTopology.from_rows(rows)
+    n = topology.num_latents
+    prior = ExpFamilyPrior(rng.normal(size=(3, n)), np.exp(rng.normal(scale=0.5, size=(3, n))))
+
+    def square(side: int) -> np.ndarray:
+        return np.eye(side) + 0.3 * rng.standard_normal((side, side))
+
+    task_maps = [square(len(parents)) for parents in topology.parent_indices()]
+    return DgpSpec(topology, prior, square(n), task_maps)
+
+
+def lone_fit_or_error(dataset, topology, config):
+    try:
+        return fit(dataset, topology, config)
+    except (DataError, SingularModelError) as error:
+        return type(error)
+
+
+class TestFitMany:
+    """One batch over several datasets gives each the bits of its own ``fit``."""
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=3
+            )
+        ),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_one_fit_per_dataset(self, rows, datasets, restarts, seed):
+        spec = random_spec(rows, seed)
+        config = FitConfig(restarts=restarts, max_iters=25, seed=seed)
+        seeds = [seed + d for d in range(datasets)]
+        data = [generate_dataset(spec, 100, s) for s in seeds]
+        lone = [
+            lone_fit_or_error(dataset, spec.topology, replace(config, seed=s))
+            for dataset, s in zip(data, seeds)
+        ]
+        errors = [result for result in lone if isinstance(result, type)]
+        if errors:  # the batch refuses as the first refused dataset does
+            with pytest.raises(errors[0]):
+                fit_many(data, spec.topology, config, seeds)
+            return
+        together = fit_many(iter(data), spec.topology, config, seeds)
+        assert len(together) == datasets
+        for got, want in zip(together, lone):
+            assert [restart_bytes(r) for r in got.restarts] == [
+                restart_bytes(r) for r in want.restarts
+            ]
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+
+    def test_datasets_may_share_the_config_seed(self, ident_spec):
+        data = [generate_dataset(ident_spec, 500, s) for s in (1, 2)]
+        config = FitConfig(restarts=2, max_iters=20, seed=5)
+        together = fit_many(data, ident_spec.topology, config, [config.seed] * 2)
+        for got, dataset in zip(together, data):
+            want = fit(dataset, ident_spec.topology, config)
+            assert [restart_bytes(r) for r in got.restarts] == [
+                restart_bytes(r) for r in want.restarts
+            ]
+
+    def test_refusals(self, ident_spec):
+        data = [generate_dataset(ident_spec, 100, 1)]
+        assert fit_many([], ident_spec.topology, FitConfig(), []) == []
+        with pytest.raises(ConfigError, match="^need one seed per dataset, got 2 for 1$"):
+            fit_many(data, ident_spec.topology, FitConfig(), [1, 2])
+        prior = ExpFamilyPrior(ident_spec.prior.means[:2], ident_spec.prior.variances[:2])
+        data.append(generate_dataset(replace(ident_spec, prior=prior), 100, 2))
+        with pytest.raises(DataError, match="^datasets must share one environment count, got 3 and 2"):
+            fit_many(data, ident_spec.topology, FitConfig(), [1, 2])
+
+
 class TestStopReason:
     @pytest.mark.parametrize(
         "config, reason",
@@ -774,20 +858,30 @@ class TestExperiment:
         assert report.dispersion_range >= 0.0
 
     def test_parallel_matches_serial(self, ident_spec, collide_spec, monkeypatch):
-        kwargs = dict(
-            config=FitConfig(restarts=2, seed=2), seeds=2, samples_per_env=2000
-        )
-        monkeypatch.setattr(_parallel, "worker_count", lambda: 1)
-        serial = identifiability_experiment(ident_spec, collide_spec, **kwargs)
-        monkeypatch.setattr(_parallel, "worker_count", lambda: 2)
-        parallel = identifiability_experiment(ident_spec, collide_spec, **kwargs)
-        assert serial == parallel
+        config = FitConfig(restarts=2, seed=2)
+        kwargs = dict(config=config, seeds=2, samples_per_env=2000)
+        reports = []
+        for cpus in (1, 4):  # one job per arm, and one job per seed
+            monkeypatch.setattr(_parallel.os, "cpu_count", lambda cpus=cpus: cpus)
+            reports.append(identifiability_experiment(ident_spec, collide_spec, **kwargs))
+        # every outcome is a lone fit of its seed, matched
+        replayed = []
+        for spec in (ident_spec, collide_spec):
+            for seed in (2, 3):
+                dataset = generate_dataset(spec, 2000, seed)
+                result = fit(dataset, spec.topology, replace(config, seed=seed))
+                match = match_permutation(dataset.latents, recover_latents(result.model, dataset.x))
+                replayed.append(
+                    SeedOutcome(seed, match.mcc, match.per_latent_abs_corr, result.objective)
+                )
+        for report in reports:
+            assert [*report.identifiable.per_seed, *report.colliding.per_seed] == replayed
 
 
 def thread_counts_around_experiment_job(spec) -> tuple[int, int]:
-    """This process's thread count before and after one contrast job on ``spec``."""
+    """This process's thread count before and after one contrast arm job of two seeds on ``spec``."""
     before = len(os.listdir("/proc/self/task"))
-    _run_experiment_seed((spec, FitConfig(), 20000, 0))
+    _run_arm_job((spec, FitConfig(), 20000, range(2)))
     return before, len(os.listdir("/proc/self/task"))
 
 
