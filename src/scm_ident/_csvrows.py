@@ -1,4 +1,4 @@
-"""Dataset CSV rows rendered exactly as ``%d`` and ``%.17g``, vectorised with numpy.
+"""Dataset CSV rows rendered exactly as ``%d`` and ``%.17g`` and read back, vectorised with numpy.
 
 ``'%.17g' % v`` costs about 400 ns per float in CPython, because 17
 digits always take dtoa's bignum path. For a double with
@@ -14,9 +14,23 @@ per cell ending in its separator, and ``bytes.translate`` deletes the
 padding. Every other cell (zero, subnormal, |v| < 1e-4, |v| >= 1e16,
 non-finite) holds ``%.17g`` in its slot instead, so the chunk's bytes are
 a format that renders all of them in one call.
+
+``parse_rows`` reads such rows back. For ``np.longdouble`` numpy's
+``fromstring`` calls the C library's ``strtold``, which rounds a decimal
+correctly to the x87 format's 64-bit significand and runs without the
+GIL. Rounding that value to float64 gives the decimal's own correctly
+rounded double unless it lies exactly on a midpoint between two doubles
+(double rounding; Boldo & Melquiond 2008) or outside the range of normal
+doubles, so exactly those cells are read again with Python's ``float``.
 """
 
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
+
+from ._parallel import worker_count
 
 _FAST_MIN, _FAST_LIMIT = 1e-4, 1e16  # normal doubles that %g prints in fixed notation
 _LOW_DIGITS = 10**16  # the least 17-digit number
@@ -161,3 +175,130 @@ def render_rows(first, second, values) -> bytes:
     line[:, -1] = ord("\n")
     # the text holds no other "%"
     return line.tobytes().translate(None, b"\0") % tuple(values[~fast].tolist())
+
+
+def _strict_fromstring() -> bool:
+    """Whether ``np.fromstring`` raises on text it cannot read to its end.
+
+    Older numpy releases warn and return the cells read so far instead.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            np.fromstring(b"1x", np.longdouble, sep=",")
+        except ValueError:
+            return True
+        except Warning:
+            return False
+    return False
+
+
+# x87 extended precision in 16 bytes: a 64-bit significand word, then a
+# word whose low 16 bits hold the sign and the 15-bit biased exponent
+_X87 = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and _strict_fromstring()
+)
+_PIECE_BYTES = 1 << 16  # body bytes per parse task; bounds each thread's scratch arrays
+_INT_LIMIT = 10**18  # env and sample values below it are exact in int64 and in 64 bits
+_CANONICAL = b"0123456789,.-+eE\n"
+# newlines become separators and every other byte outside the set a "!",
+# which no float and no separator reads
+_AS_CELLS = bytes(
+    ord(",") if byte == ord("\n") else byte if byte in _CANONICAL else ord("!")
+    for byte in range(256)
+)
+# by the half-word of sign and biased exponent: True outside [2**-1022, 2**1023),
+# where a cast could underflow, overflow or round twice; exponent 0 (zero, or
+# below 2**-16382) casts to +-0 as float() reads it
+_REREAD_EXPONENT = np.ones((2, 1 << 15), bool)
+_REREAD_EXPONENT[:, 0] = False
+_REREAD_EXPONENT[:, 16383 - 1022 : 16383 + 1023] = False
+_REREAD_EXPONENT = _REREAD_EXPONENT.ravel()
+
+
+def _read_piece(data, width, env_ids, values, piece) -> bool:
+    """Parse ``data[start:stop]``, whole lines, into ``env_ids[rows]`` and ``values[rows]``.
+
+    Returns False, with any of those rows written, unless every line
+    holds ``width`` cells: two of digits only, below 10**18, then floats.
+    """
+    start, stop, rows = piece
+    count = rows.stop - rows.start
+    text = data[start:stop].translate(_AS_CELLS)
+    if b"!" in text:
+        return False
+    try:
+        cells = np.fromstring(text, np.longdouble, sep=",")
+    except ValueError:  # a cell that strtold does not read to its end, or an empty cell
+        return False
+    separators = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+    # one separator per cell, so no cell is empty
+    if cells.size != count * width or separators.size != cells.size:
+        return False
+    separators = separators.reshape(count, width)
+    first, last = separators[:, 0], separators[:, -1]
+    # the piece has count newlines, so every line holds width cells exactly
+    # when each line's last separator is its newline
+    line = np.frombuffer(data, np.uint8, stop - start, start)
+    if not (line[last] == ord("\n")).all():
+        return False
+    table = cells.reshape(count, width)
+    if not (table[:, :2] < _INT_LIMIT).all():
+        return False
+    # the cells on either side of each line's first separator hold digits only
+    bounds = np.empty((count, 4), np.intp)
+    bounds[0, 0] = 0
+    bounds[1:, 0] = last[:-1] + 1
+    bounds[:, 1] = first
+    bounds[:, 2] = first + 1
+    bounds[:, 3] = separators[:, 1]
+    not_digit = np.logical_or.reduceat(line - np.uint8(ord("0")) > 9, bounds.ravel())
+    if not_digit[0::4].any() or not_digit[2::4].any():
+        return False
+    env_ids[rows] = table[:, 0]
+    floats = table[:, 2:]
+    halves = cells.view(np.uint16).reshape(count, width, 8)[:, 2:]
+    # the low 11 bits of the significand a double drops, and the sign and exponent
+    reread = np.nonzero(((halves[..., 0] & 0x7FF) == 0x400) | _REREAD_EXPONENT[halves[..., 4]])
+    floats[reread] = 0  # the cast would round twice, underflow or overflow
+    values[rows] = floats
+    for row, column in zip(*reread):
+        cell = slice(start + separators[row, column + 1] + 1, start + separators[row, column + 2])
+        values[rows.start + row, column] = float(data[cell])
+    return True
+
+
+def parse_rows(data: bytes, start: int, width: int):
+    """The env ids and float cells of the rows of ``width`` cells in ``data[start:]``.
+
+    Returns ``(env_ids, values)``, int64 of shape (rows,) and float64 of
+    shape (rows, width - 2), each cell's correctly rounded value, or None
+    unless the body is canonical: only the bytes ``0-9 , . - + e E`` and
+    newlines, a final newline, no blank line, ``width`` non-empty cells
+    on every line, the first two of digits only with values below 10**18,
+    and floats that ``strtold`` reads to their end; None also on hosts
+    without x87 extended precision. Pieces of about ``_PIECE_BYTES`` run
+    on one thread per CPU.
+    """
+    if not _X87 or width < 3 or len(data) <= start or data[-1] != ord("\n"):
+        return None
+    pieces = []
+    row = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _PIECE_BYTES) + 1 or len(data)
+        count = data.count(b"\n", start, stop)
+        pieces.append((start, stop, slice(row, row + count)))
+        start, row = stop, row + count
+    env_ids = np.empty(row, np.int64)
+    values = np.empty((row, width - 2))
+    read = partial(_read_piece, data, width, env_ids, values)
+    threads = min(worker_count(), len(pieces))
+    if threads == 1:
+        parsed = all(map(read, pieces))
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            parsed = all(pool.map(read, pieces))
+            pool.shutdown(cancel_futures=True)
+    return (env_ids, values) if parsed else None

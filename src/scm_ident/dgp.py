@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvrows import render_rows
+from ._csvrows import parse_rows, render_rows
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
 from .errors import read_array, read_block, read_int, read_path, read_real, read_task_blocks
@@ -434,17 +434,39 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
 def load_dataset(path) -> SyntheticDataset:
     """Read a dataset CSV back into arrays.
 
-    The env and sample cells must be integers and every other cell a
-    float that numpy parses; blank lines, rows whose width differs from
-    the header, task indices above the header's column count, and a
-    ``path`` that is not a str or os.PathLike are rejected with
-    :class:`DataError`.
+    The file must be UTF-8 text. The env and sample cells must be
+    integers and every other cell a float that numpy parses; blank lines,
+    rows whose width differs from the header, task indices above the
+    header's column count, a byte that is not UTF-8 and a ``path`` that
+    is not a str or os.PathLike are rejected with :class:`DataError`.
+
+    Where the host has x87 extended precision, a body in the writer's
+    canonical form (see :func:`scm_ident._csvrows.parse_rows`: only
+    digits, ``, . - + e E`` and newlines, a final newline, every line of
+    the header's width, env and sample cells of digits below 10**18) is
+    parsed by ``strtold`` on one thread per CPU, and each cell whose
+    rounding through the 64-bit significand could differ (a midpoint
+    between two doubles, or outside the normal double range) is read
+    again with ``float``. Any other file goes through ``np.loadtxt``;
+    both give the same arrays and the same errors.
     """
-    with open(read_path(path, DataError, "dataset")) as handle:
-        header_line = handle.readline()
-        body = handle.read()
-    if not header_line:
-        raise DataError("dataset file is empty")
+    with open(read_path(path, DataError, "dataset"), "rb") as handle:
+        data = handle.read()
+    dataset = _canonical_dataset(data)
+    if dataset is not None:
+        return dataset
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"dataset is not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    del data  # the text holds the file now
+    return _text_dataset(text)
+
+
+def _read_header(header_line: str) -> tuple[list[str], int, list[int]]:
+    """The expected columns, the latent count and each task's width, from the header line."""
     header = next(csv.reader([header_line]))
     num_latents = sum(1 for c in header if c.startswith("l_"))
     task_widths: list[int] = []
@@ -467,8 +489,35 @@ def load_dataset(path) -> SyntheticDataset:
     expected = _header(num_latents, task_widths)
     if header != expected:
         raise DataError(f"unexpected dataset header {header!r}")
-    lines = body.split("\n")
-    if lines[-1] == "":
+    return expected, num_latents, task_widths
+
+
+def _canonical_dataset(data: bytes):
+    """The dataset in ``data`` when its header is valid and its body canonical, else None.
+
+    None leaves every error to :func:`_text_dataset`, so messages do not
+    depend on which reader ran.
+    """
+    body = data.find(b"\n") + 1
+    header_line = data[:body]
+    if not body or not header_line.isascii() or b"\r" in header_line:
+        return None
+    try:
+        expected, num_latents, task_widths = _read_header(header_line.decode())
+    except DataError:
+        return None
+    rows = parse_rows(data, body, len(expected))
+    return None if rows is None else _dataset(*rows, num_latents, task_widths)
+
+
+def _text_dataset(text: str) -> SyntheticDataset:
+    """Parse the file's text with ``np.loadtxt``, reading newlines as a text-mode ``open`` does."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header_line = lines.pop(0) + ("\n" if lines else "")
+    if not header_line:
+        raise DataError("dataset file is empty")
+    expected, num_latents, task_widths = _read_header(header_line)
+    if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise DataError("dataset contains no samples")
@@ -485,8 +534,13 @@ def load_dataset(path) -> SyntheticDataset:
         )
     except ValueError as exc:
         raise DataError(f"malformed dataset row: {exc}") from exc
-    env_ids = np.ascontiguousarray(table["env"])
-    values = np.ascontiguousarray(table["values"])
+    # copies, not ascontiguousarray: a one-row field view counts as contiguous
+    # and would keep the record array's strides
+    return _dataset(table["env"].copy(), table["values"].copy(), num_latents, task_widths)
+
+
+def _dataset(env_ids, values, num_latents: int, task_widths) -> SyntheticDataset:
+    """The dataset whose latents, x and task blocks are column views of ``values``."""
     latents = values[:, :num_latents]
     x = values[:, num_latents : 2 * num_latents]
     y_blocks = []

@@ -460,6 +460,17 @@ class TestDataAndRecovery:
         assert main(["recover", str(csv_path), top_path]) == 2
         assert "unexpected dataset header" in capsys.readouterr().err
 
+    def test_recover_rejects_a_dataset_that_is_not_utf8(self, tmp_path, capsys):
+        top_path = write_json(
+            tmp_path / "top.json", {"num_tasks": 1, "num_latents": 1, "adjacency": [[1]]}
+        )
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(b"env,sample,l_1,x_1,y1_1\n0,0,0.5,\xff,0.5\n")
+        assert main(["recover", str(csv_path), top_path]) == 2
+        assert capsys.readouterr().err == (
+            "input error: dataset is not UTF-8 text: byte 0xff at offset 32\n"
+        )
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from conftest import (
     parentless_task_spec,
 )
 from helpers import reference_export_csv
-from scm_ident import dgp
+from scm_ident import _csvrows, dgp
 from scm_ident import (
     ConfigError,
     DataError,
@@ -243,6 +245,17 @@ def three_task_spec() -> DgpSpec:
 
 LEAKY_NOISY_SPEC = Path(__file__).parent / "golden" / "dgp_gen_leaky_noisy.spec.json"
 HEADER = "env,sample,l_1,x_1,y1_1\n"
+MALFORMED_TEXTS = [
+    pytest.param(HEADER + "0,0,0.5,abc,0.5\n", id="non-numeric-cell"),
+    pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5\n", id="short-row"),
+    pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5,0.5,0.5\n", id="long-row"),
+    pytest.param(HEADER + "0,0,0.5,0.5,0.5\n\n1,0,0.5,0.5,0.5\n", id="blank-line"),
+    pytest.param(HEADER + "1.5,0,0.5,0.5,0.5\n", id="fractional-env"),
+    pytest.param(HEADER + "1.0,0,0.5,0.5,0.5\n", id="float-env"),
+    pytest.param(HEADER + "0,0,1_0,0.5,0.5\n", id="underscore-literal"),
+    pytest.param(HEADER, id="header-only"),
+    pytest.param("", id="empty-file"),
+]
 
 
 def assert_same_dataset(loaded: SyntheticDataset, original: SyntheticDataset) -> None:
@@ -453,24 +466,231 @@ class TestDatasetRoundTrip:
         assert path.read_bytes() == reference.read_bytes()
         assert_same_dataset(load_dataset(path), dataset)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param(HEADER + "0,0,0.5,abc,0.5\n", id="non-numeric-cell"),
-            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5\n", id="short-row"),
-            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n1,0,0.5,0.5,0.5,0.5\n", id="long-row"),
-            pytest.param(HEADER + "0,0,0.5,0.5,0.5\n\n1,0,0.5,0.5,0.5\n", id="blank-line"),
-            pytest.param(HEADER + "1.5,0,0.5,0.5,0.5\n", id="fractional-env"),
-            pytest.param(HEADER + "1.0,0,0.5,0.5,0.5\n", id="float-env"),
-            pytest.param(HEADER + "0,0,1_0,0.5,0.5\n", id="underscore-literal"),
-            pytest.param(HEADER, id="header-only"),
-            pytest.param("", id="empty-file"),
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_TEXTS)
     def test_malformed_row_rejected(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(DataError):
+            load_dataset(path)
+
+
+class TestDatasetRoundTripThroughLoadtxt(TestDatasetRoundTrip):
+    """Every round trip and refusal above with the strtold reader switched off."""
+
+    @pytest.fixture(autouse=True)
+    def loadtxt_only(self, monkeypatch):
+        monkeypatch.setattr(_csvrows, "_X87", False)
+
+
+def load_outcome(path):
+    """``load_dataset``'s arrays, or its ``DataError`` message."""
+    try:
+        dataset = load_dataset(path)
+    except DataError as exc:
+        return str(exc)
+    return dataset.num_environments, [dataset.env_ids, dataset.latents, dataset.x, *dataset.y]
+
+
+def assert_same_outcome(got, want) -> None:
+    """The same message, or arrays equal in dtype, shape, strides and bytes."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+        assert a.tobytes() == b.tobytes()
+
+
+NON_CANONICAL_BODIES = [
+    pytest.param(b'0,0,"0.5",0.5,0.5\n', id="quoted-cell"),
+    pytest.param(b"0,0,0.5,0.5,0.5\r\n1,1,-0.25,2,3\r\n", id="crlf"),
+    pytest.param(b"0,0,0.5,0.5,0.5\r1,1,-0.25,2,3\r", id="cr"),
+    pytest.param(b"0, 0,0.5 ,0.5,0.5\n", id="spaces"),
+    pytest.param(b"+1,0,0.5,0.5,0.5\n", id="plus-sign-env"),
+    pytest.param(b"0,-0,0.5,0.5,0.5\n", id="negative-zero-sample"),
+    pytest.param(b"1e2,0,0.5,0.5,0.5\n", id="exponent-env"),
+    pytest.param(b"1000000000000000000,0,0.5,0.5,0.5\n", id="19-digit-env"),
+    pytest.param(b"9223372036854775808,0,0.5,0.5,0.5\n", id="env-beyond-int64"),
+    pytest.param(b"0,1000000000000000000,0.5,0.5,0.5\n", id="19-digit-sample"),
+    pytest.param(b"0,0,nan,0.5,0.5\n", id="nan"),
+    pytest.param(b"0,0,0.5,inf,0.5\n", id="inf"),
+    pytest.param(b"0,0,0.5,0.5,0x1p3\n", id="hex-float"),
+    pytest.param(b"0,0,0.5,0.5,0.5", id="no-final-newline"),
+    pytest.param(b"0,0,0.5,0.5,0.5\n1,1,0.5,0.5,\n", id="empty-cell"),
+    pytest.param(b"0,0,0.5,0.5,0.5,\n", id="trailing-comma"),
+    pytest.param(b"0,0,1.2.3,0.5,0.5\n", id="two-points"),
+    pytest.param(b"0,0,1e,0.5,0.5\n", id="bare-exponent"),
+    pytest.param(b"0,0,-,0.5,0.5\n", id="bare-sign"),
+    pytest.param(b"0,0,1,1,1\n0,1,1,1,1,1\n0,2,1,1\n", id="widths-add-up"),
+    pytest.param(b"0,0,0.5,0.5,0.5\n\xff\n", id="non-utf8-body"),
+    pytest.param(b"\n", id="blank-body"),
+]
+# float spellings that strtold and np.loadtxt both read, in canonical bodies
+CANONICAL_BODIES = [
+    pytest.param(b"0,0,+0.5,.5,5.\n2,1,1E5,1e+05,-0.0\n", id="float-spellings"),
+    pytest.param(b"0,0,0e0,-0e-0,00012.5000\n", id="zeros"),
+    pytest.param(b"007,01,0.5,0.5,0.5\n", id="leading-zeros"),
+    pytest.param(
+        b"0000000000000000000000001,999999999999999999,0.5,0.5,0.5\n", id="padded-ints"
+    ),
+    pytest.param(
+        ("3,999999999999999999,0." + "1" * 400 + ",1" + "0" * 300 + ",2\n").encode(), id="long"
+    ),
+]
+# beyond the float range, or rounding to its largest value
+EXTREME_TOKENS = ["1e400", "-1e5000", "1e-400", "-1e-400", "1e-5000", "1.7976931348623158e308"]
+FINITE_EXTREMES = ["1e-400", "-1e-400", "1.7976931348623158e308", "4.9406564584124654e-324"]
+
+
+def midpoint_tokens(value: float) -> list[str]:
+    """The midpoint between |value| and the next double up, and it times 1 +- 1e-40, in full."""
+    low = decimal.Decimal(abs(value))
+    high = decimal.Decimal(float(np.nextafter(abs(value), np.inf)))
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        middle = (low + high) / 2
+        nudge = middle * decimal.Decimal("1e-40")
+        points = [middle, middle + nudge, middle - nudge]
+    sign = "-" if math.copysign(1.0, value) < 0 else ""
+    return [sign + str(point) for point in points]
+
+
+def strtold_cells(tokens) -> np.ndarray:
+    """The float64 cells that ``parse_rows`` reads from one row per token."""
+    body = "".join(f"0,{i},{token}\n" for i, token in enumerate(tokens)).encode()
+    _, values = _csvrows.parse_rows(body, 0, 3)
+    return values[:, 0]
+
+
+def float_bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SUBNORMAL = st.builds(
+    lambda k, sign: sign * k * 5e-324, st.integers(1, 2**52 - 1), st.sampled_from([1, -1])
+)
+FORMS = [lambda v: "%.17g" % v, repr, lambda v: "%.25g" % v]
+TOKENS = st.one_of(
+    st.builds(lambda v, form: form(v), st.one_of(FINITE, SUBNORMAL), st.sampled_from(FORMS)),
+    st.one_of(FINITE, SUBNORMAL)
+    .filter(lambda v: abs(v) < sys.float_info.max)
+    .flatmap(lambda v: st.sampled_from(midpoint_tokens(v))),
+    st.sampled_from(EXTREME_TOKENS),
+)
+
+
+@pytest.mark.skipif(not _csvrows._X87, reason="the strtold reader needs x87 extended precision")
+class TestStrtoldReader:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TOKENS, min_size=1, max_size=30))
+    def test_cells_equal_float(self, tokens):
+        assert float_bits(strtold_cells(tokens)) == float_bits([float(t) for t in tokens])
+
+    @pytest.mark.parametrize(
+        "value", [5e-324, 2.0**-1022 - 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 1e300]
+    )
+    def test_midpoints_equal_float(self, value):
+        tokens = midpoint_tokens(value) + midpoint_tokens(-value)
+        assert float_bits(strtold_cells(tokens)) == float_bits([float(t) for t in tokens])
+
+    def test_cells_beyond_the_range_equal_float(self):
+        # RuntimeWarning is an error here, so an overflowing cast would fail the test
+        tokens = EXTREME_TOKENS + ["-0", "0", "-0.0", "4.9406564584124654e-324"]
+        assert float_bits(strtold_cells(tokens)) == float_bits([float(t) for t in tokens])
+
+    def test_canonical_export_skips_loadtxt(self, ident_spec, tmp_path, monkeypatch):
+        dataset = generate_dataset(ident_spec, 300, seed=5)
+        path = tmp_path / "data.csv"
+        export_dataset(dataset, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt ran")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert_same_dataset(load_dataset(path), dataset)
+
+    @pytest.mark.parametrize("body", CANONICAL_BODIES)
+    def test_canonical_body_is_parsed(self, body):
+        assert _csvrows.parse_rows(HEADER.encode() + body, len(HEADER), 5) is not None
+
+    @pytest.mark.parametrize("body", NON_CANONICAL_BODIES)
+    def test_non_canonical_body_is_left_to_loadtxt(self, body):
+        data = HEADER.encode() + body
+        assert _csvrows.parse_rows(data, len(HEADER), 5) is None
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pieces_run_on_at_most_one_thread_per_cpu(self, tmp_path, monkeypatch, cpus):
+        dataset = random_dataset(3000, seed=cpus)
+        dataset.x[::7] *= 1e-310  # subnormal cells to read again in every piece
+        path = tmp_path / "data.csv"
+        export_dataset(dataset, path)
+        pools = []
+
+        class Pool(_csvrows.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(_csvrows, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(_csvrows, "worker_count", lambda: cpus)
+        monkeypatch.setattr(_csvrows, "_PIECE_BYTES", 4096)
+        assert_same_dataset(load_dataset(path), dataset)
+        assert pools == ([] if cpus == 1 else [cpus])
+
+    def test_a_late_non_canonical_piece_falls_back(self, tmp_path, monkeypatch):
+        dataset = random_dataset(2000, seed=8)
+        path = tmp_path / "data.csv"
+        export_dataset(dataset, path)
+        path.write_bytes(path.read_bytes()[:-1] + b"\r\n")  # the last line only
+        monkeypatch.setattr(_csvrows, "worker_count", lambda: 2)
+        monkeypatch.setattr(_csvrows, "_PIECE_BYTES", 4096)
+        assert_same_dataset(load_dataset(path), dataset)
+
+
+class TestReaderParity:
+    """The strtold reader and np.loadtxt give the same arrays or the same error."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *(pytest.param(p.values[0].encode(), id=p.id) for p in MALFORMED_TEXTS),
+            *(
+                pytest.param(HEADER.encode() + p.values[0], id=p.id)
+                for p in NON_CANONICAL_BODIES + CANONICAL_BODIES
+            ),
+            pytest.param(b"\xffnv,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n", id="non-utf8-header"),
+            pytest.param(
+                b"env,sample,l_1,x_1,y2_1\n0,0,0.5,0.5,\xff\n", id="bad-header-non-utf8-body"
+            ),
+            pytest.param(b"env,sample,l_1,x_1,y1_1\r\n0,0,0.5,0.5,0.5\n", id="crlf-header"),
+            pytest.param(
+                b"\xef\xbb\xbfenv,sample,l_1,x_1,y1_1\n0,0,0.5,0.5,0.5\n", id="byte-order-mark"
+            ),
+            pytest.param(
+                (HEADER + "".join(f"0,{i},{t},{t},{t}\n" for i, t in enumerate(FINITE_EXTREMES)))
+                .encode(),
+                id="finite-extremes",
+            ),
+        ],
+    )
+    def test_same_outcome_on_both_paths(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        strtold = load_outcome(path)
+        monkeypatch.setattr(_csvrows, "_X87", False)
+        assert_same_outcome(strtold, load_outcome(path))
+
+    @pytest.mark.parametrize(
+        "offset", [0, 3, len(HEADER) + 4], ids=["header-start", "header", "body"]
+    )
+    def test_non_utf8_byte_is_a_data_error(self, tmp_path, offset):
+        data = bytearray((HEADER + "0,0,0.5,0.5,0.5\n").encode())
+        data[offset] = 0xFF
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        message = f"^dataset is not UTF-8 text: byte 0xff at offset {offset}$"
+        with pytest.raises(DataError, match=message):
             load_dataset(path)
 
 

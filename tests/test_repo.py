@@ -8,6 +8,7 @@ import pathlib
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +103,26 @@ def test_no_module_imports_a_private_name_from_another():
         and not (alias.name.startswith("__") and alias.name.endswith("__"))
     ]
     assert private == []
+
+
+def test_a_failing_hypothesis_test_fails_without_an_internal_error(tmp_path):
+    """Hypothesis's failure report imports libcst, which warns on import; with
+    the repository's warning filters that is one failed test, not the end of
+    the session."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n"
+    )
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
