@@ -294,11 +294,7 @@ def parse_rows(data: bytes, start: int, width: int):
     env_ids = np.empty(row, np.int64)
     values = np.empty((row, width - 2))
     read = partial(_read_piece, data, width, env_ids, values)
-    threads = min(worker_count(), len(pieces))
-    if threads == 1:
-        parsed = all(map(read, pieces))
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            parsed = all(pool.map(read, pieces))
-            pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(min(worker_count(), len(pieces))) as pool:
+        parsed = all(pool.map(read, pieces))
+        pool.shutdown(cancel_futures=True)
     return (env_ids, values) if parsed else None

@@ -13,9 +13,9 @@ the encodings a chunk at a time. The chunk is sized in bytes: the largest
 power of two whose (max(m, n), chunk) planes and int32 encodings stay
 under glibc's 128 KiB mmap threshold, but never below :data:`CHUNK`
 encodings. That is 16,384 encodings up to 7 bits, 8192 at 8 and
-:data:`CHUNK` from 9 on, where the wide planes outgrow the threshold
-with the shape as before. ``BACKEND`` names the kernel so run reports can
-say which one ran.
+:data:`CHUNK` from 9 on, where the wide planes outgrow the threshold: a
+smaller chunk would keep them under it, but measured slower at 1x20 and
+20x1. ``BACKEND`` names the kernel so run reports can say which one ran.
 """
 
 import sys

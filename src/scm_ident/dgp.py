@@ -22,8 +22,8 @@ import numpy as np
 from ._csvrows import parse_rows, render_rows
 from ._rng import LATENT_DRAWS, OBSERVATION_NOISE, env_seed, stream
 from .errors import CapacityError, ConfigError, DataError, DomainError, ShapeError, check_keys
-from .errors import read_array, read_block, read_int, read_path, read_real, read_task_blocks
-from .errors import read_task_keyed
+from .errors import read_array, read_block, read_int, read_ints, read_path, read_real
+from .errors import read_task_blocks, read_task_keyed
 from .topology import MAX_LATENTS, ScmTopology
 
 RANK_TOLERANCE = 1e-8
@@ -94,15 +94,22 @@ class ExpFamilyPrior:
         """Natural-parameter vector of one environment, latent-major.
 
         Entries ``(2j, 2j + 1)`` are ``(mean/var, -1/(2*var))`` for
-        latent ``j``.
+        latent ``j``. An entry beyond the float range (a tiny variance, or
+        a mean/variance ratio past it) raises ``DomainError`` naming the
+        environment.
         """
         if not 0 <= env_index < self.num_environments:
             raise ConfigError(f"environment {env_index} is not configured")
         mu = self.means[env_index]
         var = self.variances[env_index]
         out = np.empty(2 * self.num_latents)
-        out[0::2] = mu / var
-        out[1::2] = -0.5 / var
+        with np.errstate(over="ignore"):  # checked below
+            out[0::2] = mu / var
+            out[1::2] = -0.5 / var
+        if not np.isfinite(out).all():
+            raise DomainError(
+                f"environment {env_index}'s natural parameters are beyond the float range"
+            )
         return out
 
 
@@ -232,7 +239,12 @@ class SyntheticDataset:
     """Generated samples with ground-truth latents retained.
 
     ``y[t]`` holds task ``t``'s targets with one column per parent latent.
-    Rows are grouped by environment in generation order.
+    Rows are grouped by environment in generation order. The environment
+    count is read as an int and the ids as an int64 vector (a float or a
+    bool id raises ``DataError``); ``latents``, ``x`` and each task block
+    are read as 2-d float64 arrays with one row per id, and ``x`` is as
+    wide as ``latents`` (else ``ShapeError``). A float64 array is kept,
+    not copied.
     """
 
     num_environments: int
@@ -242,21 +254,36 @@ class SyntheticDataset:
     y: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        env_ids = np.asarray(self.env_ids, dtype=np.int64)
+        num_environments = read_int(self.num_environments, DataError, "environment count")
+        env_ids = read_ints(self.env_ids, DataError, "environment ids")
         if env_ids.ndim != 1:
             raise ShapeError("environment ids must be a vector")
+        if not isinstance(self.y, (list, tuple)):
+            raise DataError("task blocks must be a list or tuple of arrays")
+        latents = read_array(self.latents, DataError, "latents")
+        x = read_array(self.x, DataError, "x")
+        y = tuple(read_array(b, DataError, f"task block y{t + 1}") for t, b in enumerate(self.y))
         rows = env_ids.shape[0]
-        if self.latents.shape[0] != rows or self.x.shape[0] != rows:
+        if any(block.ndim != 2 for block in (latents, x, *y)):
+            raise ShapeError("latents, x and every task block must be 2-d arrays")
+        if latents.shape[0] != rows or x.shape[0] != rows:
             raise ShapeError("all sample arrays must have one row per sample")
-        if any(block.shape[0] != rows for block in self.y):
+        if any(block.shape[0] != rows for block in y):
             raise ShapeError("all task arrays must have one row per sample")
-        if rows and (env_ids.min() < 0 or env_ids.max() >= self.num_environments):
+        if x.shape[1] != latents.shape[1]:
+            raise ShapeError(
+                f"x must be as wide as latents, got {x.shape[1]} and {latents.shape[1]} columns"
+            )
+        # Python ints: the count may pass the int64 range
+        if rows and (int(env_ids.min()) < 0 or int(env_ids.max()) >= num_environments):
             raise DataError("sample environment id outside the configured range")
-        blocks = {"l": self.latents, "x": self.x} | {f"y{t + 1}": b for t, b in enumerate(self.y)}
+        blocks = {"l": latents, "x": x} | {f"y{t + 1}": b for t, b in enumerate(y)}
         for prefix, block in blocks.items():
             if not np.isfinite(block).all():
                 raise DataError(f"non-finite cell in dataset columns {prefix}_*")
-        object.__setattr__(self, "env_ids", env_ids)
+        read = dict(num_environments=num_environments, env_ids=env_ids, latents=latents, x=x, y=y)
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_latents(self) -> int:
@@ -374,13 +401,24 @@ class VarietyReport:
 
 
 def check_variety(prior: ExpFamilyPrior) -> VarietyReport:
-    """Report (never raise) whether the environments are diverse enough."""
+    """Report whether the environments are diverse enough.
+
+    A shortfall is reported, not raised. An environment whose natural
+    parameters, or their difference from environment 0's, are beyond the
+    float range raises ``DomainError`` naming it.
+    """
     k = prior.num_environments
     base = prior.natural_parameters(0)
     if k > 1:
-        columns = np.column_stack(
-            [prior.natural_parameters(e) - base for e in range(1, k)]
-        )
+        columns = np.empty((base.size, k - 1))
+        for e in range(1, k):
+            with np.errstate(over="ignore"):  # checked below
+                columns[:, e - 1] = prior.natural_parameters(e) - base
+            if not np.isfinite(columns[:, e - 1]).all():
+                raise DomainError(
+                    f"environment {e}'s natural parameters differ from environment 0's"
+                    " beyond the float range"
+                )
         singular = np.linalg.svd(columns, compute_uv=False)
         rank = int(np.sum(singular > RANK_TOLERANCE * singular[0])) if singular[0] > 0 else 0
     else:

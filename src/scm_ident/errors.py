@@ -62,18 +62,36 @@ def check_keys(document, what: str, allowed, required=()) -> None:
 _FLOAT64 = np.dtype(np.float64)
 
 
+def _as_array(value, error, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise error(f"{what}: {exc}") from exc
+
+
 def read_array(value, error, what: str) -> np.ndarray:
     """``value`` as a float64 array, not copied when it is one; ragged
     nesting, or an entry that is not a number, raises ``error``."""
-    try:
-        array = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what}: {exc}") from exc
+    array = _as_array(value, error, what)
     if array.dtype is _FLOAT64:
         return array
     if array.dtype.kind not in "biuf":  # strings, None and objects, such as ints beyond 64 bits
         raise error(f"{what} entries must be numbers, got dtype {array.dtype}")
     return array.astype(np.float64)
+
+
+def read_ints(value, error, what: str) -> np.ndarray:
+    """``value`` as an int64 array, not copied when it is one; ragged
+    nesting, or an entry that is not an integer of at most 64 bits (a
+    float or a bool too), raises ``error``; an empty array of any dtype
+    reads as an empty int64 one. An unsigned entry past the int64 range
+    reads as a negative one."""
+    array = _as_array(value, error, what)
+    if array.size == 0:  # [] reads as float64
+        return np.empty(array.shape, np.int64)
+    if array.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 def read_block(value, shape: tuple, error, what: str) -> np.ndarray:

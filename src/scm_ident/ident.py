@@ -47,8 +47,8 @@ MIN_TASKS_LATENT_LIMIT = 16
 
 @dataclass(frozen=True)
 class SeedOrigin:
-    """A family member present from the start: ``empty``, ``universal``,
-    or the parent set of one task."""
+    """A family member present from the start: ``universal`` (the set of
+    all latents), or ``task``, the parent set of task ``task``."""
 
     kind: str
     task: int | None = None

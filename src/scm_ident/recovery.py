@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._parallel import parallel_map, worker_count
+from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
 from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
 from .errors import (
@@ -69,7 +69,7 @@ class FitConfig:
     ``min_step`` (the step's largest entry is below it; a run of rejected
     steps shrinks the step geometrically until it is) and ``max_iters``
     (tried steps, accepted or not; at most :data:`MAX_ITERS`), the only
-    bound on a run of kept steps.
+    bound on a run of kept steps. ``seed`` is kept as a Python int.
     """
 
     restarts: int = 8
@@ -91,7 +91,7 @@ class FitConfig:
             raise ConfigError(f"max_iters must be at most {MAX_ITERS}, got {self.max_iters}")
         if not (self.min_step > 0 and self.grad_tol > 0):
             raise ConfigError("step sizes and tolerances must be positive")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))  # an int, so seed + d never wraps
 
 
 @dataclass
@@ -693,7 +693,7 @@ def fit(
     is not finite (data whose squared moments overflow float64) raises
     ``DataError``. This is ``fit_many`` on one dataset.
     """
-    (result,) = fit_many([dataset], topology, config, [config.seed], init)
+    (result,) = fit_many([dataset], topology, config, init)
     return result
 
 
@@ -701,14 +701,14 @@ def fit_many(
     datasets,
     topology: ScmTopology,
     config: FitConfig,
-    seeds,
     init: UnmixModel | None = None,
 ) -> list[FitResult]:
     """``fit`` of each dataset, with every restart of every dataset in one batch.
 
-    Dataset d is fitted as ``fit`` would fit it with ``config.seed`` set
-    to ``seeds[d]`` (a list, tuple or range), and gets the same bits.
-    The datasets must share one environment count.
+    Dataset d is fitted as ``fit`` would fit it with ``config.seed + d``
+    as its seed, and gets the same bits; a seed past the last one
+    ``check_seed`` accepts raises ``ConfigError``. The datasets must
+    share one environment count.
     ``datasets`` is read once, in order, and each dataset is reduced to its
     moments as it is read, so a generator lets the caller hold one at a
     time. Refusals are ``fit``'s, for the first dataset that has one.
@@ -726,18 +726,12 @@ def fit_many(
                 f" and {dataset.num_environments}"
             )
         moments.append(_empirical_moments(dataset))
-    if isinstance(seeds, (list, tuple, range)):
-        seeds = [check_seed(seed) for seed in seeds]
-    else:
-        raise ConfigError(f"seeds must be a list of seeds, got {type(seeds).__name__}")
-    if len(seeds) != len(moments):
-        raise ConfigError(f"need one seed per dataset, got {len(seeds)} for {len(moments)}")
     if not moments:
         return []
     starts = [
         model
-        for rows, seed in zip(moments, seeds)
-        for model in _starts(topology, rows, replace(config, seed=seed), init)
+        for d, rows in enumerate(moments)
+        for model in _starts(topology, rows, replace(config, seed=config.seed + d), init)
     ]
     # an overflow leaves an objective that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -811,10 +805,13 @@ def match_permutation(true_latents: np.ndarray, est_latents: np.ndarray) -> Matc
     """
     true_arr = read_array(true_latents, DataError, "true latents")
     est_arr = read_array(est_latents, DataError, "estimated latents")
-    if true_arr.shape != est_arr.shape or true_arr.ndim != 2:
+    if true_arr.shape != est_arr.shape or true_arr.ndim != 2 or 0 in true_arr.shape:
         raise ShapeError(
-            f"latent arrays must share a 2-d shape, got {true_arr.shape} and {est_arr.shape}"
+            "latent arrays must share a 2-d shape with a sample and a latent,"
+            f" got {true_arr.shape} and {est_arr.shape}"
         )
+    if not (np.isfinite(true_arr).all() and np.isfinite(est_arr).all()):
+        raise DataError("latent arrays must be finite")
     n = true_arr.shape[1]
     if n > MAX_FIT_LATENTS:
         raise CapacityError(f"permutation search supports at most {MAX_FIT_LATENTS} latents")
@@ -870,29 +867,30 @@ class ExperimentReport:
         return self.identifiable.median_mcc - self.colliding.median_mcc
 
 
-def _arm_jobs(spec: DgpSpec, config: FitConfig, samples_per_env: int, seeds: range) -> list:
-    """One arm's seeds as contiguous runs, one job each.
+def _arm_jobs(spec: DgpSpec, config: FitConfig, samples_per_env: int, seeds: int) -> list:
+    """One arm's seeds from ``config.seed`` as contiguous runs, one job each.
 
-    An arm is one job, split only to give every CPU a job (two arms share
-    the CPUs) or to keep a job's retained latents and x within
-    ``ARM_JOB_BYTES``; never into more jobs than seeds.
+    An arm is one job, split only to keep a job's retained latents and x
+    within ``ARM_JOB_BYTES``; a job's config starts at its first seed.
     """
     per_seed = 16 * samples_per_env * spec.prior.num_environments * spec.topology.num_latents
-    count = max(-(-worker_count() // 2), -(-len(seeds) * per_seed // ARM_JOB_BYTES))
-    count = min(count, len(seeds))
-    bounds = [len(seeds) * j // count for j in range(count + 1)]
+    count = min(-(-seeds * per_seed // ARM_JOB_BYTES), seeds)
+    bounds = [seeds * j // count for j in range(count + 1)]
     return [
-        (spec, config, samples_per_env, seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        (spec, replace(config, seed=config.seed + lo), samples_per_env, hi - lo)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
 
 
 def _run_arm_job(args) -> list[SeedOutcome]:
     """Generate, fit in one ``fit_many`` batch, recover and match a run of one arm's seeds.
 
-    Each seed's data is reduced to its moments as the batch reads it;
-    only its latents and x, which matching reads, are kept.
+    The run is ``count`` seeds from ``config.seed``. Each seed's data is
+    reduced to its moments as the batch reads it; only its latents and x,
+    which matching reads, are kept.
     """
-    spec, config, samples_per_env, seeds = args
+    spec, config, samples_per_env, count = args
+    seeds = range(config.seed, config.seed + count)
     kept = []
 
     def datasets():
@@ -901,7 +899,7 @@ def _run_arm_job(args) -> list[SeedOutcome]:
             kept.append((dataset.latents, dataset.x))
             yield dataset
 
-    results = fit_many(datasets(), spec.topology, config, seeds)
+    results = fit_many(datasets(), spec.topology, config)
     outcomes = []
     for seed, result, (latents, x) in zip(seeds, results, kept):
         match = match_permutation(latents, recover_latents(result.model, x))
@@ -920,16 +918,17 @@ def identifiability_experiment(
 
     Per-seed data and fit seeds are ``config.seed + s``. Each arm's seeds
     are fitted in one ``fit_many`` batch per job (see ``_arm_jobs``: one
-    job per arm unless more CPUs or the memory budget call for more). The
-    jobs run in worker processes, one per CPU and at most one per job, and
-    are merged back in seed order; every outcome has the bits of a lone
-    ``fit`` of its seed.
+    job per arm unless the memory budget calls for more). The jobs run in
+    worker processes, one per CPU and at most one per job, and are merged
+    back in seed order; every outcome has the bits of a lone ``fit`` of
+    its seed.
     """
     if read_int(seeds, ConfigError, "seeds") < 1:
         raise ConfigError("need at least one seed")
-    base = check_seed(config.seed)
-    check_seed(base + seeds - 1)  # the last data seed, checked before any job is built
+    check_seed(config.seed + seeds - 1)  # the last data seed, checked before any job is built
     samples_per_env = read_int(samples_per_env, ConfigError, "sample count")  # sizes the jobs
+    if samples_per_env < 1:
+        raise ConfigError(f"sample count must be positive, got {samples_per_env}")
     if not uic_check(spec_ident.topology):
         raise ConfigError("the identifiable spec fails the column-distinctness check")
     violations = uic_violations(spec_collide.topology)
@@ -937,8 +936,7 @@ def identifiability_experiment(
         raise ConfigError("the colliding spec has no colliding latent pair")
     pair = violations[0]
     arms = (spec_ident, spec_collide)
-    data_seeds = range(base, base + seeds)
-    jobs = [job for spec in arms for job in _arm_jobs(spec, config, samples_per_env, data_seeds)]
+    jobs = [job for spec in arms for job in _arm_jobs(spec, config, samples_per_env, seeds)]
     outcomes = [outcome for part in parallel_map(_run_arm_job, jobs) for outcome in part]
     ident_arm = ExperimentArm(tuple(outcomes[:seeds]))
     collide_arm = ExperimentArm(tuple(outcomes[seeds:]))

@@ -117,7 +117,10 @@ def gumbel_softmax_mask(soft, temperature: float = 1.0, seed: int = 0) -> Gumbel
     draws = uniforms(MASK_GUMBEL, seed, (2, probs.shape[0])).clip(_OPEN_LOW, _OPEN_HIGH)
     gumbel_sel, gumbel_not = -np.log(-np.log(draws))
     logits = (np.log(probs) + gumbel_sel) - (np.log1p(-probs) + gumbel_not)
-    relaxed = _sigmoid(logits / temperature)
+    # a quotient beyond the float range is +-inf, whose logistic is exactly 1 or 0
+    with np.errstate(over="ignore"):
+        scaled = logits / temperature
+    relaxed = _sigmoid(scaled)
     relaxed.clip(_OPEN_LOW, _OPEN_HIGH, out=relaxed)
     hard = (logits > 0).astype(np.int64)
     return GumbelMaskSample(relaxed=relaxed, hard=hard)

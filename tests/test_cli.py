@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +15,7 @@ from conftest import (
     identifiable_spec,
     parentless_task_spec,
 )
-from scm_ident import FitConfig, cli, fit, load_dataset
+from scm_ident import FitConfig, ScmTopology, SingularModelError, cli, fit, load_dataset
 from scm_ident.cli import main
 from scm_ident.recovery import MAX_ITERS, MAX_RESTARTS
 
@@ -64,6 +68,14 @@ class TestCheck:
         code, payload = run_json(capsys, ["check", colliding_topology_file])
         assert code == 1
         assert payload["violating_pairs"] == [["L1", "L2"]]
+
+    def test_decider_disagreement_exit_four(self, identity_topology_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "uic_violations", lambda topology: [(0, 1)])
+        assert main(["check", identity_topology_file]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "internal error: the closure and agreement deciders disagree on this input\n",
+        )
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -156,6 +168,18 @@ class TestClosure:
         assert out.startswith("family size: 65536 (bound 2^n = 65536)\n")
         assert out.count("derivation of") == 16
 
+    def test_trace_skips_the_unreachable_singletons(self, tmp_path, capsys):
+        adjacency = [[1, 1, 0], [0, 0, 1]]  # L1 and L2 collide, L3 is identifiable
+        path = write_json(
+            tmp_path / "pair.json", {"num_tasks": 2, "num_latents": 3, "adjacency": adjacency}
+        )
+        assert main(["closure", path, "--trace"]) == 1
+        out = capsys.readouterr().out
+        assert "missing singletons: L1, L2\n" in out
+        assert out.count("derivation of") == 1 and "derivation of {L3}:" in out
+        code, payload = run_json(capsys, ["closure", path, "--trace"])
+        assert code == 1 and list(payload["traces"]) == ["L3"]
+
     def test_missing_singletons_reported(self, colliding_topology_file, capsys):
         code, payload = run_json(capsys, ["closure", colliding_topology_file])
         assert code == 1
@@ -194,6 +218,20 @@ class TestEnumerate:
 
     def test_over_capacity_exit_two(self):
         assert main(["enumerate", "--m", "5", "--n", "5"]) == 2
+
+    @pytest.mark.parametrize("field", ["mismatches", "agreement_vs_distinct"])
+    def test_decider_disagreement_exit_four(self, capsys, monkeypatch, field):
+        audit = cli.equivalence_audit
+
+        def disagreeing(max_m, max_n):
+            flagged = (ScmTopology.from_rows([[1, 0]]),)
+            return dataclasses.replace(audit(max_m, max_n), **{field: flagged})
+
+        monkeypatch.setattr(cli, "equivalence_audit", disagreeing)
+        assert main(["enumerate", "--m", "1", "--n", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("audited 6 matrices up to 1x2\n")
+        assert captured.err == "internal error: deciders disagreed during enumeration\n"
 
     def test_workers_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -663,6 +701,18 @@ class TestDataAndRecovery:
         assert main(["experiment", spec_path, spec_path, "--config", config]) == 2
         assert capsys.readouterr().err == "input error: fit config must be a JSON object\n"
 
+    def test_experiment_needs_a_seed(self, tmp_path, capsys):
+        ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
+        collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
+        assert main(["experiment", ident_path, collide_path, "--seeds", "0"]) == 2
+        assert capsys.readouterr() == ("", "input error: need at least one seed\n")
+
+    def test_experiment_needs_a_positive_sample_count(self, tmp_path, capsys):
+        ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
+        collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
+        assert main(["experiment", ident_path, collide_path, "--samples", "0"]) == 2
+        assert capsys.readouterr() == ("", "input error: sample count must be positive, got 0\n")
+
     def test_experiment_workers_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "ident.json", "collide.json", "--workers", "2"])
@@ -797,6 +847,19 @@ def recover_files(tmp_path, capsys):
     return csv_path, top_path, init
 
 
+def test_singular_model_exit_three(capsys, recover_files, monkeypatch):
+    def collapse(*args, **kwargs):
+        raise SingularModelError("every restart collapsed to a singular mixing map")
+
+    monkeypatch.setattr(cli, "fit", collapse)
+    csv_path, top_path, _ = recover_files
+    assert main(["recover", csv_path, top_path]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "numeric failure: every restart collapsed to a singular mixing map\n",
+    )
+
+
 @pytest.mark.parametrize("command", ["loss", "mask", "recover"])
 def test_string_cells_in_numeric_inputs_exit_two(tmp_path, capsys, recover_files, command):
     csv_path, top_path, init = recover_files
@@ -898,3 +961,54 @@ class TestDeterminism:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["identifiable"] is True
+
+
+# calls cli.main once per command line in its argv, each with stdout discarded,
+# and prints the exit codes; run under -W error -X dev
+SMOKE_SCRIPT = """
+import contextlib, io, json, sys
+from scm_ident.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
+    """One process under ``-W error -X dev``: no warning, ResourceWarning included, reaches stderr."""
+    ident, collide = identifiable_spec(), colliding_spec()
+    top = write_json(tmp_path / "top.json", ident.topology.to_json_dict())
+    ident_path = write_json(tmp_path / "ident.json", ident.to_json_dict())
+    collide_path = write_json(tmp_path / "collide.json", collide.to_json_dict())
+    csv_path = str(tmp_path / "data.csv")
+    commands = {
+        "check": ["check", top],
+        "closure": ["closure", top, "--trace"],
+        "enumerate": ["enumerate", "--m", "2", "--n", "2"],
+        "loss": ["loss", write_json(tmp_path / "matrix.json", [[1, 0.5], [0, 1]])],
+        "gradcheck": ["gradcheck", "--trials", "5"],
+        "mask": [
+            "mask", "--scores", write_json(tmp_path / "scores.json", [0.5, -1.0, 2.0]),
+            "--temperature", "1e-320",
+        ],
+        "dgp-gen": ["dgp-gen", ident_path, "--samples", "200", "--out", csv_path],
+        "recover": ["recover", csv_path, top],
+        "experiment": [
+            "experiment", ident_path, collide_path, "--seeds", "2", "--samples", "200",
+            "--config", write_json(tmp_path / "cfg.json", {"restarts": 2}),
+        ],
+    }
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "dev", "-c", SMOKE_SCRIPT,
+         json.dumps(list(commands.values()))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert dict(zip(commands, json.loads(run.stdout))) == dict.fromkeys(commands, 0)

@@ -64,6 +64,26 @@ class TestPrior:
         np.testing.assert_allclose(params[2], -0.5 / 1.2)
         np.testing.assert_allclose(params[3], -0.5 / 1.2)
 
+    def test_non_finite_parameters_refused(self):
+        with pytest.raises(DomainError, match="^prior parameters must be finite$"):
+            ExpFamilyPrior(means=[[0.0, math.inf]], variances=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize("env_index", [-1, 3])
+    def test_natural_parameters_of_an_unconfigured_environment(self, prior3, env_index):
+        with pytest.raises(ConfigError, match=f"^environment {env_index} is not configured$"):
+            prior3.natural_parameters(env_index)
+
+    @pytest.mark.parametrize(
+        "means, variances", [([0.0, 1.0], [1.0, 1e-310]), ([1e300, 1.0], [1e-10, 1.0])]
+    )
+    def test_natural_parameters_beyond_the_float_range(self, means, variances):
+        prior = ExpFamilyPrior(means=[[0.0, 1.0], means], variances=[[1.0, 1.0], variances])
+        message = "^environment 1's natural parameters are beyond the float range$"
+        with pytest.raises(DomainError, match=message):
+            prior.natural_parameters(1)
+        with pytest.raises(DomainError, match=message):
+            check_variety(prior)
+
 
 class TestSampleLatents:
     def test_moments_match_configuration(self, prior3):
@@ -141,6 +161,15 @@ class TestGenerateObserved:
     def test_singular_map_rejected(self):
         with pytest.raises(DomainError, match="source map is numerically singular"):
             observed_spec([[1, 1]], np.ones((2, 2)), [np.eye(2)])
+
+    def test_singular_task_map_rejected(self):
+        with pytest.raises(DomainError, match="^task map 0 is numerically singular$"):
+            observed_spec([[1, 1]], np.eye(2), [np.ones((2, 2))])
+
+    def test_prior_of_another_width_rejected(self, prior3):
+        three = ScmTopology.from_rows([[1, 1, 1]])
+        with pytest.raises(ShapeError, match="^prior covers 2 latents, topology has 3$"):
+            DgpSpec(three, prior3, np.eye(3), [np.eye(3)])
 
     def test_noise_changes_output_but_seeded(self, ident_spec):
         noisy = dataclasses.replace(ident_spec, noise_x=np.array([0.1, 0.1]))
@@ -222,6 +251,64 @@ class TestVariety:
     def test_matrix_shape(self, prior3):
         report = check_variety(prior3)
         assert report.matrix.shape == (2 * prior3.num_latents, prior3.num_environments - 1)
+
+    def test_one_environment_fails_with_no_differences(self):
+        report = check_variety(ExpFamilyPrior(means=[[0.0, 1.0]], variances=[[1.0, 2.0]]))
+        assert not report.ok and report.rank == 0 and report.matrix.shape == (4, 0)
+
+    def test_a_difference_beyond_the_float_range_names_the_environment(self):
+        # each environment's mean/variance ratio is 1e308; their difference is not a float
+        prior = ExpFamilyPrior(
+            means=[[1e301, 0.0], [-1e301, 1.0], [0.0, 2.0]],
+            variances=[[1e-7, 1.0], [1e-7, 1.0], [1.0, 2.0]],
+        )
+        message = "^environment 1's natural parameters differ from environment 0's beyond"
+        with pytest.raises(DomainError, match=message):
+            check_variety(prior)
+
+
+class TestSyntheticDataset:
+    ROWS = np.arange(6.0).reshape(2, 3)
+
+    @pytest.mark.parametrize("env_ids", [[0.5, 1.9], [0.0, 1.0], np.array([0.0, 1.0])])
+    def test_float_env_ids_are_refused_not_truncated(self, env_ids):
+        with pytest.raises(DataError, match="^environment ids must be integers, got dtype float64$"):
+            SyntheticDataset(2, env_ids, self.ROWS, self.ROWS, ())
+
+    def test_zero_rows_are_accepted(self):
+        dataset = SyntheticDataset(1, [], np.zeros((0, 2)), np.zeros((0, 2)), ())
+        assert dataset.env_ids.dtype == np.int64 and dataset.env_ids.shape == (0,)
+
+    def test_x_wider_than_latents_is_refused(self):
+        wide = np.arange(8.0).reshape(2, 4)
+        with pytest.raises(ShapeError, match="^x must be as wide as latents, got 4 and 3 columns$"):
+            SyntheticDataset(2, [0, 1], self.ROWS, wide, ())
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            (dict(env_ids=["0", "1"]), DataError, "environment ids must be integers, got dtype <U1"),
+            (dict(env_ids=[True, False]), DataError, "environment ids must be integers, got dtype bool"),
+            (dict(env_ids=[2**70, 0]), DataError, "environment ids must be integers, got dtype object"),
+            (dict(num_environments=2.5), DataError, "environment count must be an integer, got float"),
+            (dict(latents=np.zeros(2)), ShapeError, "latents, x and every task block must be 2-d"),
+            (dict(y=[[1.0, 2.0]]), ShapeError, "latents, x and every task block must be 2-d"),
+            (dict(y=[object()]), DataError, "task block y1 entries must be numbers"),
+            (dict(y=["ab"]), DataError, "task block y1 entries must be numbers"),
+            (dict(y=np.zeros((1, 2, 1))), DataError, "task blocks must be a list or tuple"),
+        ],
+    )
+    def test_refusals(self, fields, error, message):
+        valid = dict(num_environments=2, env_ids=[0, 1], latents=self.ROWS, x=self.ROWS, y=())
+        with pytest.raises(error) as raised:
+            SyntheticDataset(**{**valid, **fields})
+        assert str(raised.value).startswith(message)
+
+    def test_values_are_read_once_and_float64_arrays_kept(self):
+        dataset = SyntheticDataset(np.int64(2), [0, 1], self.ROWS, self.ROWS.tolist(), [[[1.0]] * 2])
+        assert type(dataset.num_environments) is int and dataset.env_ids.dtype == np.int64
+        assert dataset.latents is self.ROWS and dataset.x.dtype == np.float64
+        assert isinstance(dataset.y, tuple) and dataset.y[0].shape == (2, 1)
 
 
 def three_task_spec() -> DgpSpec:
@@ -636,7 +723,7 @@ class TestStrtoldReader:
         monkeypatch.setattr(_csvrows, "worker_count", lambda: cpus)
         monkeypatch.setattr(_csvrows, "_PIECE_BYTES", 4096)
         assert_same_dataset(load_dataset(path), dataset)
-        assert pools == ([] if cpus == 1 else [cpus])
+        assert pools == [cpus]
 
     def test_a_late_non_canonical_piece_falls_back(self, tmp_path, monkeypatch):
         dataset = random_dataset(2000, seed=8)
@@ -728,6 +815,12 @@ class TestSpecJson:
         doc = ident_spec.to_json_dict()
         edit(doc)
         with pytest.raises(DataError, match="malformed generator spec"):
+            DgpSpec.from_json_dict(doc)
+
+    def test_empty_environment_list_rejected(self, ident_spec):
+        doc = ident_spec.to_json_dict()
+        doc["environments"] = []
+        with pytest.raises(DataError, match="^environments must be a non-empty list$"):
             DgpSpec.from_json_dict(doc)
 
     def test_unknown_keys_rejected(self, ident_spec):

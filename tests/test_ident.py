@@ -334,6 +334,11 @@ class TestEquivalenceAudit:
         with pytest.raises(CapacityError):
             equivalence_audit(5, 5)
 
+    @pytest.mark.parametrize("max_m, max_n", [(0, 2), (2, 0)])
+    def test_bounds_must_be_positive(self, max_m, max_n):
+        with pytest.raises(CapacityError, match="^audit bounds must be positive$"):
+            equivalence_audit(max_m, max_n)
+
     def test_max_identifiable_reporting(self):
         report = equivalence_audit(2, 5)
         assert report.max_identifiable_latents()[2] == 4
@@ -387,6 +392,10 @@ class TestMinTasks:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             min_tasks_for(17)
+
+    def test_latent_count_must_be_positive(self):
+        with pytest.raises(CapacityError, match="^latent count must be positive$"):
+            min_tasks_for(0)
 
 
 class TestLatentBoundConsequence:

@@ -38,6 +38,7 @@ from scm_ident import (
     ScmIdentError,
     ScmTopology,
     ShapeError,
+    SyntheticDataset,
     UnmixModel,
     as_soft_adjacency,
     build_task_latent_matrix,
@@ -48,7 +49,6 @@ from scm_ident import (
     equivalence_audit,
     export_dataset,
     fit,
-    fit_many,
     generate_dataset,
     generate_observed,
     gumbel_softmax_mask,
@@ -136,6 +136,16 @@ ENTRIES = {
         dict(F=SPEC.source_map.tolist(), B={"t1": [[1.3]], "t2": [[-0.8]]}),
     ),
     "DgpSpec.from_json_dict slope": (_leaky_spec_doc, dict(slope=0.5)),
+    "SyntheticDataset": (
+        SyntheticDataset,
+        dict(
+            num_environments=3,
+            env_ids=DATASET.env_ids.tolist(),
+            latents=DATASET.latents.tolist(),
+            x=DATASET.x.tolist(),
+            y=[block.tolist() for block in DATASET.y],
+        ),
+    ),
     "sample_latents": (
         lambda **values: sample_latents(SPEC.prior, **values),
         dict(env_index=1, count=4, seed=3),
@@ -166,10 +176,6 @@ ENTRIES = {
         dict(restarts=2, max_iters=10, min_step=1e-10, grad_tol=1e-9, seed=3),
     ),
     "fit init": (_fit_from, TRUTH),
-    "fit_many": (
-        lambda seeds: fit_many([DATASET], SPEC.topology, FitConfig(restarts=1, max_iters=1), seeds),
-        dict(seeds=[3]),
-    ),
     "recover_latents": (
         lambda x: recover_latents(UnmixModel(**TRUTH), x),
         dict(x=DATASET.x[:4].tolist()),

@@ -51,13 +51,12 @@ SEED_BYTES = 16 * 200 * 3 * 2
     "cpus, seeds, budget_seeds, jobs",
     [
         (2, 3, None, 2),  # one job per arm
-        (8, 2, None, 4),  # more CPUs than arms: min(CPUs, 2 * seeds)
-        (8, 5, None, 8),
+        (8, 3, None, 2),  # whatever the CPU count
         (2, 3, 2, 4),  # a job keeps at most 2 seeds' rows
         (2, 3, 1, 6),
     ],
 )
-def test_experiment_runs_one_job_per_arm_unless_cpus_or_bytes_ask_for_more(
+def test_experiment_runs_one_job_per_arm_unless_bytes_ask_for_more(
     monkeypatch, cpus, seeds, budget_seeds, jobs
 ):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
@@ -71,7 +70,6 @@ def test_experiment_runs_one_job_per_arm_unless_cpus_or_bytes_ask_for_more(
     report = identifiability_experiment(*specs, config, seeds=seeds, samples_per_env=200)
     assert RecordingExecutor.jobs == [jobs]
     assert RecordingExecutor.requested == [min(cpus, jobs)]
-    assert jobs >= min(cpus, 2 * seeds)
     # the split changes no outcome
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(recovery, "ARM_JOB_BYTES", 2**60)

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -37,7 +38,7 @@ from scm_ident import (
     match_permutation,
     recover_latents,
 )
-from scm_ident import _parallel, recovery
+from scm_ident import recovery
 from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import (
     SeedOutcome,
@@ -146,6 +147,21 @@ class TestMatchPermutation:
         wide = np.random.default_rng(0).standard_normal((20, 9))
         with pytest.raises(CapacityError):
             match_permutation(wide, wide)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 2)])
+    def test_no_sample_or_no_latent_is_a_shape_error(self, shape):
+        empty = np.zeros(shape)
+        with pytest.raises(ShapeError, match="^latent arrays must share a 2-d shape with a sample"):
+            match_permutation(empty, empty)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_latents_are_a_data_error(self, value):
+        latents = np.random.default_rng(0).standard_normal((20, 2))
+        bad = latents.copy()
+        bad[3, 1] = value
+        for pair in [(bad, latents), (latents, bad)]:
+            with pytest.raises(DataError, match="^latent arrays must be finite$"):
+                match_permutation(*pair)
 
     def test_mcc_values(self):
         from scm_ident.recovery import MatchResult
@@ -557,6 +573,12 @@ class TestFit:
         with pytest.raises(CapacityError):
             fit(dataset, wide, FitConfig(restarts=1))
 
+    def test_source_width_must_match_the_topology(self, ident_spec):
+        three = ScmTopology.from_rows([[1, 0, 1], [0, 1, 1]])
+        dataset = generate_dataset(ident_spec, 100, seed=0)
+        with pytest.raises(DataError, match="^dataset has 2 source columns, topology expects 3$"):
+            fit(dataset, three, FitConfig(restarts=1))
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -751,7 +773,7 @@ class TestFitMany:
     def test_equals_one_fit_per_dataset(self, rows, datasets, restarts, seed):
         spec = random_spec(rows, seed)
         config = FitConfig(restarts=restarts, max_iters=25, seed=seed)
-        seeds = [seed + d for d in range(datasets)]
+        seeds = [seed + d for d in range(datasets)]  # dataset d is fitted with config.seed + d
         data = [generate_dataset(spec, 100, s) for s in seeds]
         lone = [
             lone_fit_or_error(dataset, spec.topology, replace(config, seed=s))
@@ -760,9 +782,9 @@ class TestFitMany:
         errors = [result for result in lone if isinstance(result, type)]
         if errors:  # the batch refuses as the first refused dataset does
             with pytest.raises(errors[0]):
-                fit_many(data, spec.topology, config, seeds)
+                fit_many(data, spec.topology, config)
             return
-        together = fit_many(iter(data), spec.topology, config, seeds)
+        together = fit_many(iter(data), spec.topology, config)
         assert len(together) == datasets
         for got, want in zip(together, lone):
             assert [restart_bytes(r) for r in got.restarts] == [
@@ -770,25 +792,18 @@ class TestFitMany:
             ]
             assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
 
-    def test_datasets_may_share_the_config_seed(self, ident_spec):
-        data = [generate_dataset(ident_spec, 500, s) for s in (1, 2)]
-        config = FitConfig(restarts=2, max_iters=20, seed=5)
-        together = fit_many(data, ident_spec.topology, config, [config.seed] * 2)
-        for got, dataset in zip(together, data):
-            want = fit(dataset, ident_spec.topology, config)
-            assert [restart_bytes(r) for r in got.restarts] == [
-                restart_bytes(r) for r in want.restarts
-            ]
-
     def test_refusals(self, ident_spec):
         data = [generate_dataset(ident_spec, 100, 1)]
-        assert fit_many([], ident_spec.topology, FitConfig(), []) == []
-        with pytest.raises(ConfigError, match="^need one seed per dataset, got 2 for 1$"):
-            fit_many(data, ident_spec.topology, FitConfig(), [1, 2])
+        assert fit_many([], ident_spec.topology, FitConfig()) == []
+        last = FitConfig(restarts=1, max_iters=5, seed=np.uint64(2**64 - 1))
+        assert type(last.seed) is int  # so the next seed does not wrap to 0
+        assert len(fit_many(data, ident_spec.topology, last)) == 1
+        with pytest.raises(ConfigError, match="^seed must fit in an unsigned 64-bit integer"):
+            fit_many(data * 2, ident_spec.topology, last)  # dataset 1's seed is 2**64
         prior = ExpFamilyPrior(ident_spec.prior.means[:2], ident_spec.prior.variances[:2])
         data.append(generate_dataset(replace(ident_spec, prior=prior), 100, 2))
         with pytest.raises(DataError, match="^datasets must share one environment count, got 3 and 2"):
-            fit_many(data, ident_spec.topology, FitConfig(), [1, 2])
+            fit_many(data, ident_spec.topology, FitConfig())
 
 
 class TestStopReason:
@@ -842,6 +857,14 @@ class TestExperiment:
         with pytest.raises(ConfigError):
             identifiability_experiment(ident_spec, ident_spec, FitConfig(restarts=1), seeds=1)
 
+    @pytest.mark.parametrize("samples", [0, -1, -(10**9)])
+    def test_sample_count_must_be_positive(self, ident_spec, collide_spec, samples):
+        message = f"^sample count must be positive, got {samples}$"
+        with pytest.raises(ConfigError, match=message):
+            identifiability_experiment(
+                ident_spec, collide_spec, FitConfig(restarts=1), seeds=2, samples_per_env=samples
+            )
+
     def test_small_contrast_run(self, ident_spec, collide_spec):
         report = identifiability_experiment(
             ident_spec,
@@ -861,8 +884,8 @@ class TestExperiment:
         config = FitConfig(restarts=2, seed=2)
         kwargs = dict(config=config, seeds=2, samples_per_env=2000)
         reports = []
-        for cpus in (1, 4):  # one job per arm, and one job per seed
-            monkeypatch.setattr(_parallel.os, "cpu_count", lambda cpus=cpus: cpus)
+        for budget in (2**60, 1):  # one job per arm, and one job per seed
+            monkeypatch.setattr(recovery, "ARM_JOB_BYTES", budget)
             reports.append(identifiability_experiment(ident_spec, collide_spec, **kwargs))
         # every outcome is a lone fit of its seed, matched
         replayed = []
@@ -881,7 +904,7 @@ class TestExperiment:
 def thread_counts_around_experiment_job(spec) -> tuple[int, int]:
     """This process's thread count before and after one contrast arm job of two seeds on ``spec``."""
     before = len(os.listdir("/proc/self/task"))
-    _run_arm_job((spec, FitConfig(), 20000, range(2)))
+    _run_arm_job((spec, FitConfig(), 20000, 2))
     return before, len(os.listdir("/proc/self/task"))
 
 

@@ -114,6 +114,11 @@ class TestBernoulliMask:
         mask = sample_hard_mask(np.linspace(0.01, 0.99, 50), seed=3)
         assert set(np.unique(mask)) <= {0, 1}
 
+    @pytest.mark.parametrize("soft", [[1.5], [-0.5], [math.nan], [0.5, math.inf]])
+    def test_probabilities_outside_the_unit_interval_refused(self, soft):
+        with pytest.raises(DomainError, match=r"^probabilities must lie in \[0, 1\]$"):
+            sample_hard_mask(soft)
+
 
 class TestGumbelMask:
     def test_reproducible(self):
@@ -143,6 +148,12 @@ class TestGumbelMask:
     def test_relaxed_symmetric_at_half(self):
         sample = gumbel_softmax_mask(np.full(100_000, 0.5), temperature=1.0, seed=4)
         assert abs(sample.relaxed.mean() - 0.5) <= 0.01
+
+    def test_a_tiny_temperature_gives_the_exact_logistic_without_a_warning(self):
+        # the logits over 1e-320 pass the float range: +-inf, whose logistic is 1 or 0
+        sample = gumbel_softmax_mask(np.linspace(0.05, 0.95, 200), temperature=1e-320, seed=8)
+        want = np.where(sample.hard == 1, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0))
+        assert np.array_equal(sample.relaxed, want)
 
     def test_self_test_passes(self):
         assert mask_statistics_self_test(seed=0)["ok"]
