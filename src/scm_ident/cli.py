@@ -77,7 +77,11 @@ def _json_int(literal: str) -> int:
 
 def _load_json(path):
     with open(path) as handle:
-        return json.load(handle, parse_int=_json_int)
+        try:
+            return json.load(handle, parse_int=_json_int)
+        except RecursionError:
+            # the decoder recurses once per level of nesting
+            raise DataError(f"JSON in {path} is nested too deeply to read") from None
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -331,6 +335,9 @@ def _relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float
 # (Python 3.11, numpy 2.4, 2 x86-64 cores), so the largest request takes
 # about 18 s there.
 GRADCHECK_WORK_LIMIT = 10**10
+# gradcheck draws each entry from [margin, 1 - margin), so a step of at most
+# the margin keeps every bumped entry in [0, 1], where the losses are defined
+GRADCHECK_MARGIN = 0.05
 
 
 def _gradcheck_work(trials: int, rows: int, cols: int, alpha: int) -> int:
@@ -353,13 +360,18 @@ def cmd_gradcheck(args) -> int:
         )
     if not np.isfinite(args.step) or args.step == 0:
         raise ConfigError(f"--step must be a non-zero finite real, got {args.step}")
+    if abs(args.step) > GRADCHECK_MARGIN:
+        raise ConfigError(
+            f"--step must be at most {GRADCHECK_MARGIN} in magnitude, the distance of the"
+            f" sampled entries from 0 and 1, got {args.step}"
+        )
     if args.tol is not None and not args.tol >= 0:
         raise ConfigError(f"--tol must be a non-negative real, got {args.tol}")
     tolerance = args.tol if args.tol is not None else (1e-6 if args.alpha <= 4 else 1e-4)
     rng = stream(GRADCHECK, args.seed)
     worst = 0.0
     for _ in range(args.trials):
-        matrix = rng.uniform(0.05, 0.95, size=(args.rows, args.cols))
+        matrix = rng.uniform(GRADCHECK_MARGIN, 1 - GRADCHECK_MARGIN, size=(args.rows, args.cols))
         for value_fn, grad_fn in (
             (lambda m: uic_loss(m, args.alpha), lambda m: uic_loss_grad(m, args.alpha)),
             (lambda m: dis_loss(m, args.alpha), lambda m: dis_loss_grad(m, args.alpha)),

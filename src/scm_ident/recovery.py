@@ -137,27 +137,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Moments:
-    """Per-environment empirical moments of the joint observable vector.
+    """One dataset's per-environment empirical moments of the joint observable vector."""
 
-    One row per dataset, or, for a batch, one per restart: the moments of
-    the dataset that restart fits.
-    """
-
-    means: np.ndarray  # (rows, envs, q)
-    covariances: np.ndarray  # (rows, envs, q, q), each divided by its environment's rows
-    sizes: np.ndarray  # (rows, envs): each environment's row count
-
-    @classmethod
-    def repeated(cls, moments: list["_Moments"], repeats: int) -> "_Moments":
-        """Every row of ``moments`` ``repeats`` times over, in order."""
-
-        def rows(field: str) -> np.ndarray:
-            return np.repeat(np.concatenate([getattr(m, field) for m in moments]), repeats, axis=0)
-
-        return cls(rows("means"), rows("covariances"), rows("sizes"))
-
-    def take(self, keep: np.ndarray) -> "_Moments":
-        return _Moments(self.means[keep], self.covariances[keep], self.sizes[keep])
+    means: np.ndarray  # (envs, q)
+    covariances: np.ndarray  # (envs, q, q), each divided by its environment's rows
+    sizes: np.ndarray  # (envs,): each environment's row count
 
 
 def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +164,7 @@ def _environment_rows(dataset: SyntheticDataset) -> tuple[np.ndarray, np.ndarray
 
 
 def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
-    """Each environment's moments of ``[x, *y]``, its rows centred on its own mean, as one row.
+    """Each environment's moments of ``[x, *y]``, its rows centred on its own mean.
 
     The columns are gathered in environment order into one column-major
     buffer and centred in place there; every temporary is one column long.
@@ -201,7 +185,7 @@ def _empirical_moments(dataset: SyntheticDataset) -> _Moments:
         for j in range(i + 1):
             products = np.add.reduceat(columns[i] * columns[j], starts) / sizes
             covariances[:, i, j] = covariances[:, j, i] = products
-    return _Moments(np.ascontiguousarray(means.T)[None], covariances[None], sizes[None])
+    return _Moments(np.ascontiguousarray(means.T), covariances, sizes)
 
 
 def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
@@ -315,15 +299,26 @@ class _Layout:
 
 
 class _Batch:
-    """Models of several restarts, one flat parameter row each.
+    """Models of several restarts, one flat parameter row each, and the moments each fits.
 
     ``stacked`` (restarts, q, n), ``means`` and ``variances``
-    (restarts, envs, n) are views of the rows; see ``_Layout``.
+    (restarts, envs, n) are views of the rows; see ``_Layout``. Row r's
+    model is fitted to ``empirical_means[r]`` (envs, q) and
+    ``empirical_covariances[r]`` (envs, q, q), so one batch can fit
+    several datasets of one layout.
     """
 
-    def __init__(self, layout: _Layout, params: np.ndarray):
+    def __init__(
+        self,
+        layout: _Layout,
+        params: np.ndarray,
+        empirical_means: np.ndarray,
+        empirical_covariances: np.ndarray,
+    ):
         self.layout = layout
         self.params = params
+        self.empirical_means = empirical_means
+        self.empirical_covariances = empirical_covariances
         q, n, envs = layout.joint_rows, layout.num_latents, layout.num_environments
         restarts = params.shape[0]
         self.stacked = params[:, : q * n].reshape(restarts, q, n)
@@ -331,11 +326,17 @@ class _Batch:
         self.variances = params[:, (q + envs) * n :].reshape(restarts, envs, n)
 
     @classmethod
-    def of(cls, models: list[UnmixModel], topology: ScmTopology) -> "_Batch":
-        envs, n = models[0].env_means.shape
+    def of(cls, rows: list[tuple[UnmixModel, _Moments]], topology: ScmTopology) -> "_Batch":
+        """One row per (model, moments it fits) pair, in order."""
+        envs, n = rows[0][0].env_means.shape
         layout = _Layout(n, envs, topology.parent_indices())
-        batch = cls(layout, np.zeros((len(models), (layout.joint_rows + 2 * envs) * n)))
-        for r, model in enumerate(models):
+        batch = cls(
+            layout,
+            np.zeros((len(rows), (layout.joint_rows + 2 * envs) * n)),
+            np.stack([moments.means for _, moments in rows]),
+            np.stack([moments.covariances for _, moments in rows]),
+        )
+        for r, (model, _) in enumerate(rows):
             for index, block in zip(layout.blocks, (model.mixing, *model.task_maps)):
                 batch.stacked[r][index] = block
             batch.means[r] = model.env_means
@@ -347,38 +348,41 @@ class _Batch:
         return UnmixModel(mixing, self.means[r].copy(), self.variances[r].copy(), tuple(task_maps))
 
     def take(self, keep: np.ndarray) -> "_Batch":
-        return _Batch(self.layout, self.params[keep])
+        moments = self.empirical_means[keep], self.empirical_covariances[keep]
+        return _Batch(self.layout, self.params[keep], *moments)
+
+    def stepped(self, step: np.ndarray) -> "_Batch":
+        """A copy with ``step`` added to each row's free parameters, fitting the same moments."""
+        params = self.params.copy()
+        params[:, self.layout.free] += step
+        return _Batch(self.layout, params, self.empirical_means, self.empirical_covariances)
 
 
-@dataclass(frozen=True)
-class _Residuals:
-    """Per-environment moment residuals of a batch, kept for its next step."""
+def _residuals(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_e = W·D_e and the model-minus-empirical mean and covariance of each restart.
 
-    means: np.ndarray  # (restarts, envs, q): model minus empirical mean
-    covariances: np.ndarray  # (restarts, envs, q, q): model minus empirical covariance
-
-    def take(self, keep: np.ndarray) -> "_Residuals":
-        return _Residuals(self.means[keep], self.covariances[keep])
-
-
-def _residuals(batch: _Batch, moments: _Moments) -> tuple[np.ndarray, _Residuals]:
-    """Objective per restart (summed squared residuals) and the residuals behind it.
-
-    Every product is a stacked ``matmul`` over slices of the same shape and
-    layout as one model's, and the objective adds the environments in
-    order, so a restart's bits do not depend on the batch it is in.
+    Shapes (restarts, envs, q, n), (restarts, envs, q) and
+    (restarts, envs, q, q). Every product is a stacked ``matmul`` over
+    slices of the same shape and layout as one model's, so a restart's
+    bits do not depend on the batch it is in.
     """
     per_env = batch.stacked[:, None]
     scaled = per_env * batch.variances[..., None, :]
-    mean_resid = np.matmul(per_env, batch.means[..., None])[..., 0] - moments.means
-    cov_resid = np.matmul(scaled, per_env.swapaxes(-1, -2)) - moments.covariances
+    mean_resid = np.matmul(per_env, batch.means[..., None])[..., 0] - batch.empirical_means
+    cov_resid = np.matmul(scaled, per_env.swapaxes(-1, -2)) - batch.empirical_covariances
+    return scaled, mean_resid, cov_resid
+
+
+def _objective(batch: _Batch) -> np.ndarray:
+    """Summed squared moment residuals per restart, the environments added in order."""
+    _, mean_resid, cov_resid = _residuals(batch)
     mean_terms = np.matmul(mean_resid[..., None, :], mean_resid[..., None])[..., 0, 0]
     cov_terms = (cov_resid * cov_resid).reshape(cov_resid.shape[:2] + (-1,)).sum(axis=-1)
     terms = mean_terms + cov_terms
     objective = np.zeros(terms.shape[0])
     for e in range(terms.shape[1]):
         objective += terms[:, e]
-    return objective, _Residuals(mean_resid, cov_resid)
+    return objective
 
 
 @dataclass(frozen=True)
@@ -458,14 +462,15 @@ def _free_order(shared: np.ndarray, local: np.ndarray) -> np.ndarray:
     return np.concatenate([shared, by_environment.reshape(restarts, -1)], axis=1)
 
 
-def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
-    """JᵀJ and Jᵀr of the residuals ``_residuals`` returned for ``batch``.
+def _normal_equations(batch: _Batch) -> _NormalEquations:
+    """JᵀJ and Jᵀr of the moment residuals of each restart in ``batch``.
 
     With D_e = diag(v_e), S_e = W·D_e and w_i column i of W, environment
     e's residuals r_e = Wμ_e − m_e and R_e = W·D_e·Wᵀ − C_e move as
     ∂r_e/∂W_ab = e_a·μ_e,b, ∂r_e/∂μ_e = W, ∂R_e/∂W_ab = e_a·s_bᵀ + s_b·e_aᵀ
     (s_b column b of S_e) and ∂R_e/∂v_e,i = w_i·w_iᵀ. Their inner
-    products give each block in closed form.
+    products give each block in closed form; S_e and the residuals come
+    from ``_residuals``, as the objective's do.
     """
     layout = batch.layout
     q, n, envs = layout.joint_rows, layout.num_latents, layout.num_environments
@@ -473,7 +478,7 @@ def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
     a, b = layout.map_entries
     same_row, gathered, crossed = layout.map_pairs
     w, means = batch.stacked, batch.means
-    scaled = w[:, None] * batch.variances[..., None, :]  # S_e, (restarts, envs, q, n)
+    scaled, mean_resid, cov_resid = _residuals(batch)
     stacked_scaled = scaled.reshape(restarts, envs * q, n)
     # θ with θ: [a = a']·K_bb' + 2·Σ_e S_e[a, b']·S_e[a', b], K = Σ_e μ_e·μ_eᵀ + 2·S_eᵀ·S_e
     k = np.matmul(means.swapaxes(1, 2), means)
@@ -493,7 +498,6 @@ def _normal_equations(batch: _Batch, residuals: _Residuals) -> _NormalEquations:
     local[:, :n, :n] = gram
     local[:, n:, n:] = gram * gram
     # Jᵀr: Σ_e r_e·μ_eᵀ + (R_e + R_eᵀ)·S_e over θ, then Wᵀr_e and w_iᵀ·R_e·w_i
-    mean_resid, cov_resid = residuals.means, residuals.covariances
     symmetric = (cov_resid + cov_resid.swapaxes(-1, -2)).swapaxes(1, 2)
     shared_gradient = np.matmul(mean_resid.swapaxes(1, 2), means) + np.matmul(
         symmetric.reshape(restarts, q, envs * q), stacked_scaled
@@ -537,13 +541,11 @@ def _solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _levenberg_marquardt(
-    start: _Batch, moments: _Moments, config: FitConfig
-) -> list[RestartResult]:
+def _levenberg_marquardt(start: _Batch, config: FitConfig) -> list[RestartResult]:
     """Levenberg-Marquardt on the moment residuals of every restart in one batch.
 
-    Row r of ``moments`` holds the moments restart r fits, so one batch
-    can fit several datasets of one layout. An iteration solves
+    Each row of ``start`` carries the moments it fits, so one batch can
+    fit several datasets of one layout. An iteration solves
     (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr over the free parameters of every restart
     still running (``_NormalEquations.step``), projects each moved model
     (``_project``) and keeps it only if its objective strictly decreases;
@@ -556,17 +558,16 @@ def _levenberg_marquardt(
     bits it would reach alone, and the loop runs max(iterations) times.
     """
     batch = _project(start)
-    objective, residuals = _residuals(batch, moments)
+    objective = _objective(batch)
     damping = np.full(objective.shape, INITIAL_DAMPING)
     ids = np.arange(objective.shape[0])
     results: list[RestartResult] = [None] * ids.shape[0]  # type: ignore[list-item]
-    free = batch.layout.free
     iterations = 0
     normal: _NormalEquations | None = None
 
     def leave(mask: np.ndarray, stop_reason: str) -> bool:
         """Record and drop the restarts in ``mask``; whether there were any."""
-        nonlocal batch, moments, objective, residuals, normal, damping, ids
+        nonlocal batch, objective, normal, damping, ids
         if not mask.any():
             return False
         for i in np.flatnonzero(mask):
@@ -574,7 +575,7 @@ def _levenberg_marquardt(
                 float(objective[i]), iterations, batch.model(i), stop_reason
             )
         keep = ~mask
-        batch, moments, residuals = batch.take(keep), moments.take(keep), residuals.take(keep)
+        batch = batch.take(keep)
         if normal is not None:  # it is None after a kept step
             normal = normal.take(keep)
         objective, damping, ids = objective[keep], damping[keep], ids[keep]
@@ -582,7 +583,7 @@ def _levenberg_marquardt(
 
     for _ in range(config.max_iters):
         if normal is None:
-            normal = _normal_equations(batch, residuals)
+            normal = _normal_equations(batch)
             # the gradient changes only with the model, so only here
             leave(2.0 * np.abs(normal.half_gradient()).max(axis=1) < config.grad_tol, "grad_tol")
             if not ids.shape[0]:
@@ -594,16 +595,11 @@ def _levenberg_marquardt(
             step = step[~stopped]
             if not ids.shape[0]:
                 break
-        candidates = _Batch(batch.layout, batch.params.copy())
-        candidates.params[:, free] += step
-        candidate_objective, candidate_residuals = _residuals(_project(candidates), moments)
+        candidates = _project(batch.stepped(step))
+        candidate_objective = _objective(candidates)
         better = candidate_objective < objective
         np.copyto(batch.params, candidates.params, where=better[:, None])
         np.copyto(objective, candidate_objective, where=better)
-        np.copyto(residuals.means, candidate_residuals.means, where=better[:, None, None])
-        np.copyto(
-            residuals.covariances, candidate_residuals.covariances, where=better[:, None, None, None]
-        )
         damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
         if better.any():
             normal = None
@@ -623,7 +619,7 @@ def _data_driven_init(topology: ScmTopology, moments: _Moments) -> UnmixModel:
     rank-deficient design still gets the minimum-norm map.
     """
     n = topology.num_latents
-    (means,), (covariances,), (sizes,) = moments.means, moments.covariances, moments.sizes
+    means, covariances, sizes = moments.means, moments.covariances, moments.sizes
     avg_cov = covariances[:, :n, :n].mean(axis=0)
     jitter = 1e-10 * max(float(np.trace(avg_cov)) / n, 1.0)
     mixing = np.linalg.cholesky(avg_cov + jitter * np.eye(n))
@@ -667,10 +663,10 @@ def _random_init(
 def _starts(
     topology: ScmTopology, moments: _Moments, config: FitConfig, init: UnmixModel | None
 ) -> list[UnmixModel]:
-    """Starting model of each restart of one dataset's one-row ``moments``, in restart order."""
+    """Starting model of each restart of one dataset with ``moments``, in restart order."""
     first = init if init is not None else _data_driven_init(topology, moments)
     rng = stream(FIT_INIT, config.seed)
-    envs = moments.means.shape[1]
+    envs = moments.means.shape[0]
     return [first] + [_random_init(rng, topology, envs) for _ in range(config.restarts - 1)]
 
 
@@ -728,16 +724,14 @@ def fit_many(
         moments.append(_empirical_moments(dataset))
     if not moments:
         return []
-    starts = [
-        model
-        for d, rows in enumerate(moments)
-        for model in _starts(topology, rows, replace(config, seed=config.seed + d), init)
+    rows = [
+        (model, data)
+        for d, data in enumerate(moments)
+        for model in _starts(topology, data, replace(config, seed=config.seed + d), init)
     ]
     # an overflow leaves an objective that is not finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        restarts = _levenberg_marquardt(
-            _Batch.of(starts, topology), _Moments.repeated(moments, config.restarts), config
-        )
+        restarts = _levenberg_marquardt(_Batch.of(rows, topology), config)
     per_dataset = config.restarts
     return [_best(restarts[d : d + per_dataset]) for d in range(0, len(restarts), per_dataset)]
 
@@ -782,9 +776,15 @@ class MatchResult:
 
 
 def _standardised(latents: np.ndarray) -> np.ndarray:
-    """Each column of ``latents`` centred and scaled to unit norm, as a row of a C-ordered copy."""
+    """Each column of ``latents`` centred and scaled to unit norm, as a row of a C-ordered copy.
+
+    Each column is first brought to a largest magnitude in [0.5, 1) by a
+    power of two, so its squares neither overflow nor underflow. In the
+    normal range that scaling is exact and changes no bit of the result.
+    """
     rows = np.array(latents.T, order="C")
-    scales = np.abs(rows).max(axis=1, initial=0.0)
+    scales, exponents = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
+    np.ldexp(rows, -exponents[:, None], out=rows)
     rows -= rows.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(rows, axis=1)
     # a constant column centres to round-off of its scale, not always to zero

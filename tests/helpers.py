@@ -188,6 +188,23 @@ def brute_force_best_matching(true_latents, est_latents):
     return best_perm, best_mean
 
 
+def unscaled_standardised(latents: np.ndarray):
+    """Columns centred and scaled to unit norm, with no power-of-two rescaling first.
+
+    ``match_permutation``'s formula without its rescaling, so its squares
+    overflow near 1e155 and underflow near 1e-155; ``None`` where it finds
+    a column of zero variance.
+    """
+    rows = np.array(latents.T, order="C")
+    scales = np.abs(rows).max(axis=1, initial=0.0)
+    rows -= rows.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms <= rows.shape[1] * np.finfo(np.float64).eps * scales):
+        return None
+    rows /= norms[:, None]
+    return rows
+
+
 def enumerate_matrices(m: int, n: int):
     """All binary m x n matrices as row-tuples, in encoding order."""
     for enc in range(1 << (m * n)):

@@ -300,6 +300,22 @@ class TestLossAndGradcheck:
         assert captured.out == ""
         assert "input error" in captured.err
 
+    @pytest.mark.parametrize("step", ["0.06", "-0.06", "0.05000000000000001", "1e300"])
+    def test_gradcheck_step_beyond_the_sampling_margin_exit_two(self, capsys, step):
+        assert main(["gradcheck", "--trials", "2", f"--step={step}"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: --step must be at most 0.05 in magnitude, the distance of the"
+            f" sampled entries from 0 and 1, got {float(step)}\n"
+        )
+
+    @pytest.mark.parametrize("step", ["0.05", "-0.05"])
+    def test_gradcheck_step_at_the_sampling_margin_is_checked(self, capsys, step):
+        # a step this coarse misses the tolerance, but every bumped entry stays in [0, 1]
+        code = main(["gradcheck", "--trials", "50", f"--step={step}", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code in (0, 3) and captured.err == ""
+        assert json.loads(captured.out)["step"] == float(step)
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -1012,3 +1028,76 @@ def test_every_subcommand_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert dict(zip(commands, json.loads(run.stdout))) == dict.fromkeys(commands, 0)
+
+
+# Hostile JSON documents, each fed to every subcommand argument that reads JSON.
+HOSTILE_JSON = {
+    "deep-array": "[" * 1000 + "]" * 1000,
+    "deep-object": '{"a": ' * 1000 + "1" + "}" * 1000,
+    "list": "[1, 2]",
+    "string": '"text"',
+    "number": "3",
+    "null": "null",
+    "empty": b"",
+    "not-utf8": b"\xff\xfe{}",
+    "utf8-bom": b"\xef\xbb\xbf{}",
+    "beyond-float": "1e400",
+    "nan": "NaN",
+    "400-digits": "7" * 400,
+    "list-beyond-float": "[1e400, 2]",
+    "list-nan": "[NaN, 2]",
+}
+JSON_ENTRY_POINTS = (
+    "check",
+    "closure",
+    "loss",
+    "mask --scores",
+    "dgp-gen",
+    "recover topology",
+    "recover --config",
+    "experiment",
+)
+# the hostile documents that are valid input where they go
+VALID_JSON = {("list", "mask --scores"), ("null", "recover --config")}
+
+
+@pytest.fixture(scope="module")
+def json_entry_points(tmp_path_factory):
+    """Each of ``JSON_ENTRY_POINTS`` as a function from the document's path to a full argv."""
+    root = tmp_path_factory.mktemp("json-entry-points")
+    spec = identifiable_spec()
+    spec_path = write_json(root / "spec.json", spec.to_json_dict())
+    top_path = write_json(root / "top.json", spec.topology.to_json_dict())
+    csv_path = str(root / "data.csv")
+    assert main(["dgp-gen", spec_path, "--samples", "50", "--out", csv_path]) == 0
+    small = ["--seeds", "1", "--samples", "50"]
+    return {
+        "check": lambda path: ["check", path],
+        "closure": lambda path: ["closure", path],
+        "loss": lambda path: ["loss", path],
+        "mask --scores": lambda path: ["mask", "--scores", path],
+        "dgp-gen": lambda path: ["dgp-gen", path, "--samples", "10", "--out", str(root / "o.csv")],
+        "recover topology": lambda path: ["recover", csv_path, path],
+        "recover --config": lambda path: ["recover", csv_path, top_path, "--config", path],
+        "experiment": lambda path: ["experiment", path, spec_path, *small],
+    }
+
+
+@pytest.mark.parametrize("entry", JSON_ENTRY_POINTS)
+@pytest.mark.parametrize("document", sorted(HOSTILE_JSON))
+def test_hostile_json_gets_an_answer_or_one_input_error(
+    tmp_path, capsys, json_entry_points, entry, document
+):
+    path = tmp_path / "document.json"
+    content = HOSTILE_JSON[document]
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    capsys.readouterr()
+    code = main(json_entry_points[entry](str(path)))
+    err = capsys.readouterr().err
+    if (document, entry) in VALID_JSON:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        if document.startswith("deep"):
+            assert err.endswith(f"JSON in {path} is nested too deeply to read\n")

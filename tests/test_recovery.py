@@ -17,6 +17,7 @@ from helpers import (
     reference_data_driven_start,
     reference_moments,
     relative_gradient_error,
+    unscaled_standardised,
 )
 from scm_ident import (
     CapacityError,
@@ -46,17 +47,19 @@ from scm_ident.recovery import (
     _data_driven_init,
     _empirical_moments,
     _normal_equations,
+    _objective,
     _project,
     _residuals,
     _run_arm_job,
     _solve,
+    _standardised,
     _starts,
 )
 
 
 def objective(model: UnmixModel, topology, moments) -> float:
     """The fit objective of one model, evaluated as a batch of one."""
-    return float(_residuals(_Batch.of([model], topology), moments)[0][0])
+    return float(_objective(_Batch.of([(model, moments)], topology))[0])
 
 
 def truth_model(spec) -> UnmixModel:
@@ -142,6 +145,47 @@ class TestMatchPermutation:
         bad[:, 1] = value
         with pytest.raises(DegenerateError):
             match_permutation(latents, bad)
+
+    def test_extreme_magnitudes_match_exactly(self):
+        latents = np.random.default_rng(0).standard_normal((50, 2))
+        for k in range(-300, 301):
+            match = match_permutation(latents * 10.0**k, latents)
+            assert match.permutation == (0, 1)
+            np.testing.assert_allclose(match.per_latent_abs_corr, 1.0, rtol=0, atol=1e-12)
+
+    def test_a_huge_constant_column_is_degenerate(self):
+        latents = np.random.default_rng(0).standard_normal((50, 2))
+        bad = latents.copy()
+        bad[:, 1] = 3e200
+        with pytest.raises(DegenerateError, match="zero variance"):
+            match_permutation(latents, bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda rows: st.lists(
+                st.tuples(
+                    st.integers(-100, 99),
+                    st.lists(
+                        st.one_of(st.just(0.0), st.floats(1, 10), st.floats(-10, -1)),
+                        min_size=rows,
+                        max_size=rows,
+                    ),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_rescaling_changes_no_bit_in_the_normal_range(self, columns):
+        # column j is its digits times 10**k_j: magnitudes 0 or within [1e-100, 1e100]
+        latents = np.column_stack([np.array(digits) * 10.0**k for k, digits in columns])
+        want = unscaled_standardised(latents)
+        if want is None:
+            with pytest.raises(DegenerateError):
+                _standardised(latents)
+        else:
+            assert _standardised(latents).tobytes() == want.tobytes()
 
     def test_capacity_limit(self):
         wide = np.random.default_rng(0).standard_normal((20, 9))
@@ -262,29 +306,29 @@ def block_cases():
             yield pytest.param(spec_fn, block, id=f"{spec_fn.__name__}-{block}")
 
 
-def block_columns(model: UnmixModel, topology, block: str) -> np.ndarray:
+def block_columns(batch, block: str) -> np.ndarray:
     """The free-parameter columns of one block's entries, shaped like the block."""
-    batch = _Batch.of([model], topology)
-    positions = _Batch(batch.layout, np.arange(batch.params.shape[1], dtype=float)[None])
+    positions = batch.take([0])
+    positions.params[0] = np.arange(batch.params.shape[1])
     full = block_value(positions.model(0), block).astype(int)
     return np.searchsorted(batch.layout.free, full)
 
 
-def residual_vector(residuals) -> np.ndarray:
+def residual_vector(batch) -> np.ndarray:
     """The first restart's residuals: per environment the mean's, then the covariance's."""
-    means, covariances = residuals.means[0], residuals.covariances[0]
+    _, means, covariances = (part[0] for part in _residuals(batch))
     return np.concatenate([means, covariances.reshape(means.shape[0], -1)], axis=1).ravel()
 
 
-def numeric_jacobian(batch, moments) -> np.ndarray:
+def numeric_jacobian(batch) -> np.ndarray:
     """Central differences of the first restart's residual vector in every free parameter."""
     columns = []
     for position in batch.layout.free:
         values = []
         for delta in (1e-6, -1e-6):
-            bumped = _Batch(batch.layout, batch.params[:1].copy())
+            bumped = batch.take([0])
             bumped.params[0, position] += delta
-            values.append(residual_vector(_residuals(bumped, moments)[1]))
+            values.append(residual_vector(bumped))
         columns.append((values[0] - values[1]) / 2e-6)
     return np.column_stack(columns)
 
@@ -313,31 +357,30 @@ class TestFitGradient:
     @pytest.mark.parametrize("spec_fn, block", list(block_cases()))
     def test_normal_equations_match_central_difference(self, spec_fn, block):
         spec, moments, model = self.case(spec_fn)
-        batch = _Batch.of([model], spec.topology)
-        residuals = _residuals(batch, moments)[1]
-        matrix, half_gradient = dense_normal_equations(_normal_equations(batch, residuals))
-        jacobian = numeric_jacobian(batch, moments)
-        columns = block_columns(model, spec.topology, block).ravel()
+        batch = _Batch.of([(model, moments)], spec.topology)
+        matrix, half_gradient = dense_normal_equations(_normal_equations(batch))
+        jacobian = numeric_jacobian(batch)
+        columns = block_columns(batch, block).ravel()
         # every free entry moves the residuals
         assert np.abs(jacobian[:, columns]).max(axis=0).min() > 1e-3
         # every row of the block's columns, the zeros between environments included
         want = jacobian.T @ jacobian[:, columns]
         assert relative_gradient_error(matrix[:, columns], want) < 1e-7
-        want = jacobian[:, columns].T @ residual_vector(residuals)
+        want = jacobian[:, columns].T @ residual_vector(batch)
         assert relative_gradient_error(half_gradient[columns], want) < 1e-7
 
     @pytest.mark.parametrize("spec_fn, block", list(block_cases()))
     def test_gradient_matches_central_difference(self, spec_fn, block):
         spec, moments, model = self.case(spec_fn)
-        batch = _Batch.of([model], spec.topology)
-        normal = _normal_equations(batch, _residuals(batch, moments)[1])
+        batch = _Batch.of([(model, moments)], spec.topology)
+        normal = _normal_equations(batch)
         gradient = 2.0 * normal.half_gradient()[0]
         numeric = central_difference(
             lambda value: objective(with_block(model, block, value), spec.topology, moments),
             block_value(model, block),
         )
         assert np.abs(numeric).max() > 1e-3  # the check is not vacuous
-        analytic = gradient[block_columns(model, spec.topology, block)]
+        analytic = gradient[block_columns(batch, block)]
         assert relative_gradient_error(analytic, numeric) < 1e-6
 
     @pytest.mark.parametrize(
@@ -345,8 +388,9 @@ class TestFitGradient:
     )
     def test_step_solves_the_damped_normal_equations(self, spec_fn):
         spec, moments, model = self.case(spec_fn)
-        batch = _Batch.of([model, perturbed_truth(spec, seed=14)], spec.topology)
-        normal = _normal_equations(batch, _residuals(batch, moments)[1])
+        models = [model, perturbed_truth(spec, seed=14)]
+        batch = _Batch.of([(m, moments) for m in models], spec.topology)
+        normal = _normal_equations(batch)
         damping = np.array([1e-3, 10.0])
         step, solved = normal.step(damping)
         assert solved.all()
@@ -358,7 +402,7 @@ class TestFitGradient:
 
     @staticmethod
     def count_calls(monkeypatch) -> dict:
-        calls = {"project": 0, "residuals": 0, "normal_equations": 0}
+        calls = {"project": 0, "objective": 0, "normal_equations": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -377,7 +421,7 @@ class TestFitGradient:
         result = fit(dataset, ident_spec.topology, FitConfig(restarts=1, max_iters=5, seed=9))
         assert result.restarts[0].iterations == 5
         # the start, then one projected and evaluated candidate per iteration
-        assert calls["residuals"] == calls["project"] == 6
+        assert calls["objective"] == calls["project"] == 6
         assert calls["normal_equations"] == 5
 
     def test_restarts_share_each_gradient_evaluation(self, ident_spec, monkeypatch):
@@ -388,20 +432,20 @@ class TestFitGradient:
         assert iterations > 3 and "max_iters" not in {r.stop_reason for r in result.restarts}
         # the batch moves in lock step: one normal-equation pass and one candidate batch
         # per iteration, not per restart; the last pass finds every remaining restart done
-        assert calls["residuals"] == calls["project"] == iterations + 1
+        assert calls["objective"] == calls["project"] == iterations + 1
         assert calls["normal_equations"] == iterations + 1
 
     def test_normal_equations_rebuilt_only_after_a_kept_step(self, collide_spec, monkeypatch):
         calls = self.count_calls(monkeypatch)
         objectives = []
-        counted = recovery._residuals
+        counted = recovery._objective
 
         def recorded(*args):
-            objective, residuals = counted(*args)
+            objective = counted(*args)
             objectives.append(float(objective[0]))
-            return objective, residuals
+            return objective
 
-        monkeypatch.setattr(recovery, "_residuals", recorded)
+        monkeypatch.setattr(recovery, "_objective", recorded)
         dataset = generate_dataset(collide_spec, 2000, seed=4)
         result = fit(dataset, collide_spec.topology, FitConfig(restarts=1, seed=4))
         restart = result.restarts[0]
@@ -427,10 +471,10 @@ class TestEmpiricalMoments:
         if interleaved:
             env_ids = np.random.default_rng(2).permutation(env_ids)
         dataset = replace(dataset, num_environments=environments, env_ids=env_ids)
-        moments = _empirical_moments(dataset)  # one row: this dataset's
+        moments = _empirical_moments(dataset)
         want_means, want_covariances = reference_moments(dataset)
-        np.testing.assert_allclose(moments.means[0], want_means, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(moments.covariances[0], want_covariances, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.means, want_means, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.covariances, want_covariances, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -713,11 +757,12 @@ class TestBatchedDescent:
         models[2].task_maps = (np.array([[0.5, -1.0], [-0.5, 1.0 + 1e-13]]),)
         reprojected, reproject = [], recovery._reproject
         monkeypatch.setattr(recovery, "_reproject", lambda m: reprojected.append(m) or reproject(m))
-        together = _project(_Batch.of(models, collide_spec.topology))
+        moments = _empirical_moments(generate_dataset(collide_spec, 100, seed=0))
+        together = _project(_Batch.of([(m, moments) for m in models], collide_spec.topology))
         flagged = [m.tobytes() for m in reprojected]
         assert flagged == [models[1].mixing.tobytes(), models[2].task_maps[0].tobytes()]
         for r, model in enumerate(models):
-            alone = _project(_Batch.of([model], collide_spec.topology))
+            alone = _project(_Batch.of([(model, moments)], collide_spec.topology))
             assert together.params[r].tobytes() == alone.params[0].tobytes()
 
     def test_a_singular_slice_gets_no_step_and_leaves_the_others_alone(self):
