@@ -66,22 +66,27 @@ EXIT_INTERNAL = 4
 
 
 def _json_int(literal: str) -> int:
-    value = int(literal)
     try:
+        value = int(literal)  # refuses only literals past Python's digit limit
         float(value)
-    except OverflowError:
+    except (ValueError, OverflowError):
         digits = len(literal.lstrip("-"))
-        raise DataError(f"JSON integer with {digits} digits is beyond the float range") from None
+        raise DataError(f"integer with {digits} digits, beyond the float range") from None
     return value
 
 
 def _load_json(path):
-    with open(path) as handle:
+    """The document in the UTF-8 JSON file ``path``; one that does not decode is a ``DataError``."""
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_int=_json_int)
         except RecursionError:
             # the decoder recurses once per level of nesting
             raise DataError(f"JSON in {path} is nested too deeply to read") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"JSON in {path} does not decode: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"JSON in {path} holds an {exc}") from None
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -94,7 +99,7 @@ def _emit(args, payload: dict, text_lines) -> None:
         rendered = "\n".join(text_lines) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w") as handle:
+        with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(rendered)
     else:
         sys.stdout.write(rendered)
@@ -473,8 +478,7 @@ def cmd_dgp_gen(args) -> int:
     return EXIT_OK
 
 
-def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_override):
-    data = {} if data is None else data
+def _fit_config_from_json(data: dict, topology: ScmTopology, seed_override):
     check_keys(data, "fit config", {f.name for f in dataclasses.fields(FitConfig)} | {"init"})
     data = dict(data)
     init = None
@@ -493,7 +497,7 @@ def _fit_config_from_json(data: dict | None, topology: ScmTopology, seed_overrid
 def cmd_recover(args) -> int:
     dataset = load_dataset(args.data)
     topology = _load_topology(args.topology)
-    config_doc = _load_json(args.config) if args.config else None
+    config_doc = _load_json(args.config) if args.config else {}
     config, init = _fit_config_from_json(config_doc, topology, args.seed)
     result = fit(dataset, topology, config, init=init)
     estimated = recover_latents(result.model, dataset.x)
@@ -524,7 +528,7 @@ def cmd_recover(args) -> int:
 def cmd_experiment(args) -> int:
     spec_ident = _load_spec(args.spec_ident)
     spec_collide = _load_spec(args.spec_collide)
-    config_doc = _load_json(args.config) if args.config else None
+    config_doc = _load_json(args.config) if args.config else {}
     if isinstance(config_doc, dict) and "init" in config_doc:
         # one init cannot match both arms' topologies
         raise ConfigError("fit config key 'init' is for recover only, not experiment")
@@ -678,7 +682,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     # a request too large to allocate is bad input, not a verdict
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

@@ -42,7 +42,6 @@ AUDIT_CELL_LIMIT = 20
 # printing them is what it bounds: ``closure --format json`` writes about
 # 28 MB for 16 atoms of 64 latents.
 CLOSURE_MEMBER_LIMIT = 1 << 16
-MIN_TASKS_LATENT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -296,15 +295,14 @@ def min_tasks_for(n_latents: int) -> MinTasksResult:
     in ``{0,1}**m``, so the answer is the smallest m with 2**m at least
     ``n_latents``. The returned witness uses the lowest column patterns
     (the all-zero column included) and is verified against the agreement
-    decider.
+    decider. ``n_latents`` is at most ``MAX_LATENTS``, the deciders' own
+    limit.
     """
     n_latents = read_int(n_latents, CapacityError, "latent count")
     if n_latents < 1:
         raise CapacityError("latent count must be positive")
-    if n_latents > MIN_TASKS_LATENT_LIMIT:
-        raise CapacityError(
-            f"witness search supports at most {MIN_TASKS_LATENT_LIMIT} latents, got {n_latents}"
-        )
+    if n_latents > MAX_LATENTS:
+        raise CapacityError(f"witness supports at most {MAX_LATENTS} latents, got {n_latents}")
     m = max(1, (n_latents - 1).bit_length())
     rows = [[(pattern >> k) & 1 for pattern in range(n_latents)] for k in range(m)]
     witness = ScmTopology.from_rows(rows)

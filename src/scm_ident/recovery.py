@@ -250,14 +250,6 @@ class _Layout:
         return self.num_latents + sum(len(p) for p in self.parent_indices)
 
     @cached_property
-    def fixed(self) -> np.ndarray:
-        """(q, n) mask of the joint-map entries held at zero."""
-        fixed = np.ones((self.joint_rows, self.num_latents), dtype=bool)
-        for index in self.blocks:
-            fixed[index] = False
-        return fixed
-
-    @cached_property
     def sides(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The square blocks of each nonzero side as one stacked row and column index.
 
@@ -274,15 +266,24 @@ class _Layout:
         )
 
     @cached_property
-    def free(self) -> np.ndarray:
-        """Positions in a parameter row of the entries the fit moves: all but the fixed zeros."""
-        latent_moments = np.ones(2 * self.num_environments * self.num_latents, dtype=bool)
-        return np.flatnonzero(np.concatenate([~self.fixed.ravel(), latent_moments]))
+    def map_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column in the joint map of each entry not held at zero, row by row."""
+        moved = np.zeros((self.joint_rows, self.num_latents), dtype=bool)
+        for index in self.blocks:
+            moved[index] = True
+        return np.nonzero(moved)
 
     @cached_property
-    def map_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column in the joint map of each free entry, in ``free`` order."""
-        return np.nonzero(~self.fixed)
+    def free(self) -> np.ndarray:
+        """Positions in a parameter row of the entries the fit moves, in the order it solves them.
+
+        The joint-map entries of ``map_entries``, then the means, then the
+        variances, each latent by latent and, within a latent, environment
+        by environment.
+        """
+        (a, b), n, envs = self.map_entries, self.num_latents, self.num_environments
+        moments = np.arange(2 * envs * n).reshape(2, envs, n).swapaxes(1, 2)
+        return np.concatenate([a * n + b, self.joint_rows * n + moments.ravel()])
 
     @cached_property
     def map_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,10 +392,12 @@ class _NormalEquations:
 
     The free joint-map entries θ move every environment's residuals, while
     environment e's latent means and variances φ_e = (μ_e, v_e) move only
-    its own, so JᵀJ is block-arrow: ``shared`` (θ with θ), ``cross`` (φ_e
-    with θ, one block per environment) and ``local`` (φ_e with φ_e, the
-    same for every environment, with no μ-v coupling). Everything grows
-    linearly with the environments.
+    its own, so JᵀJ is block-arrow: ``shared`` (θ with θ), ``crossed``
+    (θ with each φ_e) and ``local`` (φ_e with φ_e, the same for every
+    environment, with no μ-v coupling). Everything grows linearly with the
+    environments. In ``_Layout.free`` order the blocks are the dense
+    system as they stand: JᵀJ = [[shared, crossed], [crossedᵀ, local ⊗ I_envs]]
+    and Jᵀr = ``half_gradient()``.
     """
 
     shared: np.ndarray  # (restarts, p, p)
@@ -403,21 +406,11 @@ class _NormalEquations:
     rhs: np.ndarray  # (restarts, 2n, envs, p + 1)
     shared_gradient: np.ndarray  # (restarts, p): Jᵀr over θ
 
-    @property
-    def cross(self) -> np.ndarray:
-        """X_eᵀ side by side, (restarts, 2n, envs, p)."""
-        return self.rhs[..., :-1]
-
-    @property
-    def local_gradient(self) -> np.ndarray:
-        """Jᵀr over each φ_e, (restarts, 2n, envs)."""
-        return self.rhs[..., -1]
-
     @cached_property
     def crossed(self) -> np.ndarray:
-        """[X_1 … X_envs] per restart, (restarts, p, 2n·envs)."""
-        restarts, width, envs, p = self.cross.shape
-        return self.cross.reshape(restarts, width * envs, p).swapaxes(1, 2)
+        """θ with φ per restart, (restarts, p, 2n·envs), its columns in ``_Layout.free`` order."""
+        restarts, width, envs, columns = self.rhs.shape
+        return self.rhs[..., :-1].reshape(restarts, width * envs, columns - 1).swapaxes(1, 2)
 
     def take(self, keep: np.ndarray) -> "_NormalEquations":
         return _NormalEquations(
@@ -426,17 +419,19 @@ class _NormalEquations:
 
     def half_gradient(self) -> np.ndarray:
         """Jᵀr per restart over the free parameters, in ``_Layout.free`` order."""
-        return _free_order(self.shared_gradient, self.local_gradient)
+        local_gradient = self.rhs[..., -1].reshape(self.rhs.shape[0], -1)
+        return np.concatenate([self.shared_gradient, local_gradient], axis=1)
 
     def step(self, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """δ with (JᵀJ + λ·diag JᵀJ)·δ = −Jᵀr per restart, and which restarts had one.
 
         The φ_e are eliminated first (a Schur complement): with the damped
         blocks U, X_e and V, (U − Σ_e X_e·V⁻¹·X_eᵀ)·δθ = −g_θ + Σ_e X_e·V⁻¹·g_e
-        and δφ_e = −V⁻¹·(g_e + X_eᵀ·δθ). A restart with an exactly
-        singular system gets δ = 0.
+        and δφ_e = −V⁻¹·(g_e + X_eᵀ·δθ). δ is in ``_Layout.free`` order. A
+        restart with an exactly singular system gets δ = 0.
         """
-        restarts, width, envs, p = self.cross.shape
+        restarts, width, envs, columns = self.rhs.shape
+        p = columns - 1
         scale = 1.0 + damping[:, None]
         local, shared = self.local.copy(), self.shared.copy()
         local[:, range(width), range(width)] *= scale
@@ -450,16 +445,8 @@ class _NormalEquations:
         shared_step, solved = _solve(reduced, (folded - self.shared_gradient)[..., None])
         local_step = -eliminated[..., p] - np.matmul(eliminated[..., :p], shared_step[:, None])[..., 0]
         solved &= local_solved
-        step = _free_order(shared_step[..., 0], local_step)
+        step = np.concatenate([shared_step[..., 0], local_step.reshape(restarts, -1)], axis=1)
         return np.where(solved[:, None], step, 0.0), solved
-
-
-def _free_order(shared: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """θ-part (restarts, p) and φ-part (restarts, 2n, envs) as rows in ``_Layout.free`` order."""
-    restarts, width, envs = local.shape
-    # means then variances, each environment by environment
-    by_environment = local.reshape(restarts, 2, width // 2, envs).swapaxes(2, 3)
-    return np.concatenate([shared, by_environment.reshape(restarts, -1)], axis=1)
 
 
 def _normal_equations(batch: _Batch) -> _NormalEquations:

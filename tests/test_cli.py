@@ -842,7 +842,8 @@ def test_integer_beyond_float_range_exit_two(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "input error: JSON integer with 401 digits is beyond the float range\n"
+    message = f"JSON in {argv[-1]} holds an integer with 401 digits, beyond the float range"
+    assert err == f"input error: {message}\n"
 
 
 @pytest.fixture
@@ -980,7 +981,7 @@ class TestDeterminism:
 
 
 # calls cli.main once per command line in its argv, each with stdout discarded,
-# and prints the exit codes; run under -W error -X dev
+# and prints the exit codes; run under -W error -X dev -X warn_default_encoding
 SMOKE_SCRIPT = """
 import contextlib, io, json, sys
 from scm_ident.cli import main
@@ -993,7 +994,11 @@ print(json.dumps(codes))
 
 
 def test_every_subcommand_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
-    """One process under ``-W error -X dev``: no warning, ResourceWarning included, reaches stderr."""
+    """One process under ``-W error -X dev``: no warning, ResourceWarning included, reaches stderr.
+
+    ``-X warn_default_encoding`` makes a text-mode ``open`` without an
+    encoding, whose bytes would follow the host's locale, one more warning.
+    """
     ident, collide = identifiable_spec(), colliding_spec()
     top = write_json(tmp_path / "top.json", ident.topology.to_json_dict())
     ident_path = write_json(tmp_path / "ident.json", ident.to_json_dict())
@@ -1001,6 +1006,7 @@ def test_every_subcommand_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_
     csv_path = str(tmp_path / "data.csv")
     commands = {
         "check": ["check", top],
+        "check --out": ["check", top, "--format", "json", "--out", str(tmp_path / "check.json")],
         "closure": ["closure", top, "--trace"],
         "enumerate": ["enumerate", "--m", "2", "--n", "2"],
         "loss": ["loss", write_json(tmp_path / "matrix.json", [[1, 0.5], [0, 1]])],
@@ -1019,7 +1025,8 @@ def test_every_subcommand_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_
     package_root = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])
     run = subprocess.run(
-        [sys.executable, "-W", "error", "-X", "dev", "-c", SMOKE_SCRIPT,
+        [sys.executable, "-W", "error", "-X", "dev", "-X", "warn_default_encoding",
+         "-c", SMOKE_SCRIPT,
          json.dumps(list(commands.values()))],
         capture_output=True,
         text=True,
@@ -1044,6 +1051,7 @@ HOSTILE_JSON = {
     "beyond-float": "1e400",
     "nan": "NaN",
     "400-digits": "7" * 400,
+    "5000-digits": "7" * 5000,
     "list-beyond-float": "[1e400, 2]",
     "list-nan": "[NaN, 2]",
 }
@@ -1058,7 +1066,11 @@ JSON_ENTRY_POINTS = (
     "experiment",
 )
 # the hostile documents that are valid input where they go
-VALID_JSON = {("list", "mask --scores"), ("null", "recover --config")}
+VALID_JSON = {("list", "mask --scores")}
+# the documents refused while the file is decoded, before any reader sees them
+UNDECODABLE_JSON = {
+    "deep-array", "deep-object", "empty", "not-utf8", "utf8-bom", "400-digits", "5000-digits"
+}
 
 
 @pytest.fixture(scope="module")
@@ -1099,5 +1111,10 @@ def test_hostile_json_gets_an_answer_or_one_input_error(
     else:
         assert code == 2
         assert err.startswith("input error: ") and err.count("\n") == 1
+        if document in UNDECODABLE_JSON:
+            assert f"JSON in {path} " in err
+        assert "7" * 40 not in err  # no digits of a long integer
         if document.startswith("deep"):
             assert err.endswith(f"JSON in {path} is nested too deeply to read\n")
+        if entry == "recover --config" and document in {"list", "string", "number", "null"}:
+            assert err == "input error: fit config must be a JSON object\n"

@@ -296,6 +296,9 @@ class TestSyntheticDataset:
             (dict(y=[object()]), DataError, "task block y1 entries must be numbers"),
             (dict(y=["ab"]), DataError, "task block y1 entries must be numbers"),
             (dict(y=np.zeros((1, 2, 1))), DataError, "task blocks must be a list or tuple"),
+            (dict(y=[[[1.0]] * 3]), ShapeError, "all task arrays must have one row per sample"),
+            (dict(env_ids=[0, 2]), DataError, "sample environment id outside the configured range"),
+            (dict(env_ids=[-1, 0]), DataError, "sample environment id outside the configured range"),
         ],
     )
     def test_refusals(self, fields, error, message):

@@ -384,14 +384,14 @@ class TestMinTasks:
         assert min_tasks_for(5).num_tasks == 3
 
     def test_witness_is_identifiable(self):
-        for n in range(1, 17):
+        for n in range(1, 65):
             result = min_tasks_for(n)
             assert uic_check(result.witness)
             assert 1 << (result.num_tasks - 1) < n <= 1 << result.num_tasks or n == 1
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            min_tasks_for(17)
+        with pytest.raises(CapacityError, match="^witness supports at most 64 latents, got 65$"):
+            min_tasks_for(65)
 
     def test_latent_count_must_be_positive(self):
         with pytest.raises(CapacityError, match="^latent count must be positive$"):

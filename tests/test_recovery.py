@@ -311,7 +311,9 @@ def block_columns(batch, block: str) -> np.ndarray:
     positions = batch.take([0])
     positions.params[0] = np.arange(batch.params.shape[1])
     full = block_value(positions.model(0), block).astype(int)
-    return np.searchsorted(batch.layout.free, full)
+    column = np.empty(batch.params.shape[1], dtype=int)
+    column[batch.layout.free] = np.arange(batch.layout.free.size)
+    return column[full]
 
 
 def residual_vector(batch) -> np.ndarray:
@@ -335,15 +337,11 @@ def numeric_jacobian(batch) -> np.ndarray:
 
 def dense_normal_equations(normal, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Restart r's JᵀJ and Jᵀr from the blocks, as dense arrays in ``_Layout.free`` order."""
-    _, width, envs, p = normal.cross.shape
-    n = width // 2
-    matrix = np.zeros((p + envs * width,) * 2)
-    matrix[:p, :p] = normal.shared[r]
-    for e in range(envs):
-        local = p + np.r_[e * n : (e + 1) * n, (envs + e) * n : (envs + e + 1) * n]
-        matrix[local, :p] = normal.cross[r, :, e]
-        matrix[:p, local] = normal.cross[r, :, e].T
-        matrix[np.ix_(local, local)] = normal.local[r]
+    envs = normal.rhs.shape[2]
+    crossed = normal.crossed[r]
+    matrix = np.block(
+        [[normal.shared[r], crossed], [crossed.T, np.kron(normal.local[r], np.eye(envs))]]
+    )
     return matrix, normal.half_gradient()[r]
 
 

@@ -42,6 +42,19 @@ class TestValidation:
             top.adjacency[0, 0] = 0
 
 
+class TestEquality:
+    def test_equal_topologies_hash_equal_and_a_set_keeps_one(self):
+        a = ScmTopology.from_rows([[1, 0], [1, 1]])
+        b = ScmTopology(2, 2, [[1, 0], [1, 1]])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, ScmTopology.from_rows([[1, 1], [1, 0]])}) == 2
+
+    def test_a_non_topology_is_not_equal(self):
+        top = ScmTopology.from_rows([[1, 0], [0, 1]])
+        assert top.__eq__(object()) is NotImplemented
+        assert not top == object() and top != object()
+
+
 class TestParentsAndChildren:
     def test_parent_row_read(self):
         top = ScmTopology.from_rows([[1, 1, 0], [0, 1, 1]])
