@@ -280,7 +280,7 @@ def parse_rows(data: bytes, start: int, width: int):
     on every line, the first two of digits only with values below 10**18,
     and floats that ``strtold`` reads to their end; None also on hosts
     without x87 extended precision. Pieces of about ``_PIECE_BYTES`` run
-    on one thread per CPU.
+    on one thread per CPU this process may run on.
     """
     if not _X87 or width < 3 or len(data) <= start or data[-1] != ord("\n"):
         return None

@@ -482,10 +482,10 @@ def load_dataset(path) -> SyntheticDataset:
     canonical form (see :func:`scm_ident._csvrows.parse_rows`: only
     digits, ``, . - + e E`` and newlines, a final newline, every line of
     the header's width, env and sample cells of digits below 10**18) is
-    parsed by ``strtold`` on one thread per CPU, and each cell whose
-    rounding through the 64-bit significand could differ (a midpoint
-    between two doubles, or outside the normal double range) is read
-    again with ``float``. Any other file goes through ``np.loadtxt``;
+    parsed by ``strtold`` on one thread per CPU this process may run on,
+    and each cell whose rounding through the 64-bit significand could
+    differ (a midpoint between two doubles, or outside the normal double
+    range) is read again with ``float``. Any other file goes through ``np.loadtxt``;
     both give the same arrays and the same errors.
     """
     with open(read_path(path, DataError, "dataset"), "rb") as handle:

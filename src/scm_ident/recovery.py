@@ -905,10 +905,12 @@ def identifiability_experiment(
 
     Per-seed data and fit seeds are ``config.seed + s``. Each arm's seeds
     are fitted in one ``fit_many`` batch per job (see ``_arm_jobs``: one
-    job per arm unless the memory budget calls for more). The jobs run in
-    worker processes, one per CPU and at most one per job, and are merged
-    back in seed order; every outcome has the bits of a lone ``fit`` of
-    its seed.
+    job per arm unless the memory budget calls for more). On Linux the
+    jobs run in child processes forked for this call, one per CPU this
+    process may run on and at most one per job, all reaped before it
+    returns or raises; elsewhere they run in this process. Outcomes are
+    merged back in seed order, and every one has the bits of a lone
+    ``fit`` of its seed.
     """
     if read_int(seeds, ConfigError, "seeds") < 1:
         raise ConfigError("need at least one seed")

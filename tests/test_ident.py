@@ -356,7 +356,7 @@ class TestEquivalenceAudit:
             raise AssertionError("the audit started a process")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(_parallel.os, "fork", refuse)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         report = equivalence_audit(3, 5)
         assert report.total_matrices == report.agreements == 38874

@@ -1,8 +1,6 @@
 import math
-import multiprocessing
 import os
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +37,7 @@ from scm_ident import (
     match_permutation,
     recover_latents,
 )
-from scm_ident import recovery
+from scm_ident import _parallel, recovery
 from scm_ident.dgp import singular_ratio
 from scm_ident.recovery import (
     SeedOutcome,
@@ -952,14 +950,14 @@ def thread_counts_around_experiment_job(spec) -> tuple[int, int]:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_experiment_jobs_start_no_thread_in_a_forked_worker():
-    """A contrast job leaves a freshly forked pool worker with its one thread.
+def test_experiment_jobs_start_no_thread_in_a_forked_worker(monkeypatch):
+    """A contrast job leaves the worker ``parallel_map`` forks for it with its one thread.
 
     A LAPACK call over all the rows would make OpenBLAS start a helper
     thread in the worker, which spins on the CPU the other worker needs.
     """
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(1, mp_context=context) as pool:
-        specs = [identifiable_spec(), colliding_spec()]
-        counts = list(pool.map(thread_counts_around_experiment_job, specs))
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    specs = [identifiable_spec(), colliding_spec()]
+    counts = _parallel.parallel_map(thread_counts_around_experiment_job, specs)
     assert counts == [(1, 1), (1, 1)]
