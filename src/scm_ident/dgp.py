@@ -54,7 +54,7 @@ def _frozen(value, name: str) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpFamilyPrior:
     """Per-environment Gaussian latent priors.
 
@@ -113,7 +113,7 @@ class ExpFamilyPrior:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgpSpec:
     """Complete recipe for one synthetic dataset.
 
@@ -234,7 +234,7 @@ def _noise_from_json(noise, num_latents: int, parent_counts):
     return x_std, tuple(broadcast(value, p) for value, p in zip(y_std, parent_counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Generated samples with ground-truth latents retained.
 
@@ -382,7 +382,7 @@ def generate_dataset(spec: DgpSpec, samples_per_env: int, seed: int) -> Syntheti
     return SyntheticDataset(spec.prior.num_environments, env_ids, latents, x, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarietyReport:
     """Environment-diversity check on the natural parameters.
 

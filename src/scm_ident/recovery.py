@@ -52,9 +52,9 @@ INITIAL_DAMPING = 1e-3
 DAMPING_DOWN = 3.0
 DAMPING_UP = 4.0
 # bytes of latents and x one experiment job keeps until its batch is fitted
-# (10 seeds of 3 x 20,000 two-latent rows take 19.2 MB). A worker's peak RSS
-# grows by 1.31 bytes per kept byte, so the budget lets a job at most double
-# the 38.5 MB peak of a worker fitting one such seed
+# (10 seeds of 3 x 20,000 two-latent rows take 19.2 MB). A forked worker's
+# peak RSS grows by 1.36 bytes per kept byte, so the budget lets a job about
+# double the 38.1 MB peak of a worker fitting one such seed
 ARM_JOB_BYTES = 29 * 10**6
 
 
@@ -94,7 +94,7 @@ class FitConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))  # an int, so seed + d never wraps
 
 
-@dataclass
+@dataclass(eq=False)
 class UnmixModel:
     """Estimated generator: forward mixing map plus per-env latent moments.
 
@@ -112,7 +112,7 @@ class UnmixModel:
         return singular_ratio(self.mixing)
 
 
-@dataclass
+@dataclass(eq=False)
 class RestartResult:
     """One restart's final model and objective.
 
@@ -128,14 +128,14 @@ class RestartResult:
     stop_reason: str
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     model: UnmixModel
     objective: float
     restarts: list[RestartResult]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Moments:
     """One dataset's per-environment empirical moments of the joint observable vector."""
 
@@ -196,6 +196,8 @@ def _check_dataset(dataset: SyntheticDataset, topology: ScmTopology) -> None:
         raise DataError(
             f"dataset has {dataset.x.shape[1]} source columns, topology expects {n}"
         )
+    if dataset.num_environments < 1:
+        raise DataError("dataset has no environments to fit")
     # a task without parents adds no columns, so the CSV form drops its
     # block when no later task has parents
     parents = topology.parent_indices()
@@ -386,7 +388,7 @@ def _objective(batch: _Batch) -> np.ndarray:
     return objective
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _NormalEquations:
     """JᵀJ and Jᵀr of each restart's residuals, block by block, J never formed.
 

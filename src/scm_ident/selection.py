@@ -86,7 +86,7 @@ def sample_hard_mask(soft, seed: int = 0) -> np.ndarray:
     return (uniforms(MASK_BERNOULLI, seed, probs.shape[0]) < probs).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GumbelMaskSample:
     """Relaxed and hard outputs of one Gumbel-softmax draw.
 

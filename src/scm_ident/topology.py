@@ -57,11 +57,10 @@ class ScmTopology:
 
     num_tasks: int
     num_latents: int
-    adjacency: np.ndarray
+    adjacency: np.ndarray = field(compare=False)  # compared through _row_masks
     latent_names: tuple[str, ...] | None = None
     task_names: tuple[str, ...] | None = None
-    _column_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _row_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _row_masks: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = read_int(self.num_tasks, ShapeError, "num_tasks")
@@ -78,29 +77,12 @@ class ScmTopology:
             raise DomainError(f"adjacency entries must be exactly 0 or 1, found {bad!r}")
         adjacency = values.astype(np.int8)
         adjacency.setflags(write=False)
+        object.__setattr__(self, "num_tasks", m)
+        object.__setattr__(self, "num_latents", n)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(
-            self, "latent_names", _normalize_names(self.latent_names, self.num_latents, "latent")
-        )
-        object.__setattr__(
-            self, "task_names", _normalize_names(self.task_names, self.num_tasks, "task")
-        )
-        object.__setattr__(self, "_column_masks", _bit_masks(adjacency.T))
+        object.__setattr__(self, "latent_names", _normalize_names(self.latent_names, n, "latent"))
+        object.__setattr__(self, "task_names", _normalize_names(self.task_names, m, "task"))
         object.__setattr__(self, "_row_masks", _bit_masks(adjacency))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScmTopology):
-            return NotImplemented
-        return (
-            self.num_tasks == other.num_tasks
-            and self.num_latents == other.num_latents
-            and self._row_masks == other._row_masks
-            and self.latent_names == other.latent_names
-            and self.task_names == other.task_names
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_tasks, self.num_latents, self._row_masks))
 
     @classmethod
     def from_rows(cls, rows, latent_names=None, task_names=None) -> "ScmTopology":
@@ -117,7 +99,7 @@ class ScmTopology:
 
     def column_masks(self) -> tuple[int, ...]:
         """Per-latent child pattern: bit k set iff the latent feeds task k."""
-        return self._column_masks
+        return _bit_masks(self.adjacency.T)
 
     def row_masks(self) -> tuple[int, ...]:
         """Per-task parent pattern: bit j set iff latent j feeds the task."""
@@ -126,7 +108,7 @@ class ScmTopology:
     def atoms(self) -> tuple[int, ...]:
         """Latent masks of the groups of equal columns, ordered by lowest latent."""
         groups: dict[int, int] = {}
-        for j, column in enumerate(self._column_masks):
+        for j, column in enumerate(self.column_masks()):
             groups[column] = groups.get(column, 0) | (1 << j)
         return tuple(groups.values())
 
@@ -137,7 +119,7 @@ class ScmTopology:
 
     def collision_pairs(self) -> list[tuple[int, int]]:
         """All unordered latent pairs whose child patterns are identical."""
-        cols = self._column_masks
+        cols = self.column_masks()
         return [
             (j, jp)
             for j in range(self.num_latents)

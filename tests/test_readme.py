@@ -16,3 +16,10 @@ def test_library_example_output():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["True", "True", "2.0", "3"]
+
+
+def test_every_module_has_a_row_in_the_module_table():
+    rows = re.findall(r"^\| `(scm_ident\.\w+)` \|", README.read_text(), re.M)
+    package = README.parent / "src" / "scm_ident"
+    modules = {f"scm_ident.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules - set(rows)) == []

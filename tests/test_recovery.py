@@ -135,6 +135,12 @@ class TestMatchPermutation:
             perm, best = brute_force_best_matching(latents, est)
             assert match.mcc == pytest.approx(best, abs=1e-9)
 
+    def test_ties_go_to_the_lexicographically_smallest_permutation(self):
+        latents = np.random.default_rng(4).standard_normal((500, 3))
+        # estimates 0 and 1 are one column, so (0, 1, 2) and (1, 0, 2) tie exactly
+        match = match_permutation(latents, latents[:, [1, 1, 2]])
+        assert match.permutation == (0, 1, 2)
+
     @pytest.mark.parametrize("value", [1.0, 0.1, 0.0])
     def test_zero_variance_is_degenerate(self, value):
         # 0.1 is not exactly the mean of a thousand 0.1s
@@ -845,6 +851,15 @@ class TestFitMany:
         data.append(generate_dataset(replace(ident_spec, prior=prior), 100, 2))
         with pytest.raises(DataError, match="^datasets must share one environment count, got 3 and 2"):
             fit_many(data, ident_spec.topology, FitConfig())
+
+    def test_a_dataset_without_environments_is_refused_before_its_moments(self, ident_spec):
+        empty = np.zeros((0, 1))
+        dataset = SyntheticDataset(0, [], np.zeros((0, 2)), np.zeros((0, 2)), (empty, empty))
+        # the repository's filters make a RuntimeWarning from empty moments an error
+        with pytest.raises(DataError, match="^dataset has no environments to fit$"):
+            fit(dataset, ident_spec.topology)
+        with pytest.raises(DataError, match="^dataset has no environments to fit$"):
+            fit_many([dataset], ident_spec.topology, FitConfig())
 
 
 class TestStopReason:

@@ -1,18 +1,25 @@
 """Repository hygiene: git tracks nothing that .gitignore excludes, no
-package module imports a private name from another, and every public
-name and every module-level definition has a caller besides its own
-tests."""
+package module imports a private name from another, every public name
+and every module-level definition has a caller besides its own tests,
+and no dataclass generates an ``==`` that compares arrays."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+import typing
 
+import numpy as np
 import pytest
 
 import scm_ident
+from conftest import identifiable_spec
+from scm_ident import dgp, recovery, selection
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -126,3 +133,87 @@ def test_a_failing_hypothesis_test_fails_without_an_internal_error(tmp_path):
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def _package_dataclasses() -> list[type]:
+    """Every dataclass defined at module level in an ``scm_ident`` module."""
+    found = []
+    for info in pkgutil.iter_modules(scm_ident.__path__):
+        module = importlib.import_module(f"scm_ident.{info.name}")
+        found += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__
+        ]
+    return found
+
+
+def _compares_arrays(annotation) -> bool:
+    """Whether a generated ``==`` over a field annotated so compares an array:
+    the annotation names ``np.ndarray`` (``tuple[np.ndarray, ...] | None``
+    too), a dataclass compared by identity, or a dataclass whose own ``==``
+    compares an array."""
+    if annotation is np.ndarray:
+        return True
+    if dataclasses.is_dataclass(annotation):
+        hints = typing.get_type_hints(annotation)
+        return not annotation.__dataclass_params__.eq or any(
+            field.compare and _compares_arrays(hints[field.name])
+            for field in dataclasses.fields(annotation)
+        )
+    return any(_compares_arrays(argument) for argument in typing.get_args(annotation))
+
+
+def test_no_dataclass_generates_an_eq_over_arrays():
+    """A generated ``==`` over an array raises for two equal-shaped arrays of
+    more than one element, and its ``hash`` raises too. A dataclass holding
+    arrays declares ``eq=False`` (``==`` is identity) or leaves each array out
+    of the comparison; none writes ``__eq__`` or ``__hash__`` by hand."""
+    faults = []
+    for cls in _package_dataclasses():
+        source = sys.modules[cls.__module__].__file__
+        for name in ("__eq__", "__hash__"):
+            code = getattr(vars(cls).get(name), "__code__", None)
+            if code is not None and code.co_filename == source:
+                faults.append(f"{cls.__name__} writes {name}")
+        if cls.__dataclass_params__.eq:
+            hints = typing.get_type_hints(cls)
+            faults += [
+                f"{cls.__name__}.{field.name} compares an array"
+                for field in dataclasses.fields(cls)
+                if field.compare and _compares_arrays(hints[field.name])
+            ]
+    assert faults == []
+
+
+def _model() -> recovery.UnmixModel:
+    return recovery.UnmixModel(np.eye(2), np.zeros((3, 2)), np.ones((3, 2)), (np.eye(1),) * 2)
+
+
+def _restart() -> recovery.RestartResult:
+    return recovery.RestartResult(1.0, 3, _model(), "grad_tol")
+
+
+IDENTITY_EQUALITY = {
+    "ExpFamilyPrior": lambda: dgp.ExpFamilyPrior([[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0]] * 2),
+    "DgpSpec": identifiable_spec,
+    "SyntheticDataset": lambda: dgp.SyntheticDataset(1, [0, 0], np.eye(2), np.eye(2), ()),
+    "VarietyReport": lambda: dgp.check_variety(identifiable_spec().prior),
+    "UnmixModel": _model,
+    "RestartResult": _restart,
+    "FitResult": lambda: recovery.FitResult(_model(), 1.0, [_restart()]),
+    "_Moments": lambda: recovery._Moments(np.zeros((2, 3)), np.ones((2, 3, 3)), np.array([2, 2])),
+    "_NormalEquations": lambda: recovery._NormalEquations(
+        np.ones((1, 2, 2)), np.ones((1, 4, 4)), np.ones((1, 4, 3, 3)), np.ones((1, 2))
+    ),
+    "GumbelMaskSample": lambda: selection.gumbel_softmax_mask([0.3, 0.6], seed=0),
+}
+
+
+@pytest.mark.parametrize("build", IDENTITY_EQUALITY.values(), ids=IDENTITY_EQUALITY.keys())
+def test_array_holding_dataclasses_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,21 @@ class TestEquality:
         top = ScmTopology.from_rows([[1, 0], [0, 1]])
         assert top.__eq__(object()) is NotImplemented
         assert not top == object() and top != object()
+
+    def test_every_constructor_gives_one_topology(self):
+        rows = [[1, 0, 1], [0, 1, 1]]
+        built = [
+            ScmTopology.from_rows(rows),
+            ScmTopology(2, 3, np.array(rows, dtype=np.float64)),
+            ScmTopology.from_json_dict({"num_tasks": 2, "num_latents": 3, "adjacency": rows}),
+        ]
+        assert all(top == built[0] and hash(top) == hash(built[0]) for top in built)
+
+    def test_names_take_part(self):
+        plain = ScmTopology.from_rows([[1, 0]])
+        named = ScmTopology.from_rows([[1, 0]], latent_names=["a", "b"])
+        assert plain != named and named != ScmTopology.from_rows([[1, 0]], ["b", "a"])
+        assert plain != ScmTopology.from_rows([[1, 0]], task_names=["t"])
 
 
 class TestParentsAndChildren:
@@ -202,6 +219,11 @@ class TestJsonSchema:
     def test_integral_count_loads(self, count):
         doc = {"num_tasks": count, "num_latents": count, "adjacency": [[1, 0], [0, 1]]}
         assert ScmTopology.from_json_dict(doc) == ScmTopology.from_rows([[1, 0], [0, 1]])
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        top = ScmTopology(np.int64(1), np.uint8(2), [[1, 0]])
+        assert type(top.num_tasks) is int and type(top.num_latents) is int
+        assert json.loads(json.dumps(top.to_json_dict()))["num_latents"] == 2
 
     @pytest.mark.parametrize("key", ["latent_names", "task_names"])
     @pytest.mark.parametrize(
