@@ -43,6 +43,7 @@ from .losses import (
     uic_loss_grad,
 )
 from .recovery import (
+    MAX_FIT_LATENTS,
     FitConfig,
     UnmixModel,
     fit,
@@ -494,11 +495,43 @@ def _fit_config_from_json(data: dict, topology: ScmTopology, seed_override):
     return config, init
 
 
+# Largest recover request, in work units of _recover_work. A unit took at
+# most 0.15 us when measured from 1 to 8 latents, 3 to 1,500 environments,
+# 1 to 1,000 restarts and 1 to 328 joint columns (Python 3.11, numpy 2.4,
+# 2 x86-64 cores), so the largest request takes about 15 s there; the
+# largest accepted batches peaked under 280 MB.
+RECOVER_WORK_LIMIT = 10**8
+
+
+def _recover_work(config: FitConfig, environments: int, topology: ScmTopology) -> int:
+    """A bound on recover's fit: restarts * max_iters steps, each about
+    environments * (10 + q**2 + n*p) + p**2 operations, with q the joint
+    columns (x and every task's), n the latents and p the free map entries;
+    the 10 is a fixed cost per environment. The 20 added steps stand for
+    the arrays a batch holds whatever its step count, so the bound covers
+    its memory too."""
+    n = topology.num_latents
+    widths = [len(parents) for parents in topology.parent_indices()]
+    q, p = n + sum(widths), n * n + sum(width * width for width in widths)
+    per_step = environments * (10 + q * q + n * p) + p * p
+    return config.restarts * (config.max_iters + 20) * per_step
+
+
 def cmd_recover(args) -> int:
     dataset = load_dataset(args.data)
     topology = _load_topology(args.topology)
     config_doc = _load_json(args.config) if args.config else {}
     config, init = _fit_config_from_json(config_doc, topology, args.seed)
+    # the fit refuses more latents than it supports, and more environments
+    # than half the rows (each needs 2), with its own messages
+    environments = min(dataset.num_environments, dataset.env_ids.size // 2)
+    too_large = _recover_work(config, environments, topology) > RECOVER_WORK_LIMIT
+    if topology.num_latents <= MAX_FIT_LATENTS and too_large:
+        raise ConfigError(
+            f"recover of {config.restarts} restarts x {config.max_iters} iterations on"
+            f" {environments} environments exceeds the work limit; lower restarts,"
+            " max_iters or the environment count"
+        )
     result = fit(dataset, topology, config, init=init)
     estimated = recover_latents(result.model, dataset.x)
     match = match_permutation(dataset.latents, estimated)

@@ -26,7 +26,8 @@ from .errors import read_array, read_block, read_int, read_ints, read_path, read
 from .errors import read_task_blocks, read_task_keyed
 from .topology import MAX_LATENTS, ScmTopology
 
-RANK_TOLERANCE = 1e-8
+# a map whose singular_ratio is at most this is numerically singular, to the generator and the fit
+SINGULAR_RATIO = 1e-8
 SUFFICIENT_STAT_DIM = 2  # (l, l**2) per scalar Gaussian latent
 REQUIRED_ENVIRONMENTS = SUFFICIENT_STAT_DIM + 1
 
@@ -152,10 +153,10 @@ class DgpSpec:
         noise_y = read_task_blocks(noise_y, [(p,) for p in widths], DataError, what + "noise y")
         if any((std < 0).any() for std in (noise_x, *noise_y)):
             raise DomainError("noise standard deviations must be non-negative")
-        if singular_ratio(source_map) <= RANK_TOLERANCE:
+        if singular_ratio(source_map) <= SINGULAR_RATIO:
             raise DomainError("source map is numerically singular")
         for t, b in enumerate(task_maps):
-            if b.size and singular_ratio(b) <= RANK_TOLERANCE:
+            if b.size and singular_ratio(b) <= SINGULAR_RATIO:
                 raise DomainError(f"task map {t} is numerically singular")
         if self.slope is not None:
             slope = read_real(self.slope, DataError, what + "slope")
@@ -420,7 +421,7 @@ def check_variety(prior: ExpFamilyPrior) -> VarietyReport:
                     " beyond the float range"
                 )
         singular = np.linalg.svd(columns, compute_uv=False)
-        rank = int(np.sum(singular > RANK_TOLERANCE * singular[0])) if singular[0] > 0 else 0
+        rank = int(np.sum(singular > SINGULAR_RATIO * singular[0])) if singular[0] > 0 else 0
     else:
         columns = np.zeros((2 * prior.num_latents, 0))
         rank = 0
@@ -454,7 +455,14 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     cell (zero, subnormal, smaller or larger) goes through ``%.17g`` (see
     :mod:`scm_ident._csvrows`). The format, and :func:`load_dataset`, are
     those of per-cell ``%.17g`` formatting.
+
+    :func:`load_dataset` reads the environment count back as the largest
+    id + 1, so trailing environments without rows do not survive a round
+    trip. A dataset without rows raises ``DataError`` before the file is
+    created, as its header-only file would not load.
     """
+    if not dataset.env_ids.size:
+        raise DataError("dataset contains no samples")
     task_widths = [block.shape[1] for block in dataset.y]
     values = np.hstack([dataset.latents, dataset.x, *dataset.y])
     env_ids = dataset.env_ids

@@ -26,7 +26,8 @@ import numpy as np
 
 from ._parallel import parallel_map
 from ._rng import FIT_INIT, check_seed, stream
-from .dgp import DgpSpec, SyntheticDataset, generate_dataset, singular_ratio, singular_ratios
+from .dgp import SINGULAR_RATIO, DgpSpec, SyntheticDataset, generate_dataset
+from .dgp import singular_ratio, singular_ratios
 from .errors import (
     CapacityError,
     ConfigError,
@@ -45,7 +46,6 @@ MAX_RESTARTS = 1000  # each restart draws its own start, so the count bounds the
 # a run of kept steps ends only here: 5x the default, and about 40x the
 # longest restart (236 steps) of the default experiment
 MAX_ITERS = 10_000
-SINGULAR_RATIO = 1e-8
 VARIANCE_FLOOR = 1e-8
 # Marquardt's damping: its start, and its change after an accepted or a rejected step
 INITIAL_DAMPING = 1e-3
@@ -107,9 +107,6 @@ class UnmixModel:
     env_means: np.ndarray
     env_variances: np.ndarray
     task_maps: tuple[np.ndarray, ...]
-
-    def singular_ratio(self) -> float:
-        return singular_ratio(self.mixing)
 
 
 @dataclass(eq=False)
@@ -732,14 +729,14 @@ def _best(restarts: list[RestartResult]) -> FitResult:
         raise DataError(
             "the fit objective is not finite: the data overflow float64 in the moment residuals"
         )
-    if best.model.singular_ratio() <= SINGULAR_RATIO:
+    if singular_ratio(best.model.mixing) <= SINGULAR_RATIO:
         raise SingularModelError("every restart collapsed to a singular mixing map")
     return FitResult(model=best.model, objective=best.objective, restarts=restarts)
 
 
 def recover_latents(model: UnmixModel, x: np.ndarray) -> np.ndarray:
     """Invert the fitted mixing map on source observations, one product with its inverse."""
-    if model.singular_ratio() <= SINGULAR_RATIO:
+    if singular_ratio(model.mixing) <= SINGULAR_RATIO:
         raise SingularModelError("mixing map is numerically singular")
     x = read_array(x, DataError, "observations")
     if x.ndim != 2 or x.shape[1] != model.mixing.shape[0]:

@@ -17,7 +17,9 @@ from conftest import (
 )
 from scm_ident import FitConfig, ScmTopology, SingularModelError, cli, fit, load_dataset
 from scm_ident.cli import main
+from scm_ident.dgp import export_dataset, generate_dataset
 from scm_ident.recovery import MAX_ITERS, MAX_RESTARTS
+from scm_ident.selection import SELF_TEST_MAX_DRAWS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -377,6 +379,17 @@ class TestMask:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: draws must be positive, got {draws}\n"
+
+    def test_self_test_draws_above_the_limit_exit_two(self, capsys):
+        draws = SELF_TEST_MAX_DRAWS + 1
+        start = time.perf_counter()
+        assert main(["mask", "--self-test", "--draws", str(draws)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: draws must be at most {SELF_TEST_MAX_DRAWS}, got {draws}\n"
+        )
 
     def test_self_test_small(self, capsys):
         code, payload = run_json(
@@ -804,7 +817,7 @@ class TestDataAndRecovery:
         assert "median_mcc" in payload["identifiable"]["summary"]
 
 
-@pytest.mark.parametrize("command", ["dgp-gen", "experiment", "mask"])
+@pytest.mark.parametrize("command", ["dgp-gen", "experiment"])
 def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
     # every first array is at least 711 PiB, so numpy refuses it before touching memory
     huge = "100000000000000000"
@@ -813,7 +826,6 @@ def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
     argv = {
         "dgp-gen": ["dgp-gen", spec_path, "--samples", huge, "--out", str(tmp_path / "d.csv")],
         "experiment": ["experiment", spec_path, collide_path, "--samples", huge, "--seeds", "1"],
-        "mask": ["mask", "--self-test", "--draws", huge],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -945,6 +957,36 @@ def test_recover_rejects_max_iters_above_the_bound(tmp_path, capsys):
     assert main(["recover", str(csv_path), top_path, "--config", config]) == 2
     err = capsys.readouterr().err
     assert err == f"input error: max_iters must be at most {MAX_ITERS}, got {MAX_ITERS + 1}\n"
+
+
+def test_recover_of_tiny_environments_is_refused_before_the_fit(tmp_path, capsys, monkeypatch):
+    """3,000 rows dealt into 1,500 two-row environments, 2 restarts: a fit
+    that runs every restart to max_iters is refused at once."""
+    spec = identifiable_spec()
+    dataset = generate_dataset(spec, 1000, seed=0)
+    dealt = dataclasses.replace(
+        dataset, num_environments=1500, env_ids=np.arange(3000) // 2
+    )
+    csv_path = tmp_path / "data.csv"
+    export_dataset(dealt, csv_path)
+    top_path = write_json(tmp_path / "top.json", spec.topology.to_json_dict())
+    config = write_json(tmp_path / "cfg.json", {"restarts": 2})
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: pytest.fail("the fit ran"))
+    start = time.perf_counter()
+    assert main(["recover", str(csv_path), top_path, "--config", config]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "input error: recover of 2 restarts x 2000 iterations on 1500 environments"
+        " exceeds the work limit; lower restarts, max_iters or the environment count\n",
+    )
+
+
+def test_recover_work_estimate_accepts_the_default_three_environment_fit():
+    topology = identifiable_spec().topology
+    work = cli._recover_work(FitConfig(), 3, topology)
+    assert work == 8 * 2020 * (3 * (10 + 16 + 2 * 6) + 36)
+    assert work < cli.RECOVER_WORK_LIMIT
 
 
 class TestDeterminism:

@@ -391,6 +391,13 @@ def writer_boundaries() -> list[float]:
 
 
 class TestCsvWriter:
+    def test_dataset_without_rows_is_refused_before_the_file_is_created(self, tmp_path):
+        empty = SyntheticDataset(1, [], np.zeros((0, 2)), np.zeros((0, 2)), ())
+        path = tmp_path / "data.csv"
+        with pytest.raises(DataError, match="^dataset contains no samples$"):
+            export_dataset(empty, path)
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(

@@ -23,6 +23,7 @@ from scm_ident import (
     DataError,
     DegenerateError,
     DgpSpec,
+    DomainError,
     ExpFamilyPrior,
     FitConfig,
     ScmTopology,
@@ -38,7 +39,7 @@ from scm_ident import (
     recover_latents,
 )
 from scm_ident import _parallel, recovery
-from scm_ident.dgp import singular_ratio
+from scm_ident.dgp import SINGULAR_RATIO, singular_ratio
 from scm_ident.recovery import (
     SeedOutcome,
     _Batch,
@@ -265,6 +266,22 @@ class TestRecoverLatents:
         model = UnmixModel(mixing, np.zeros((1, 3)), np.ones((1, 3)), ())
         recovered = recover_latents(model, latents @ mixing.T)
         np.testing.assert_allclose(recovered, latents, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "ratio, singular", [(SINGULAR_RATIO, True), (np.nextafter(SINGULAR_RATIO, 1.0), False)]
+    )
+    def test_generator_and_inversion_share_one_rule(self, ident_spec, ratio, singular):
+        source_map = np.diag([1.0, ratio])
+        model = UnmixModel(source_map, np.zeros((1, 2)), np.ones((1, 2)), ())
+        x = np.ones((3, 2))
+        if singular:
+            with pytest.raises(DomainError, match="^source map is numerically singular$"):
+                replace(ident_spec, source_map=source_map)
+            with pytest.raises(SingularModelError, match="^mixing map is numerically singular$"):
+                recover_latents(model, x)
+        else:
+            replace(ident_spec, source_map=source_map)
+            np.testing.assert_array_equal(recover_latents(model, x)[:, 0], 1.0)
 
     def test_singular_model_rejected(self, ident_spec):
         model = truth_model(ident_spec)
