@@ -5,7 +5,7 @@ Exit codes are a stable contract:
 * 0 — success (identifiable, where a verdict applies)
 * 1 — not identifiable
 * 2 — input error (missing file, malformed JSON, schema violation, a request
-  too large to allocate)
+  past a work or size limit or too large to allocate)
 * 3 — numeric failure (singular model, failed gradcheck or self-test)
 * 4 — internal inconsistency (the two deciders disagreed; indicates a bug)
 
@@ -17,6 +17,7 @@ the same invocation.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -460,8 +461,34 @@ def cmd_mask(args) -> int:
     return status
 
 
+# Largest dataset dgp-gen writes, and experiment generates per seed, in float
+# cells (_dataset_cells). dgp-gen peaked at 17 to 33 bytes a cell above the
+# interpreter's 40 MiB when measured from 2 to 640 cells a row and 1 to 1,000
+# environments (Python 3.11, numpy 2.4, 2 x86-64 cores), so the largest
+# dataset peaks near 355 MiB and is written in about 4 s there.
+DATASET_CELL_LIMIT = 10**7
+
+
+def _dataset_cells(spec: DgpSpec, samples: int) -> int:
+    """Float cells of ``samples`` rows per environment: latents, x and every task's columns."""
+    topology = spec.topology
+    width = 2 * topology.num_latents + sum(len(parents) for parents in topology.parent_indices())
+    return samples * spec.prior.num_environments * width
+
+
+def _check_dataset_cells(spec: DgpSpec, samples: int, name: str) -> None:
+    cells = _dataset_cells(spec, samples)
+    if cells > DATASET_CELL_LIMIT:
+        raise ConfigError(
+            f"{samples} samples in each of {spec.prior.num_environments} environments of the"
+            f" {name} make {cells} float cells, beyond the limit of {DATASET_CELL_LIMIT};"
+            " lower --samples"
+        )
+
+
 def cmd_dgp_gen(args) -> int:
     spec = _load_spec(args.spec)
+    _check_dataset_cells(spec, args.samples, "generator spec")
     dataset = generate_dataset(spec, args.samples, args.seed)
     export_dataset(dataset, args.csv)
     payload = {
@@ -558,6 +585,27 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
+# Largest experiment request, in work units of _experiment_work. An arm ran
+# at most 0.13 us a unit when measured from 2 to 8 latents, 3 to 10,000
+# environments, 1 to 1,000 restarts and 2 to 555,555 samples (Python 3.11,
+# numpy 2.4, 2 x86-64 cores), so the largest request takes about 26 s of CPU.
+EXPERIMENT_WORK_LIMIT = 2 * 10**8
+
+
+def _experiment_work(config: FitConfig, seeds: int, samples: int, *specs: DgpSpec) -> int:
+    """A bound on experiment's work: for each seed and each arm, the fit's
+    ``_recover_work``, one unit per float cell generated (the moments, the
+    recovery and the matching read it again), 100 per permutation the
+    matching scores and 10**4 for the rest of the seed's calls."""
+    return seeds * sum(
+        _recover_work(config, spec.prior.num_environments, spec.topology)
+        + _dataset_cells(spec, samples)
+        + 100 * math.factorial(spec.topology.num_latents)
+        + 10**4
+        for spec in specs
+    )
+
+
 def cmd_experiment(args) -> int:
     spec_ident = _load_spec(args.spec_ident)
     spec_collide = _load_spec(args.spec_collide)
@@ -566,6 +614,17 @@ def cmd_experiment(args) -> int:
         # one init cannot match both arms' topologies
         raise ConfigError("fit config key 'init' is for recover only, not experiment")
     config, _ = _fit_config_from_json(config_doc, spec_ident.topology, args.seed)
+    _check_dataset_cells(spec_ident, args.samples, "identifiable spec")
+    _check_dataset_cells(spec_collide, args.samples, "colliding spec")
+    work = _experiment_work(config, args.seeds, args.samples, spec_ident, spec_collide)
+    # a topology the fit does not support gets the fit's own CapacityError
+    latents = max(spec_ident.topology.num_latents, spec_collide.topology.num_latents)
+    if latents <= MAX_FIT_LATENTS and work > EXPERIMENT_WORK_LIMIT:
+        raise ConfigError(
+            f"experiment of {args.seeds} seeds x {config.restarts} restarts x"
+            f" {config.max_iters} iterations exceeds the work limit; lower --seeds,"
+            " --samples, restarts or max_iters"
+        )
     report = identifiability_experiment(
         spec_ident,
         spec_collide,

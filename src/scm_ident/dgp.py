@@ -31,7 +31,8 @@ SINGULAR_RATIO = 1e-8
 SUFFICIENT_STAT_DIM = 2  # (l, l**2) per scalar Gaussian latent
 REQUIRED_ENVIRONMENTS = SUFFICIENT_STAT_DIM + 1
 
-_EXPORT_CHUNK_ROWS = 4096  # rows rendered per write; bounds the text and scratch arrays held
+# float cells rendered per write, or one row if wider: bounds the text and scratch arrays held
+_EXPORT_CHUNK_CELLS = 4096 * 6
 
 
 def singular_ratios(stack: np.ndarray) -> np.ndarray:
@@ -470,10 +471,11 @@ def export_dataset(dataset: SyntheticDataset, path) -> None:
     within_env = np.empty_like(env_ids)
     # position in the sorted order less the start of the row's run
     within_env[order] = np.arange(env_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    chunk_rows = max(1, _EXPORT_CHUNK_CELLS // values.shape[1])
     with open(read_path(path, DataError, "dataset"), "wb") as handle:
         handle.write((",".join(_header(dataset.num_latents, task_widths)) + "\n").encode())
-        for start in range(0, env_ids.shape[0], _EXPORT_CHUNK_ROWS):
-            chunk = slice(start, start + _EXPORT_CHUNK_ROWS)
+        for start in range(0, env_ids.shape[0], chunk_rows):
+            chunk = slice(start, start + chunk_rows)
             handle.write(render_rows(env_ids[chunk], within_env[chunk], values[chunk]))
 
 

@@ -374,15 +374,12 @@ def _residuals(batch: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _objective(batch: _Batch) -> np.ndarray:
-    """Summed squared moment residuals per restart, the environments added in order."""
+    """Summed squared moment residuals per restart, the environments added in one in-order accumulate."""
     _, mean_resid, cov_resid = _residuals(batch)
     mean_terms = np.matmul(mean_resid[..., None, :], mean_resid[..., None])[..., 0, 0]
     cov_terms = (cov_resid * cov_resid).reshape(cov_resid.shape[:2] + (-1,)).sum(axis=-1)
-    terms = mean_terms + cov_terms
-    objective = np.zeros(terms.shape[0])
-    for e in range(terms.shape[1]):
-        objective += terms[:, e]
-    return objective
+    # not .sum(axis=1): numpy adds 8 or more terms pairwise, which moves the bits
+    return np.add.accumulate(mean_terms + cov_terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -819,7 +819,7 @@ class TestDataAndRecovery:
 
 @pytest.mark.parametrize("command", ["dgp-gen", "experiment"])
 def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
-    # every first array is at least 711 PiB, so numpy refuses it before touching memory
+    # 1.8e18 float cells: the cell limit refuses it before any array is made
     huge = "100000000000000000"
     spec_path = write_json(tmp_path / "spec.json", identifiable_spec().to_json_dict())
     collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
@@ -829,7 +829,8 @@ def test_request_too_large_to_allocate_exit_two(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: Unable to allocate ")
+    spec = {"dgp-gen": "generator spec", "experiment": "identifiable spec"}[command]
+    assert err.startswith(f"input error: {huge} samples in each of 3 environments of the {spec}")
     assert err.count("\n") == 1
 
 
@@ -987,6 +988,76 @@ def test_recover_work_estimate_accepts_the_default_three_environment_fit():
     work = cli._recover_work(FitConfig(), 3, topology)
     assert work == 8 * 2020 * (3 * (10 + 16 + 2 * 6) + 36)
     assert work < cli.RECOVER_WORK_LIMIT
+
+
+class Reached(Exception):
+    """Raised in place of the work that a refusal must come before."""
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
+def test_dgp_gen_above_the_cell_limit_is_refused_before_generating(tmp_path, capsys, monkeypatch):
+    # 3 environments of 2 latents, 2 source and 2 task columns: 18 float cells a sample
+    spec_path = write_json(tmp_path / "spec.json", identifiable_spec().to_json_dict())
+    samples = cli.DATASET_CELL_LIMIT // 18
+    assert samples >= 20000  # the benchmark's pipeline request
+    monkeypatch.setattr(cli, "generate_dataset", reach)
+    argv = ["dgp-gen", spec_path, "--out", str(tmp_path / "data.csv"), "--samples"]
+    with pytest.raises(Reached):
+        main(argv + [str(samples)])
+    assert main(argv + [str(samples + 1)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"input error: {samples + 1} samples in each of 3 environments of the generator spec"
+        f" make {18 * (samples + 1)} float cells, beyond the limit of {cli.DATASET_CELL_LIMIT};"
+        " lower --samples\n",
+    )
+
+
+def test_experiment_above_the_cell_limit_is_refused_before_forking(tmp_path, capsys, monkeypatch):
+    ident_path = write_json(tmp_path / "ident.json", identifiable_spec().to_json_dict())
+    collide_path = write_json(tmp_path / "collide.json", colliding_spec().to_json_dict())
+    samples = cli.DATASET_CELL_LIMIT // 18 + 1
+    monkeypatch.setattr(cli, "identifiability_experiment", reach)
+    argv = ["experiment", ident_path, collide_path, "--seeds", "1", "--samples", str(samples)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"input error: {samples} samples in each of 3 environments of the identifiable spec"
+        f" make {18 * samples} float cells, beyond the limit of {cli.DATASET_CELL_LIMIT};"
+        " lower --samples\n",
+    )
+
+
+def test_experiment_above_the_work_limit_is_refused_before_forking(tmp_path, capsys, monkeypatch):
+    ident, collide = identifiable_spec(), colliding_spec()
+    ident_path = write_json(tmp_path / "ident.json", ident.to_json_dict())
+    collide_path = write_json(tmp_path / "collide.json", collide.to_json_dict())
+    config = write_json(tmp_path / "cfg.json", {"restarts": 2})
+    seeds = cli.EXPERIMENT_WORK_LIMIT // cli._experiment_work(
+        FitConfig(restarts=2), 1, 20000, ident, collide
+    )
+    assert seeds >= 2  # the benchmark's contrast request
+    monkeypatch.setattr(cli, "identifiability_experiment", reach)
+    argv = ["experiment", ident_path, collide_path, "--samples", "20000", "--config", config]
+    with pytest.raises(Reached):
+        main(argv + ["--seeds", str(seeds)])
+    assert main(argv + ["--seeds", str(seeds + 1)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"input error: experiment of {seeds + 1} seeds x 2 restarts x 2000 iterations exceeds"
+        " the work limit; lower --seeds, --samples, restarts or max_iters\n",
+    )
+
+
+def test_experiment_work_estimate_accepts_the_default_experiment():
+    work = cli._experiment_work(FitConfig(), 10, 20000, identifiable_spec(), colliding_spec())
+    ident_fit = 8 * 2020 * (3 * (10 + 16 + 2 * 6) + 36)
+    collide_fit = 8 * 2020 * (3 * (10 + 16 + 2 * 8) + 64)
+    assert work == 10 * (ident_fit + collide_fit + 2 * (360_000 + 100 * 2 + 10**4))
+    assert work < cli.EXPERIMENT_WORK_LIMIT
 
 
 class TestDeterminism:

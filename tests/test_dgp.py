@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,32 @@ class TestCsvWriter:
         values = writer_boundaries()
         assert rendered_cells(values) == ["%.17g" % v for v in values]
 
+    @pytest.mark.parametrize("rows, latents", [(1024, 100), (3, 12300)])
+    def test_export_scratch_is_bounded_in_cells_not_rows(self, tmp_path, rows, latents):
+        """A write renders at most ``_EXPORT_CHUNK_CELLS`` floats, or one row.
+
+        1,024 rows of 201 floats rendered at once held 60 MB of scratch,
+        and 3 rows of 24,601 floats 21 MB.
+        """
+        rng = np.random.default_rng(rows)
+        dataset = SyntheticDataset(
+            1,
+            np.zeros(rows, np.int64),
+            rng.standard_normal((rows, latents)),
+            rng.standard_normal((rows, latents)),
+            (rng.standard_normal((rows, 1)),),
+        )
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        tracemalloc.start()
+        try:
+            export_dataset(dataset, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * rows * (2 * latents + 1) + 8e6
+        reference_export_csv(dataset, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_integers_match_percent_d(self):
         first = np.array([0, 9, 10, 99999999, 100000000, 2**63 - 1])
         second = np.arange(6) * 10**12
@@ -539,7 +566,8 @@ class TestDatasetRoundTrip:
             ),
             *(
                 pytest.param(random_dataset(rows, seed=rows), id=f"{rows}-rows")
-                for rows in dgp._EXPORT_CHUNK_ROWS + np.array([-1, 0, 1])
+                # random_dataset's rows hold five floats
+                for rows in dgp._EXPORT_CHUNK_CELLS // 5 + np.array([-1, 0, 1])
             ),
             pytest.param(
                 SyntheticDataset(

@@ -43,6 +43,7 @@ from scm_ident.dgp import SINGULAR_RATIO, singular_ratio
 from scm_ident.recovery import (
     SeedOutcome,
     _Batch,
+    _Moments,
     _data_driven_init,
     _empirical_moments,
     _normal_equations,
@@ -477,6 +478,46 @@ class TestFitGradient:
                 best, kept = candidate, kept + 1
         assert kept < restart.iterations  # some steps were rejected
         assert calls["normal_equations"] == 1 + kept
+
+
+@pytest.mark.parametrize("environments", [1, 7, 8, 9, 1500])
+def test_objective_adds_the_environments_in_order(ident_spec, environments):
+    """Bit for bit, the in-order sum of each environment's one-environment objective.
+
+    The environments' terms span 24 orders of magnitude, so a sum in any
+    other order, such as numpy's pairwise one from 8 terms up, moves bits.
+    """
+    rng = np.random.default_rng(environments)
+    n, q = ident_spec.topology.num_latents, 4
+    scale = 10.0 ** rng.uniform(-6, 6, size=(environments, 1))
+    moments = _Moments(
+        rng.standard_normal((environments, q)) * scale,
+        rng.standard_normal((environments, q, q)) * scale[..., None],
+        np.full(environments, 2),
+    )
+    models = [
+        UnmixModel(
+            rng.standard_normal((n, n)),
+            rng.standard_normal((environments, n)),
+            rng.uniform(0.5, 2.0, (environments, n)),
+            (rng.standard_normal((1, 1)), rng.standard_normal((1, 1))),
+        )
+        for _ in range(3)
+    ]
+    got = _objective(_Batch.of([(model, moments) for model in models], ident_spec.topology))
+    for r, model in enumerate(models):
+        want = 0.0
+        for e in range(environments):
+            one = slice(e, e + 1)
+            alone = replace(
+                model, env_means=model.env_means[one], env_variances=model.env_variances[one]
+            )
+            want += objective(
+                alone,
+                ident_spec.topology,
+                _Moments(moments.means[one], moments.covariances[one], moments.sizes[one]),
+            )
+        assert got[r] == want
 
 
 class TestEmpiricalMoments:
